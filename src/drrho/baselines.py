@@ -13,22 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contrastive import _check_same_shape, _check_square
+from .risk import log_mean_exp
 from .rng import CounterRng
-
-
-def _check_square(s, name: str = "s") -> np.ndarray:
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"{name} must be a square similarity matrix, got {s.shape}")
-    return s
-
-
-def _check_same_shape(s_t, s_r) -> tuple[np.ndarray, np.ndarray]:
-    s_t = _check_square(s_t, "s_target")
-    s_r = _check_square(s_r, "s_reference")
-    if s_t.shape != s_r.shape:
-        raise ValueError(f"matrices differ in shape: {s_t.shape} vs {s_r.shape}")
-    return s_t, s_r
 
 
 def _log_softmax(a: np.ndarray, axis: int) -> np.ndarray:
@@ -114,11 +101,6 @@ def _anchor_scores(
 ) -> np.ndarray:
     """Shifted soft-maximum loss of each candidate against the selected set,
     summed over both anchor directions."""
-
-    def lse_mean(gaps: np.ndarray) -> np.ndarray:
-        m = gaps.max(axis=1, keepdims=True)
-        return (m + tau * np.log(np.exp((gaps - m) / tau).mean(axis=1, keepdims=True)))[:, 0]
-
     diag_t = np.diag(s_t)[candidates]
     diag_r = np.diag(s_r)[candidates]
     gaps1 = (s_t[np.ix_(candidates, sel)] - diag_t[:, None]) - (
@@ -127,7 +109,7 @@ def _anchor_scores(
     gaps2 = (s_t[np.ix_(sel, candidates)].T - diag_t[:, None]) - (
         s_r[np.ix_(sel, candidates)].T - diag_r[:, None]
     )
-    return lse_mean(gaps1) + lse_mean(gaps2)
+    return log_mean_exp(gaps1, tau) + log_mean_exp(gaps2, tau)
 
 
 def jest_select(

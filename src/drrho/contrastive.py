@@ -8,6 +8,13 @@ text negatives, text anchor over image negatives). ``global_objective``
 averages both directions over all anchors and serves as the exact
 ground truth that the stochastic trainer is verified against.
 
+``shifted_gaps`` builds the b x b gap matrices of both directions; the
+trainer's estimators, the loss-variance metric and ``global_objective``
+all start from it. ``global_objective`` is one array computation over those
+matrices. The per-anchor functions (``drrho_anchor_loss``,
+``gcl_anchor_loss``) compute the same soft maxima one anchor at a time and
+are the reference it is tested against.
+
 Averaging set: "full" includes j = i (whose shifted gap is identically 0),
 "exclude-anchor" drops it. The trainer's estimators target the
 exclude-anchor variant, so gradient checks against it are exact; the full
@@ -19,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .risk import log_mean_exp
 
 IMAGE_SIDE = "image"
 TEXT_SIDE = "text"
@@ -49,6 +58,14 @@ def _check_square(s: np.ndarray, name: str = "s") -> np.ndarray:
     return s
 
 
+def _check_same_shape(s_target, s_reference) -> tuple[np.ndarray, np.ndarray]:
+    s_t = _check_square(s_target, "s_target")
+    s_r = _check_square(s_reference, "s_reference")
+    if s_t.shape != s_r.shape:
+        raise ValueError(f"matrices differ in shape: {s_t.shape} vs {s_r.shape}")
+    return s_t, s_r
+
+
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for {n} pairs")
@@ -74,40 +91,52 @@ def rho_pairwise_loss(
     direction: str = IMAGE_SIDE,
 ) -> float:
     """Target gap minus reference gap for the same (i, j, direction)."""
-    s_t = _check_square(s_target, "s_target")
-    s_r = _check_square(s_reference, "s_reference")
-    if s_t.shape != s_r.shape:
-        raise ValueError(f"matrices differ in shape: {s_t.shape} vs {s_r.shape}")
+    s_t, s_r = _check_same_shape(s_target, s_reference)
     return pairwise_loss(s_t, i, j, direction) - pairwise_loss(s_r, i, j, direction)
 
 
-def _gap_row(s: np.ndarray, i: int, direction: str) -> np.ndarray:
-    """All pairwise losses of anchor i in one direction, as a length-n row."""
-    if direction == IMAGE_SIDE:
-        return s[i, :] - s[i, i]
-    if direction == TEXT_SIDE:
-        return s[:, i] - s[i, i]
-    raise ValueError(f"direction must be {IMAGE_SIDE!r} or {TEXT_SIDE!r}")
+def shifted_gaps(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every anchor's gaps in both directions, reference-shifted when a
+    reference is given.
+
+    Row a of gaps1 holds image anchor a's gaps against every text,
+    s(a, j) - s(a, a); row a of gaps2 holds text anchor a's gaps against
+    every image, s(j, a) - s(a, a). The diagonal (the anchor itself) is 0.
+    """
+    s_t = _check_square(s_target, "s_target")
+    diag_t = np.diag(s_t)
+    gaps1 = s_t - diag_t[:, None]
+    gaps2 = s_t.T - diag_t[:, None]
+    if s_reference is not None:
+        _, s_r = _check_same_shape(s_t, s_reference)
+        diag_r = np.diag(s_r)
+        gaps1 = gaps1 - (s_r - diag_r[:, None])
+        gaps2 = gaps2 - (s_r.T - diag_r[:, None])
+    return gaps1, gaps2
 
 
-def _lse_mean(losses: np.ndarray, tau: float) -> float:
-    m = losses.max()
-    return float(m + tau * np.log(np.mean(np.exp((losses - m) / tau))))
+def _check_tau_over(tau: float, over: str) -> None:
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    if over not in (OVER_FULL, OVER_EXCLUDE):
+        raise ValueError(f"over must be {OVER_FULL!r} or {OVER_EXCLUDE!r}")
 
 
 def _anchor_loss(
-    gaps: np.ndarray, i: int, direction: str, tau: float, over: str
+    gaps: tuple[np.ndarray, np.ndarray], i: int, direction: str, tau: float, over: str
 ) -> AnchorLossBundle:
-    if over == OVER_EXCLUDE:
-        averaged = np.delete(gaps, i)
-    elif over == OVER_FULL:
-        averaged = gaps
-    else:
-        raise ValueError(f"over must be {OVER_FULL!r} or {OVER_EXCLUDE!r}")
+    """Anchor i's soft maximum over its row of ``shifted_gaps`` output."""
+    _check_tau_over(tau, over)
+    _check_index(i, len(gaps[0]))
+    if direction not in (IMAGE_SIDE, TEXT_SIDE):
+        raise ValueError(f"direction must be {IMAGE_SIDE!r} or {TEXT_SIDE!r}")
+    row = gaps[0 if direction == IMAGE_SIDE else 1][i]
+    negatives = np.delete(row, i)
+    averaged = negatives if over == OVER_EXCLUDE else row
     if averaged.size == 0:
         raise ValueError("anchor has an empty negative set")
     return AnchorLossBundle(
-        anchor_index=i, direction=direction, losses=np.delete(gaps, i), value=_lse_mean(averaged, tau)
+        anchor_index=i, direction=direction, losses=negatives, value=float(log_mean_exp(averaged, tau))
     )
 
 
@@ -120,15 +149,7 @@ def drrho_anchor_loss(
     over: str = OVER_FULL,
 ) -> AnchorLossBundle:
     """Soft maximum of anchor i's reference-shifted gaps."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    s_t = _check_square(s_target, "s_target")
-    s_r = _check_square(s_reference, "s_reference")
-    if s_t.shape != s_r.shape:
-        raise ValueError(f"matrices differ in shape: {s_t.shape} vs {s_r.shape}")
-    _check_index(i, len(s_t))
-    gaps = _gap_row(s_t, i, direction) - _gap_row(s_r, i, direction)
-    return _anchor_loss(gaps, i, direction, tau, over)
+    return _anchor_loss(shifted_gaps(s_target, s_reference), i, direction, tau, over)
 
 
 def gcl_anchor_loss(
@@ -139,11 +160,7 @@ def gcl_anchor_loss(
     over: str = OVER_FULL,
 ) -> AnchorLossBundle:
     """Soft maximum of anchor i's plain gaps (no reference model)."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    s_t = _check_square(s_target, "s_target")
-    _check_index(i, len(s_t))
-    return _anchor_loss(_gap_row(s_t, i, direction), i, direction, tau, over)
+    return _anchor_loss(shifted_gaps(s_target), i, direction, tau, over)
 
 
 def global_objective(
@@ -155,15 +172,19 @@ def global_objective(
     """(1/n) sum over anchors of image-side plus text-side anchor losses.
 
     Reference-shifted when s_reference is given, plain otherwise. This is
-    the exact objective the batch estimators approximate.
+    the exact objective the batch estimators approximate. All 2n anchor
+    soft maxima come from one log-mean-exp over the stacked gap rows.
     """
-    s_t = _check_square(s_target, "s_target")
-    n = len(s_t)
-    total = 0.0
-    for i in range(n):
-        for direction in (IMAGE_SIDE, TEXT_SIDE):
-            if s_reference is None:
-                total += gcl_anchor_loss(s_t, i, direction, tau, over).value
-            else:
-                total += drrho_anchor_loss(s_t, s_reference, i, direction, tau, over).value
-    return total / n
+    _check_tau_over(tau, over)
+    gaps1, gaps2 = shifted_gaps(s_target, s_reference)
+    n = len(gaps1)
+    if n == 0:
+        raise ValueError("s_target must hold at least one pair, got shape (0, 0)")
+    if over == OVER_FULL:
+        rows = np.concatenate((gaps1, gaps2))
+    elif n == 1:
+        raise ValueError("anchor has an empty negative set")
+    else:
+        negatives = ~np.eye(n, dtype=bool)
+        rows = np.concatenate((gaps1[negatives], gaps2[negatives])).reshape(2 * n, n - 1)
+    return float(log_mean_exp(rows, tau).sum() / n)

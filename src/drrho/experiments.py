@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contrastive import shifted_gaps
 from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate_synthetic
 from .encoder import batch_forward
 from .errors import ConfigError
@@ -67,20 +68,10 @@ class VarianceSummary:
 def loss_variance(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> VarianceSummary:
     """Variance over negatives of each anchor's pairwise loss (shifted by
     the reference when one is given), per direction."""
-    s_t = np.asarray(s_target, dtype=np.float64)
-    if s_t.ndim != 2 or s_t.shape[0] != s_t.shape[1]:
-        raise ValueError(f"similarity matrix must be square, got {s_t.shape}")
-    b = len(s_t)
+    gaps1, gaps2 = shifted_gaps(s_target, s_reference)
+    b = len(gaps1)
     if b < 3:
         raise ValueError("need at least 2 negatives per anchor (3 pairs)")
-    gaps1 = s_t - np.diag(s_t)[:, None]
-    gaps2 = s_t.T - np.diag(s_t)[:, None]
-    if s_reference is not None:
-        s_r = np.asarray(s_reference, dtype=np.float64)
-        if s_r.shape != s_t.shape:
-            raise ValueError(f"reference shape {s_r.shape} != target {s_t.shape}")
-        gaps1 = gaps1 - (s_r - np.diag(s_r)[:, None])
-        gaps2 = gaps2 - (s_r.T - np.diag(s_r)[:, None])
     mask = ~np.eye(b, dtype=bool)
     image_var = gaps1[mask].reshape(b, b - 1).var(axis=1)
     text_var = gaps2[mask].reshape(b, b - 1).var(axis=1)
@@ -173,12 +164,18 @@ def _run_jobs(jobs: list, fn, workers: int | None = None) -> list:
     workers = min(workers, len(jobs))
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # Only starting the pool may fall back to running in this process; an
+    # exception raised by a job propagates from its future's result.
+    pool = None
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(fn, jobs))
-    except (OSError, ValueError):
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+        futures = [pool.submit(fn, job) for job in jobs]
+    except (OSError, ValueError):  # no fork start method, or workers failed to start
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         return [fn(job) for job in jobs]
+    with pool:
+        return [future.result() for future in futures]
 
 
 def _sweep_job(args) -> tuple:

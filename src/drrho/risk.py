@@ -9,6 +9,8 @@ around uniform weights:
  - ``kl_constrained_risk``  the same with tau optimized against a radius
  - ``chi2_dro_risk``        linear maximization over a chi-square ball
 
+``log_mean_exp`` is the row-wise soft maximum behind ``kl_regularized_risk``;
+the contrastive losses and the selection scores use it too.
 ``drrho_shift`` subtracts a reference model's losses first; feeding the
 shifted vector to any functional above gives the reference-guided risk.
 Every solver here has an independent oracle in the test suite (dense grid
@@ -123,10 +125,12 @@ def softmax_weights(losses, tau: float) -> np.ndarray:
     return p
 
 
-def _log_mean_exp(v: np.ndarray, tau: float) -> float:
-    """tau * log((1/m) sum exp(v_i / tau)), stabilized by max subtraction."""
-    m = v.max()
-    return float(m + tau * np.log(np.mean(np.exp((v - m) / tau))))
+def log_mean_exp(v: np.ndarray, tau: float) -> np.ndarray:
+    """tau * log((1/m) sum exp(v_i / tau)) along the last axis, stabilized
+    by subtracting each row's max. A 1-d vector gives a scalar."""
+    m = v.max(axis=-1, keepdims=True)
+    mean = np.exp((v - m) / tau).sum(axis=-1) / v.shape[-1]
+    return m[..., 0] + tau * np.log(mean)
 
 
 def kl_regularized_risk(losses, tau: float) -> float:
@@ -134,7 +138,7 @@ def kl_regularized_risk(losses, tau: float) -> float:
     v = _values(losses)
     if not tau > 0:
         raise ValueError("tau must be positive")
-    return _log_mean_exp(v, tau)
+    return float(log_mean_exp(v, tau))
 
 
 def kl_constrained_risk(losses, rho: float, n: int) -> tuple[float, float]:
@@ -159,7 +163,7 @@ def kl_constrained_risk(losses, rho: float, n: int) -> tuple[float, float]:
 
     def g(log_tau: float) -> float:
         tau = np.exp(log_tau)
-        return _log_mean_exp(v, tau) + tau * radius
+        return float(log_mean_exp(v, tau)) + tau * radius
 
     for _ in range(_TERNARY_ITERS):
         m1 = lo + (hi - lo) / 3.0

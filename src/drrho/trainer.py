@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, container
-from .contrastive import OVER_EXCLUDE, global_objective
+from .contrastive import OVER_EXCLUDE, global_objective, shifted_gaps
 from .data import EmbeddingCache, PairedDataset
 from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, similarity_backward
 from .errors import ConfigError, FormatError, StateError, TrainingError
@@ -101,6 +101,7 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 2),
             ("embed_dim", self.embed_dim >= 1),
             ("lr", self.lr > 0),
+            ("warmup_steps", self.warmup_steps is None or self.warmup_steps >= 0),
             ("weight_decay", self.weight_decay >= 0),
             ("tau", self.tau > 0),
             ("tau_init", self.tau_init > 0),
@@ -113,6 +114,7 @@ class TrainConfig:
             ("jest_chunks", self.jest_chunks >= 1),
             ("jest_iter_multiplier", self.jest_iter_multiplier > 0),
             ("train_fraction", 0 < self.train_fraction <= 1),
+            ("eval_every", self.eval_every is None or self.eval_every >= 1),
             ("eval_subset", self.eval_subset >= 4),
             ("seed", self.seed >= 0),
         ]
@@ -232,22 +234,11 @@ def shifted_gap_exponentials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-batch shifted gaps and their exponentials, diagonal zeroed.
 
-    Returns (gaps1, q1, gaps2, q2): row a of gaps1 holds the image-anchor
-    shifted gaps of batch position a against every text in the batch;
-    gaps2 is the text-anchor analogue. q = exp(gaps / tau) with the
-    diagonal (the anchor itself) zeroed out.
+    Returns (gaps1, q1, gaps2, q2): gaps1 and gaps2 are the image-anchor and
+    text-anchor gaps of ``contrastive.shifted_gaps``, and q = exp(gaps / tau)
+    with the diagonal (the anchor itself) zeroed out.
     """
-    s_t = np.asarray(s_target, dtype=np.float64)
-    diag_t = np.diag(s_t)
-    gaps1 = s_t - diag_t[:, None]
-    gaps2 = s_t.T - diag_t[:, None]
-    if s_reference is not None:
-        s_r = np.asarray(s_reference, dtype=np.float64)
-        if s_r.shape != s_t.shape:
-            raise ValueError(f"reference similarities shape {s_r.shape} != target {s_t.shape}")
-        diag_r = np.diag(s_r)
-        gaps1 = gaps1 - (s_r - diag_r[:, None])
-        gaps2 = gaps2 - (s_r.T - diag_r[:, None])
+    gaps1, gaps2 = shifted_gaps(s_target, s_reference)
     q1 = np.exp(gaps1 / tau)
     q2 = np.exp(gaps2 / tau)
     np.fill_diagonal(q1, 0.0)

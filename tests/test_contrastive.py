@@ -59,6 +59,23 @@ def test_rho_pairwise_loss_cases():
         contrastive.rho_pairwise_loss(s, np.zeros((3, 3)), 0, 1)
 
 
+def test_shifted_gaps_match_pairwise_losses():
+    s_t = _random_sim(18, 5)
+    s_r = _random_sim(19, 5)
+    gaps1, gaps2 = contrastive.shifted_gaps(s_t, s_r)
+    plain1, plain2 = contrastive.shifted_gaps(s_t)
+    for i in range(5):
+        for j in range(5):
+            assert gaps1[i, j] == pytest.approx(contrastive.rho_pairwise_loss(s_t, s_r, i, j), abs=1e-15)
+            assert gaps2[i, j] == pytest.approx(
+                contrastive.rho_pairwise_loss(s_t, s_r, i, j, TEXT_SIDE), abs=1e-15
+            )
+            assert plain1[i, j] == contrastive.pairwise_loss(s_t, i, j)
+            assert plain2[i, j] == contrastive.pairwise_loss(s_t, i, j, TEXT_SIDE)
+    with pytest.raises(ValueError, match="differ in shape"):
+        contrastive.shifted_gaps(s_t, np.zeros((3, 3)))
+
+
 def test_drrho_anchor_loss_self_reference_is_zero():
     s = _random_sim(3, 5)
     for i in range(5):
@@ -129,15 +146,22 @@ def test_global_objective_zero_cases():
     assert contrastive.global_objective(single, tau=0.5, over=OVER_FULL) == 0.0
 
 
-def test_global_objective_matches_per_anchor_sum():
-    s_t = _random_sim(10, 4)
-    s_r = _random_sim(11, 4)
+@pytest.mark.parametrize("n", [2, 4, 33])
+@pytest.mark.parametrize("tau", [0.005, 0.3])
+@pytest.mark.parametrize("with_reference", [True, False])
+@pytest.mark.parametrize("over", [OVER_FULL, OVER_EXCLUDE])
+def test_global_objective_matches_per_anchor_sum(over, with_reference, tau, n):
+    s_t = _random_sim(10, n)
+    s_r = _random_sim(11, n) if with_reference else None
     total = 0.0
-    for i in range(4):
-        total += contrastive.drrho_anchor_loss(s_t, s_r, i, IMAGE_SIDE, 0.3, OVER_FULL).value
-        total += contrastive.drrho_anchor_loss(s_t, s_r, i, TEXT_SIDE, 0.3, OVER_FULL).value
-    got = contrastive.global_objective(s_t, s_r, tau=0.3, over=OVER_FULL)
-    assert got == pytest.approx(total / 4, abs=1e-12)
+    for i in range(n):
+        for direction in (IMAGE_SIDE, TEXT_SIDE):
+            if with_reference:
+                total += contrastive.drrho_anchor_loss(s_t, s_r, i, direction, tau, over).value
+            else:
+                total += contrastive.gcl_anchor_loss(s_t, i, direction, tau, over).value
+    got = contrastive.global_objective(s_t, s_r, tau=tau, over=over)
+    assert got == pytest.approx(total / n, rel=1e-12)
 
 
 def test_permuting_negatives_leaves_anchor_loss_unchanged():
@@ -192,3 +216,8 @@ def test_empty_negative_set_raises():
     single = np.array([[0.4]])
     with pytest.raises(ValueError):
         contrastive.gcl_anchor_loss(single, 0, tau=0.5, over=OVER_EXCLUDE)
+    with pytest.raises(ValueError, match="empty negative set"):
+        contrastive.global_objective(single, tau=0.5, over=OVER_EXCLUDE)
+    for over in (OVER_FULL, OVER_EXCLUDE):
+        with pytest.raises(ValueError, match="s_target"):
+            contrastive.global_objective(np.zeros((0, 0)), tau=0.5, over=over)

@@ -1,5 +1,8 @@
 """Metrics, sweeps, and scaling-law fitting."""
 
+import functools
+import os
+
 import numpy as np
 import pytest
 
@@ -170,3 +173,17 @@ def test_sweep_parallel_matches_sequential(monkeypatch):
     monkeypatch.setenv("DRRHO_THREADS", "2")
     par = experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0, 0.5])
     assert seq.to_json_dict() == par.to_json_dict()
+
+
+def _record_pid_and_fail(path, job):
+    with open(path, "a") as f:
+        f.write(f"{os.getpid()}\n")
+    raise ValueError(f"job {job} failed")
+
+
+def test_job_error_propagates_without_sequential_rerun(tmp_path):
+    path = tmp_path / "pids.txt"
+    with pytest.raises(ValueError, match="failed"):
+        experiments._run_jobs([0, 1], functools.partial(_record_pid_and_fail, path), workers=2)
+    pids = [int(line) for line in path.read_text().split()]
+    assert pids and os.getpid() not in pids

@@ -349,9 +349,14 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_config_validation_names_field():
-    with pytest.raises(ConfigError, match="gamma"):
-        trainer.TrainConfig(gamma=0.0).validate()
-    with pytest.raises(ConfigError, match="method"):
-        trainer.TrainConfig(method="bogus").validate()
-    with pytest.raises(ConfigError, match="lam"):
-        trainer.TrainConfig(lam=1.5).validate()
+    cases = [
+        ("gamma", 0.0),
+        ("method", "bogus"),
+        ("lam", 1.5),
+        ("eval_every", 0),
+        ("eval_every", -1),
+        ("warmup_steps", -5),
+    ]
+    for field, value in cases:
+        with pytest.raises(ConfigError, match=field):
+            trainer.TrainConfig(**{field: value}).validate()
