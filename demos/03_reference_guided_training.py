@@ -7,6 +7,8 @@ similarity gaps inside the exponentials. Watch test retrieval over the
 same step budget.
 """
 
+from dataclasses import replace
+
 from drrho import data, experiments, trainer
 
 dataset = data.generate_synthetic(
@@ -23,7 +25,7 @@ base = trainer.TrainConfig(
 )
 curves = {}
 for method in ("fastclip", "drrho-clip"):
-    config = trainer.make_variant(base, method=method)
+    config = replace(base, method=method)
     _, report = trainer.train(config, dataset, cache if method == "drrho-clip" else None)
     curves[method] = report.metric_series("recall_at_1")
     print(f"{method}: final recall@1 = {report.summary['recall_at_1']:.3f}")

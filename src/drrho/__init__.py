@@ -7,7 +7,6 @@ from .baselines import (
     combined_objective,
     distillation_grad_s,
     distillation_loss,
-    gcl_trainer_step,
     infonce_grad_s,
     infonce_loss,
     jest_select,

@@ -61,19 +61,6 @@ def infonce_tau_gradient(s, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# no-reference estimator step (the global-contrastive baseline)
-
-
-def gcl_trainer_step(state, batch_indices, xs_batch, ys_batch, fwd=None) -> dict[str, np.ndarray]:
-    """The reference-free estimator gradient: identical machinery to the
-    shifted one with the shift removed. update_u must already have run for
-    this batch with s_reference=None."""
-    from .trainer import gradient_estimator
-
-    return gradient_estimator(state, batch_indices, xs_batch, ys_batch, s_reference=None, fwd=fwd)
-
-
-# ---------------------------------------------------------------------------
 # staged joint example selection
 
 

@@ -124,6 +124,10 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
     if not mpath.exists():
         raise FormatError(f"{path}: missing manifest sidecar {mpath.name}")
     manifest = json.loads(mpath.read_text())
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    if not isinstance(manifest.get("meta", {}), dict):
+        raise FormatError(f"{path}: manifest meta is not a JSON object")
     declared = [(a["name"], tuple(a["shape"])) for a in manifest.get("arrays", [])]
     if declared != specs:
         raise FormatError(f"{path}: manifest arrays disagree with binary header")
@@ -141,3 +145,11 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
         arrays[name] = arr.astype(np.float64)  # own, writable copy
         offset += 8 * size
     return arrays, manifest.get("meta", {})
+
+
+def require_meta(path: str | Path, meta: dict, keys) -> dict:
+    """The named entries of a manifest's meta; FormatError naming the first missing one."""
+    for key in keys:
+        if key not in meta:
+            raise FormatError(f"{path}: manifest meta missing {key!r}")
+    return {key: meta[key] for key in keys}

@@ -209,7 +209,8 @@ def load_dataset(path: str | Path) -> PairedDataset:
             raise FormatError(f"{path}: dataset file missing array {key!r}")
     if meta.get("n") != len(arrays["xs"]):
         raise FormatError(f"{path}: manifest n disagrees with payload length")
-    ds = PairedDataset(
+    meta = container.require_meta(path, meta, ("seed", "noise_sigma", "d_latent"))
+    return PairedDataset(
         xs=arrays["xs"],
         ys=arrays["ys"],
         split=arrays["split"].astype(np.int64),
@@ -217,7 +218,6 @@ def load_dataset(path: str | Path) -> PairedDataset:
         noise_sigma=float(meta["noise_sigma"]),
         d_latent=int(meta["d_latent"]),
     )
-    return ds
 
 
 def save_cache(cache: EmbeddingCache, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate
 from .encoder import batch_forward
 from .errors import ConfigError
 from .report import ExperimentReport
-from .trainer import TrainConfig, make_variant, train
+from .trainer import TrainConfig, train
 
 ERROR_CLIP = 1e-6  # keeps error rates inside the open unit interval for log fits
 
@@ -147,13 +147,15 @@ def evaluate_recall(model, dataset: PairedDataset, indices: np.ndarray | None = 
 
 def worker_count() -> int:
     """Worker bound for sweeps: the DRRHO_THREADS env var, defaulting to
-    hardware concurrency."""
+    the number of CPUs this process may run on."""
     raw = os.environ.get("DRRHO_THREADS", "").strip()
     if raw:
         try:
             return max(1, int(raw))
         except ValueError:
             raise ConfigError(f"DRRHO_THREADS: not an integer: {raw!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -180,7 +182,7 @@ def _run_jobs(jobs: list, fn, workers: int | None = None) -> list:
 
 def _sweep_job(args) -> tuple:
     method, fraction, seed, config, dataset, cache = args
-    run_config = make_variant(config, method=method, train_fraction=fraction, seed=seed)
+    run_config = replace(config, method=method, train_fraction=fraction, seed=seed)
     _, run_report = train(run_config, dataset, cache)
     summary = run_report.summary
     return (method, fraction, seed, summary.get("recall_at_1", 0.0), summary.get("objective", 0.0))
@@ -342,7 +344,7 @@ def data_efficiency_trial(
         ("baseline_full", "fastclip", 1.0),
     )
     for key, method, fraction in runs:
-        config = make_variant(base, method=method, train_fraction=fraction)
+        config = replace(base, method=method, train_fraction=fraction)
         _, run_report = train(config, dataset, cache if method == "drrho-clip" else None)
         out[key] = run_report.summary["recall_at_1"]
     return out
@@ -350,7 +352,7 @@ def data_efficiency_trial(
 
 def _scaling_job(args) -> tuple:
     method, embed_dim, steps, fraction, config, dataset, cache = args
-    run_config = make_variant(
+    run_config = replace(
         config, method=method, embed_dim=embed_dim, steps=steps, train_fraction=fraction
     )
     state, run_report = train(run_config, dataset, cache if run_config.needs_reference else None)

@@ -23,7 +23,7 @@ weight-decay Adam with linear warmup and cosine decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,26 +159,16 @@ class TrainConfig:
         return max(1, self.effective_steps // 50)
 
 
+_MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2", "m_tau", "v_tau")
+
+
 @dataclass
 class TrainerState:
     model: TwoTowerModel
     u1: np.ndarray  # (n,) image-anchor inner-mean estimators
     u2: np.ndarray  # (n,) text-anchor inner-mean estimators
+    config: TrainConfig
     step: int = 0
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
-    base_lr: float = 1e-2
-    warmup_steps: int = 1
-    total_steps: int = 1
-    weight_decay: float = DEFAULT_WEIGHT_DECAY
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    opt_eps: float = DEFAULT_OPT_EPS
-    tau_learnable: bool = False
-    tau_min: float = DEFAULT_TAU_MIN
-    tau_lr_scale: float = DEFAULT_TAU_LR_SCALE
-    rho_tau: float = DEFAULT_RHO_TAU
-    rng_seed: int = 0
     moments: dict[str, np.ndarray] = field(default_factory=dict)
     _u_token: tuple[int, int] | None = field(default=None, repr=False)
 
@@ -186,43 +176,20 @@ class TrainerState:
         self.u1 = np.asarray(self.u1, dtype=np.float64)
         self.u2 = np.asarray(self.u2, dtype=np.float64)
         if not self.moments:
-            self.moments = {
-                "m_w1": np.zeros_like(self.model.w1),
-                "v_w1": np.zeros_like(self.model.w1),
-                "m_w2": np.zeros_like(self.model.w2),
-                "v_w2": np.zeros_like(self.model.w2),
-                "m_tau": np.zeros(1),
-                "v_tau": np.zeros(1),
-            }
+            shapes = {"w1": self.model.w1.shape, "w2": self.model.w2.shape, "tau": (1,)}
+            self.moments = {name: np.zeros(shapes[name[2:]]) for name in _MOMENTS}
 
     def lr_at(self, step: int) -> float:
-        if step < self.warmup_steps:
-            return self.base_lr * (step + 1) / self.warmup_steps
-        span = max(1, self.total_steps - self.warmup_steps)
-        frac = min(1.0, (step - self.warmup_steps) / span)
-        return self.base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
+        base_lr, warmup = self.config.lr, self.config.resolved_warmup()
+        if step < warmup:
+            return base_lr * (step + 1) / warmup
+        span = max(1, self.config.effective_steps - warmup)
+        frac = min(1.0, (step - warmup) / span)
+        return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
 def init_trainer_state(model: TwoTowerModel, n: int, config: TrainConfig) -> TrainerState:
-    return TrainerState(
-        model=model,
-        u1=np.zeros(n),
-        u2=np.zeros(n),
-        gamma=config.gamma,
-        epsilon=config.epsilon,
-        base_lr=config.lr,
-        warmup_steps=config.resolved_warmup(),
-        total_steps=config.effective_steps,
-        weight_decay=config.weight_decay,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        opt_eps=config.opt_eps,
-        tau_learnable=config.learnable_tau,
-        tau_min=config.tau_min,
-        tau_lr_scale=config.tau_lr_scale,
-        rho_tau=config.rho_tau,
-        rng_seed=config.seed,
-    )
+    return TrainerState(model=model, u1=np.zeros(n), u2=np.zeros(n), config=config)
 
 
 def _batch_token(step: int, batch_indices: np.ndarray) -> tuple[int, int]:
@@ -265,7 +232,7 @@ def update_u(
     _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau)
     mean1 = q1.sum(axis=1) / (b - 1)
     mean2 = q2.sum(axis=1) / (b - 1)
-    g = state.gamma
+    g = state.config.gamma
     for pos, i in enumerate(batch_indices):
         g1 = 1.0 if (state.u1[i] == 0.0 and g > 0.0) else g
         g2 = 1.0 if (state.u2[i] == 0.0 and g > 0.0) else g
@@ -291,8 +258,8 @@ def anchor_weight_coefficients(
     batch_indices = np.asarray(batch_indices, dtype=np.int64)
     b = len(batch_indices)
     _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau)
-    w1 = 1.0 / (state.epsilon + state.u1[batch_indices])
-    w2 = 1.0 / (state.epsilon + state.u2[batch_indices])
+    w1 = 1.0 / (state.config.epsilon + state.u1[batch_indices])
+    w2 = 1.0 / (state.config.epsilon + state.u2[batch_indices])
     scale = 1.0 / (b * (b - 1))
     coef = (w1[:, None] * q1) * scale
     coef += (w2[:, None] * q2).T * scale
@@ -335,7 +302,7 @@ def tau_gradient(
     exponentiated-gap weights, normalized by (eps + u_i) ]; plus the
     2 * rho penalty shared by both sides.
     """
-    if not state.tau_learnable:
+    if not state.config.learnable_tau:
         raise StateError("tau_gradient requires a learnable-temperature trainer")
     batch_indices = np.asarray(batch_indices, dtype=np.int64)
     _require_fresh_u(state, batch_indices)
@@ -344,10 +311,10 @@ def tau_gradient(
     gaps1, q1, gaps2, q2 = shifted_gap_exponentials(s_target, s_reference, tau)
     total = 0.0
     for u, q, gaps in ((state.u1, q1, gaps1), (state.u2, q2, gaps2)):
-        denom = state.epsilon + u[batch_indices]
+        denom = state.config.epsilon + u[batch_indices]
         inner = (q * gaps).sum(axis=1) / ((b - 1) * tau)
         total += float(np.mean(np.log(denom) - inner / denom))
-    return total + 2.0 * state.rho_tau
+    return total + 2.0 * state.config.rho_tau
 
 
 def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowerModel:
@@ -361,29 +328,30 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
         if not np.all(np.isfinite(g)):
             bad = int(np.size(g) - np.isfinite(g).sum())
             raise TrainingError(f"non-finite gradient for {name!r} ({bad} entries); training aborted")
+    cfg = state.config
     lr = state.lr_at(state.step)
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
 
     def adam(m: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        return (m / bc1) / (np.sqrt(v / bc2) + state.opt_eps)
+        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        return (m / bc1) / (np.sqrt(v / bc2) + cfg.opt_eps)
 
     model = state.model
     for name, w in (("w1", model.w1), ("w2", model.w2)):
         if name not in grads:
             continue
         direction = adam(state.moments[f"m_{name}"], state.moments[f"v_{name}"], grads[name])
-        w *= 1.0 - lr * state.weight_decay
+        w *= 1.0 - lr * cfg.weight_decay
         w -= lr * direction
     if "tau" in grads:
-        if not state.tau_learnable:
+        if not cfg.learnable_tau:
             raise StateError("tau gradient supplied but temperature is fixed")
         g = np.asarray(grads["tau"], dtype=np.float64).reshape(1)
         direction = adam(state.moments["m_tau"], state.moments["v_tau"], g)
-        model.tau = max(state.tau_min, model.tau - lr * state.tau_lr_scale * float(direction[0]))
+        model.tau = max(cfg.tau_min, model.tau - lr * cfg.tau_lr_scale * float(direction[0]))
     state.step += 1
     return model
 
@@ -491,11 +459,11 @@ def train(
             shift_ref = s_ref if config.method == "drrho-clip" else None
             update_u(state, batch, fwd.s, shift_ref)
             grads = gradient_estimator(state, batch, xs_b, ys_b, shift_ref, fwd=fwd)
-            tau_grad = tau_gradient(state, batch, fwd.s, shift_ref) if state.tau_learnable else None
+            tau_grad = tau_gradient(state, batch, fwd.s, shift_ref) if config.learnable_tau else None
         else:
             coef = baselines.infonce_grad_s(fwd.s, model.tau)
             grads = similarity_backward(fwd, xs_b, ys_b, coef)
-            tau_grad = baselines.infonce_tau_gradient(fwd.s, model.tau) if state.tau_learnable else None
+            tau_grad = baselines.infonce_tau_gradient(fwd.s, model.tau) if config.learnable_tau else None
 
         if config.distill:
             dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, distill_tau_ref)
@@ -544,11 +512,12 @@ def _record_metrics(
     if len(test) >= 2:
         s_test = batch_forward(state.model, dataset.xs[test], dataset.ys[test]).s
         report.add(step, "recall_at_1", experiments.recall_at_1(s_test))
-    if state.tau_learnable:
+    if config.learnable_tau:
         report.add(step, "tau", state.model.tau)
 
 
 def save_checkpoint(state: TrainerState, path: str | Path) -> None:
+    """Write weights, u, moments and the resolved run config that produced them."""
     arrays = {
         "w1": state.model.w1,
         "w2": state.model.w2,
@@ -556,63 +525,25 @@ def save_checkpoint(state: TrainerState, path: str | Path) -> None:
         "u1": state.u1,
         "u2": state.u2,
     }
-    arrays.update(state.moments)
-    container.write_container(
-        path,
-        container.KIND_TRAINER,
-        arrays,
-        meta={
-            "step": state.step,
-            "gamma": state.gamma,
-            "epsilon": state.epsilon,
-            "base_lr": state.base_lr,
-            "warmup_steps": state.warmup_steps,
-            "total_steps": state.total_steps,
-            "weight_decay": state.weight_decay,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "opt_eps": state.opt_eps,
-            "tau_learnable": state.tau_learnable,
-            "tau_min": state.tau_min,
-            "tau_lr_scale": state.tau_lr_scale,
-            "rho_tau": state.rho_tau,
-            "rng_seed": state.rng_seed,
-            "model_id_hash": state.model.id_hash,
-        },
-    )
+    arrays.update((k, state.moments[k]) for k in _MOMENTS)
+    meta = {**state.config.resolved(), "step": state.step, "model_id_hash": state.model.id_hash}
+    container.write_container(path, container.KIND_TRAINER, arrays, meta=meta)
 
 
 def load_checkpoint(path: str | Path) -> TrainerState:
     arrays, meta = container.read_container(path, expect_kind=container.KIND_TRAINER)
-    required = {"w1", "w2", "tau", "u1", "u2", "m_w1", "v_w1", "m_w2", "v_w2", "m_tau", "v_tau"}
-    missing = required - arrays.keys()
+    missing = {"w1", "w2", "tau", "u1", "u2", *_MOMENTS} - arrays.keys()
     if missing:
         raise FormatError(f"{path}: trainer checkpoint missing arrays {sorted(missing)}")
-    model = TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
-    moments = {k: arrays[k] for k in ("m_w1", "v_w1", "m_w2", "v_w2", "m_tau", "v_tau")}
+    values = container.require_meta(path, meta, [*(f.name for f in fields(TrainConfig)), "step"])
+    step = int(values.pop("step"))
+    config = TrainConfig(**values)
+    config.validate()
     return TrainerState(
-        model=model,
+        model=TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0])),
         u1=arrays["u1"],
         u2=arrays["u2"],
-        step=int(meta["step"]),
-        gamma=float(meta["gamma"]),
-        epsilon=float(meta["epsilon"]),
-        base_lr=float(meta["base_lr"]),
-        warmup_steps=int(meta["warmup_steps"]),
-        total_steps=int(meta["total_steps"]),
-        weight_decay=float(meta["weight_decay"]),
-        beta1=float(meta["beta1"]),
-        beta2=float(meta["beta2"]),
-        opt_eps=float(meta["opt_eps"]),
-        tau_learnable=bool(meta["tau_learnable"]),
-        tau_min=float(meta["tau_min"]),
-        tau_lr_scale=float(meta["tau_lr_scale"]),
-        rho_tau=float(meta["rho_tau"]),
-        rng_seed=int(meta["rng_seed"]),
-        moments=moments,
+        config=config,
+        step=step,
+        moments={k: arrays[k] for k in _MOMENTS},
     )
-
-
-def make_variant(config: TrainConfig, **overrides) -> TrainConfig:
-    """A copy of config with fields replaced (sweep helper)."""
-    return replace(config, **overrides)

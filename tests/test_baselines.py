@@ -67,7 +67,7 @@ def test_gcl_step_equals_drrho_with_flat_reference():
 
     state_a = trainer.init_trainer_state(model.copy(), 8, config)
     trainer.update_u(state_a, batch, fwd.s, None)
-    gcl = baselines.gcl_trainer_step(state_a, batch, ds.xs, ds.ys, fwd=fwd)
+    gcl = trainer.gradient_estimator(state_a, batch, ds.xs, ds.ys, s_reference=None, fwd=fwd)
 
     flat_ref = np.full((8, 8), 0.42)  # all reference gaps vanish
     state_b = trainer.init_trainer_state(model.copy(), 8, config)
@@ -88,7 +88,7 @@ def test_gcl_step_matches_finite_differences():
     batch = np.arange(10)
     fwd = encoder.batch_forward(model, ds.xs, ds.ys)
     trainer.update_u(state, batch, fwd.s, None)
-    grads = baselines.gcl_trainer_step(state, batch, ds.xs, ds.ys, fwd=fwd)
+    grads = trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_reference=None, fwd=fwd)
 
     def objective(w):
         m = encoder.TwoTowerModel(w1=w, w2=model.w2, tau=0.5)

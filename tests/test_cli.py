@@ -1,10 +1,11 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
 import csv
+import json
 
 import pytest
 
-from drrho import cli, data, encoder, experiments, trainer
+from drrho import cli, container, data, encoder, experiments, trainer
 
 
 def _gen(tmp_path, seed=0, n=96):
@@ -236,6 +237,25 @@ def test_corrupt_artifact_reported_as_error(tmp_path, capsys):
     data_path.write_bytes(bytes(blob))
     rc = cli.run(["eval", "--model", "nope.ckpt", "--data", str(data_path), "--output", str(tmp_path / "e")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda manifest: [], "manifest"),
+        (lambda manifest: {**manifest, "meta": [1]}, "meta"),
+        (lambda manifest: {**manifest, "meta": {k: v for k, v in manifest["meta"].items() if k != "seed"}}, "seed"),
+    ],
+)
+def test_bad_dataset_manifest_exits_1_naming_field(tmp_path, capsys, edit, field):
+    data_path = _gen(tmp_path)
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    mpath = container.manifest_path(data_path)
+    mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
+    rc = cli.run(["eval", "--model", str(model_path), "--data", str(data_path), "--output", str(tmp_path / "e")])
+    assert rc == 1
+    assert field in capsys.readouterr().err
 
 
 def test_plot_data_emitter(tmp_path):

@@ -175,6 +175,14 @@ def test_sweep_parallel_matches_sequential(monkeypatch):
     assert seq.to_json_dict() == par.to_json_dict()
 
 
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("DRRHO_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert experiments.worker_count() == 1
+    monkeypatch.setenv("DRRHO_THREADS", "3")
+    assert experiments.worker_count() == 3
+
+
 def _record_pid_and_fail(path, job):
     with open(path, "a") as f:
         f.write(f"{os.getpid()}\n")

@@ -1,10 +1,12 @@
 """Estimator maintenance, gradient estimators, optimizer, and the loop."""
 
+import json
+
 import numpy as np
 import pytest
 
-from drrho import contrastive, data, encoder, trainer
-from drrho.errors import ConfigError, StateError, TrainingError
+from drrho import container, contrastive, data, encoder, trainer
+from drrho.errors import ConfigError, FormatError, StateError, TrainingError
 
 from oracles import finite_diff_matrix, rel_err
 
@@ -39,7 +41,7 @@ def test_update_u_gamma_one_equals_batch_average():
 
 def test_update_u_gamma_zero_is_noop():
     ds, cache, state, _ = _setup(gamma=1.0)
-    state.gamma = 0.0
+    state.config.gamma = 0.0
     state.u1[:] = 0.7
     state.u2[:] = 0.4
     batch = np.arange(ds.n)
@@ -160,7 +162,7 @@ def test_gradient_reference_uniform_offdiag_shift_cancels():
 
     shifted = s_r + 0.31 * (1.0 - np.eye(ds.n))
     state2 = trainer.init_trainer_state(state.model.copy(), ds.n, _setup()[3])
-    state2.gamma, state2.epsilon = 1.0, 0.0
+    state2.config.gamma, state2.config.epsilon = 1.0, 0.0
     trainer.update_u(state2, batch, fwd.s, shifted)
     got = trainer.gradient_estimator(state2, batch, ds.xs, ds.ys, shifted, fwd=fwd)
     assert rel_err(got["w1"], base["w1"]) < 1e-12
@@ -199,7 +201,7 @@ def test_tau_gradient_zero_losses_and_mode_guard():
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     trainer.update_u(state, batch, fwd.s, fwd.s)
     assert trainer.tau_gradient(state, batch, fwd.s, fwd.s) == pytest.approx(22.0, abs=1e-12)
-    state.tau_learnable = False
+    state.config.tau_learnable = False
     with pytest.raises(StateError):
         trainer.tau_gradient(state, batch, fwd.s, fwd.s)
 
@@ -217,7 +219,7 @@ def test_tau_gradient_matches_finite_differences():
     def objective(tau):
         return (
             contrastive.global_objective(fwd.s, s_r, tau=tau, over=contrastive.OVER_EXCLUDE)
-            + 2.0 * tau * state.rho_tau
+            + 2.0 * tau * state.config.rho_tau
         )
 
     fd = finite_diff_scalar(objective, 0.4)
@@ -226,10 +228,10 @@ def test_tau_gradient_matches_finite_differences():
 
 def test_tau_clamp_at_floor():
     ds, cache, state, _ = _setup(tau_learnable=True)
-    state.model.tau = state.tau_min + 1e-5
-    state.base_lr = 10.0  # force a huge update
+    state.model.tau = state.config.tau_min + 1e-5
+    state.config.lr = 10.0  # force a huge update
     trainer.optimizer_step(state, {"tau": np.array([100.0])})
-    assert state.model.tau == state.tau_min
+    assert state.model.tau == state.config.tau_min
 
 
 def test_optimizer_zero_gradient_cases():
@@ -252,7 +254,7 @@ def test_optimizer_single_step_hand_formula():
     w_before = state.model.w1.copy()
     lr = state.lr_at(0)
     trainer.optimizer_step(state, {"w1": g})
-    want = w_before - lr * g / (np.abs(g) + state.opt_eps)
+    want = w_before - lr * g / (np.abs(g) + state.config.opt_eps)
     assert np.allclose(state.model.w1, want, atol=1e-12)
 
 
@@ -265,7 +267,7 @@ def test_optimizer_rejects_non_finite():
 
 def test_lr_schedule_warmup_then_cosine_to_zero():
     ds, cache, state, _ = _setup()
-    state.base_lr, state.warmup_steps, state.total_steps = 1.0, 10, 100
+    state.config.lr, state.config.warmup_steps, state.config.steps = 1.0, 10, 100
     assert state.lr_at(0) == pytest.approx(0.1)
     assert state.lr_at(9) == pytest.approx(1.0)
     assert state.lr_at(10) == pytest.approx(1.0)
@@ -345,7 +347,39 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.u2.tobytes() == state.u2.tobytes()
     for key in state.moments:
         assert back.moments[key].tobytes() == state.moments[key].tobytes()
-    assert back.gamma == state.gamma and back.rho_tau == state.rho_tau
+    assert back.config.resolved() == state.config.resolved()
+
+
+def _edit_checkpoint_meta(tmp_path, edit):
+    ds = data.generate_synthetic(32, 12, 10, 4, 0.2, 0.25, seed=2)
+    config = trainer.TrainConfig(method="fastclip", steps=4, batch_size=8, embed_dim=6, seed=5)
+    state, _ = trainer.train(config, ds)
+    path = tmp_path / "t.ckpt"
+    trainer.save_checkpoint(state, path)
+    manifest = json.loads(container.manifest_path(path).read_text())
+    edit(manifest["meta"])
+    container.manifest_path(path).write_text(json.dumps(manifest))
+    return path
+
+
+def test_checkpoint_without_run_config_is_format_error(tmp_path):
+    # the earlier layout copied 14 fields by hand and had no method
+    def old_layout(meta):
+        old = {"step": 4, "gamma": 0.8, "epsilon": 1e-8, "base_lr": 0.01, "warmup_steps": 1, "total_steps": 4,
+               "weight_decay": 0.1, "beta1": 0.9, "beta2": 0.98, "opt_eps": 1e-8, "tau_learnable": True,
+               "tau_min": 0.005, "tau_lr_scale": 0.25, "rho_tau": 11.0, "rng_seed": 5,
+               "model_id_hash": meta["model_id_hash"]}
+        meta.clear()
+        meta.update(old)
+
+    with pytest.raises(FormatError, match="method"):
+        trainer.load_checkpoint(_edit_checkpoint_meta(tmp_path, old_layout))
+
+
+def test_checkpoint_invalid_config_names_field(tmp_path):
+    path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update(gamma=0.0))
+    with pytest.raises(ConfigError, match="gamma"):
+        trainer.load_checkpoint(path)
 
 
 def test_config_validation_names_field():
