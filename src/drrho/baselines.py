@@ -88,13 +88,16 @@ def _anchor_scores(
 ) -> np.ndarray:
     """Shifted soft-maximum loss of each candidate against the selected set,
     summed over both anchor directions."""
-    diag_t = np.diag(s_t)[candidates]
-    diag_r = np.diag(s_r)[candidates]
-    gaps1 = (s_t[np.ix_(candidates, sel)] - diag_t[:, None]) - (
-        s_r[np.ix_(candidates, sel)] - diag_r[:, None]
+    # Two ``take`` gathers are exact and cheaper than one ``np.ix_`` index.
+    # The text-anchor blocks stay transposed views: the row sums' order
+    # follows the memory layout.
+    diag_t = s_t.diagonal().take(candidates)
+    diag_r = s_r.diagonal().take(candidates)
+    gaps1 = (s_t.take(sel, axis=1).take(candidates, axis=0) - diag_t[:, None]) - (
+        s_r.take(sel, axis=1).take(candidates, axis=0) - diag_r[:, None]
     )
-    gaps2 = (s_t[np.ix_(sel, candidates)].T - diag_t[:, None]) - (
-        s_r[np.ix_(sel, candidates)].T - diag_r[:, None]
+    gaps2 = (s_t.take(sel, axis=0).take(candidates, axis=1).T - diag_t[:, None]) - (
+        s_r.take(sel, axis=0).take(candidates, axis=1).T - diag_r[:, None]
     )
     return log_mean_exp(gaps1, tau) + log_mean_exp(gaps2, tau)
 
@@ -139,13 +142,14 @@ def jest_select(
     sizes = [base] * (n_chunks - 1) + [k - base * (n_chunks - 1)]
     rng = CounterRng(seed, stream=0)
     remaining = np.arange(m)
-    sel: list[int] = []
+    taken = np.zeros(m, dtype=bool)
+    sel = np.zeros(0, dtype=np.int64)
     trace: list[ChunkTrace] = []
     for c, size in enumerate(sizes):
         if c == 0:
-            scores = np.diag(s_t)[remaining]
+            scores = s_t.diagonal().take(remaining)
         else:
-            scores = _anchor_scores(s_t, s_r, remaining, np.asarray(sel), score_tau)
+            scores = _anchor_scores(s_t, s_r, remaining, sel, score_tau)
         if mode == "topk":
             order = np.argsort(-scores, kind="stable")[:size]
         else:
@@ -154,12 +158,12 @@ def jest_select(
             order = rng.weighted_draws(probs, size)
         picked = remaining[order]
         trace.append(ChunkTrace(indices=super_batch[picked], scores=scores[order].copy()))
-        sel.extend(int(p) for p in picked)
-        remaining = np.setdiff1d(remaining, picked, assume_unique=True)
-    selected_positions = np.asarray(sel, dtype=np.int64)
+        sel = np.concatenate([sel, picked])
+        taken[picked] = True
+        remaining = np.flatnonzero(~taken)
     return SelectionOutcome(
         super_batch=super_batch,
-        selected=super_batch[selected_positions],
+        selected=super_batch[sel],
         chunk_trace=trace,
         seed=seed,
     )

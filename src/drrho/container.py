@@ -128,7 +128,13 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
         raise FormatError(f"{path}: manifest is not a JSON object")
     if not isinstance(manifest.get("meta", {}), dict):
         raise FormatError(f"{path}: manifest meta is not a JSON object")
-    declared = [(a["name"], tuple(a["shape"])) for a in manifest.get("arrays", [])]
+    entries = manifest.get("arrays", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: manifest arrays is not a JSON list")
+    for pos, a in enumerate(entries):
+        if not (isinstance(a, dict) and "name" in a and isinstance(a.get("shape"), list)):
+            raise FormatError(f"{path}: manifest arrays[{pos}] is not an object with a name and a list shape")
+    declared = [(a["name"], tuple(a["shape"])) for a in entries]
     if declared != specs:
         raise FormatError(f"{path}: manifest arrays disagree with binary header")
 
@@ -147,9 +153,17 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
     return arrays, manifest.get("meta", {})
 
 
-def require_meta(path: str | Path, meta: dict, keys) -> dict:
-    """The named entries of a manifest's meta; FormatError naming the first missing one."""
-    for key in keys:
+def require_meta(path: str | Path, meta: dict, spec: dict[str, tuple[type, ...]]) -> dict:
+    """The named entries of a manifest's meta, each of one of its listed JSON
+    types (``bool`` only where listed, ``int`` wherever ``float`` is);
+    FormatError naming the first missing or mistyped one."""
+    for key, types in spec.items():
         if key not in meta:
             raise FormatError(f"{path}: manifest meta missing {key!r}")
-    return {key: meta[key] for key in keys}
+        value = meta[key]
+        if float in types:
+            types = (*types, int)
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            expected = " or ".join(t.__name__ for t in types)
+            raise FormatError(f"{path}: manifest meta {key!r} is {type(value).__name__}, expected {expected}")
+    return {key: meta[key] for key in spec}

@@ -209,7 +209,7 @@ def load_dataset(path: str | Path) -> PairedDataset:
             raise FormatError(f"{path}: dataset file missing array {key!r}")
     if meta.get("n") != len(arrays["xs"]):
         raise FormatError(f"{path}: manifest n disagrees with payload length")
-    meta = container.require_meta(path, meta, ("seed", "noise_sigma", "d_latent"))
+    meta = container.require_meta(path, meta, {"seed": (int,), "noise_sigma": (float,), "d_latent": (int,)})
     return PairedDataset(
         xs=arrays["xs"],
         ys=arrays["ys"],

@@ -80,22 +80,33 @@ class CounterRng:
 
     def weighted_draws(self, probs: np.ndarray, k: int) -> np.ndarray:
         """``k`` sequential draws without replacement, renormalizing after
-        each pick. Probabilities must be nonnegative with a positive sum."""
+        each pick. Probabilities must be finite and nonnegative, with at least
+        ``k`` of them positive.
+
+        Draw t consumes uniform t of the stream, so all ``k`` uniforms are
+        taken in one call; the counter ends ``k`` past where it started.
+        """
         p = np.asarray(probs, dtype=np.float64).copy()
+        if not np.isfinite(p).all() or (p < 0.0).any():
+            raise ValueError("probs must be finite and nonnegative")
         if k > p.size:
             raise ValueError("cannot draw more items than candidates")
+        # Each pick zeroes one positive entry, so the total stays positive
+        # for exactly as many draws as there are positive entries.
+        if np.count_nonzero(p) < k:
+            raise ValueError("probabilities sum to zero before all draws done")
+        us = self.uniforms(k)
+        cum = np.empty_like(p)
         out = np.empty(k, dtype=np.int64)
+        last = p.size - 1
         for t in range(k):
-            total = p.sum()
-            if not total > 0.0:
-                raise ValueError("probabilities sum to zero before all draws done")
-            u = self.uniforms(1)[0] * total
-            j = int(np.searchsorted(np.cumsum(p), u, side="left"))
-            j = min(j, p.size - 1)
-            while p[j] == 0.0 and j + 1 < p.size:  # u landed on a spent index's boundary
+            u = us[t] * p.sum()
+            p.cumsum(out=cum)
+            j = min(int(cum.searchsorted(u, side="left")), last)
+            while p[j] == 0.0 and j < last:  # u landed on a spent index's boundary
                 j += 1
             if p[j] == 0.0:
-                j = int(np.argmax(p))
+                j = int(p.argmax())
             out[t] = j
             p[j] = 0.0
         return out

@@ -23,6 +23,7 @@ weight-decay Adam with linear warmup and cosine decay.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -159,6 +160,12 @@ class TrainConfig:
         return max(1, self.effective_steps // 50)
 
 
+# Each config field's accepted JSON types, read from its annotation; a
+# checkpoint's metadata is checked against these before it is rebuilt.
+_CONFIG_META_TYPES = {
+    name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(TrainConfig).items()
+}
+
 _MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2", "m_tau", "v_tau")
 
 
@@ -223,21 +230,22 @@ def update_u(
 
     Any index whose estimator is still at its cold-start value of 0 takes
     the full batch average (first touch), unless gamma is 0, which is a
-    no-op by definition.
+    no-op by definition. Batch indices must be distinct.
     """
     batch_indices = np.asarray(batch_indices, dtype=np.int64)
     b = len(batch_indices)
     if b < 2:
         raise ValueError("batch must contain at least 2 pairs (negatives required)")
+    seen = np.zeros(state.u1.shape, dtype=bool)
+    seen[batch_indices] = True
+    if np.count_nonzero(seen) != b:
+        raise ValueError("batch_indices must not repeat an index")
     _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau)
-    mean1 = q1.sum(axis=1) / (b - 1)
-    mean2 = q2.sum(axis=1) / (b - 1)
     g = state.config.gamma
-    for pos, i in enumerate(batch_indices):
-        g1 = 1.0 if (state.u1[i] == 0.0 and g > 0.0) else g
-        g2 = 1.0 if (state.u2[i] == 0.0 and g > 0.0) else g
-        state.u1[i] = (1.0 - g1) * state.u1[i] + g1 * mean1[pos]
-        state.u2[i] = (1.0 - g2) * state.u2[i] + g2 * mean2[pos]
+    for u, q in ((state.u1, q1), (state.u2, q2)):
+        old = u[batch_indices]
+        g_i = np.where((old == 0.0) & (g > 0.0), 1.0, g)
+        u[batch_indices] = (1.0 - g_i) * old + g_i * (q.sum(axis=1) / (b - 1))
     state._u_token = _batch_token(state.step, batch_indices)
     return state.u1[batch_indices].copy(), state.u2[batch_indices].copy()
 
@@ -535,7 +543,7 @@ def load_checkpoint(path: str | Path) -> TrainerState:
     missing = {"w1", "w2", "tau", "u1", "u2", *_MOMENTS} - arrays.keys()
     if missing:
         raise FormatError(f"{path}: trainer checkpoint missing arrays {sorted(missing)}")
-    values = container.require_meta(path, meta, [*(f.name for f in fields(TrainConfig)), "step"])
+    values = container.require_meta(path, meta, {**_CONFIG_META_TYPES, "step": (int,)})
     step = int(values.pop("step"))
     config = TrainConfig(**values)
     config.validate()

@@ -207,3 +207,37 @@ def distillation_direct(s_t: np.ndarray, s_r: np.ndarray, tau: float, tau_ref: f
 def anchor_loss_direct(gaps: np.ndarray, tau: float) -> float:
     """Direct summation soft maximum (no max subtraction)."""
     return float(tau * np.log(np.mean(np.exp(np.asarray(gaps) / tau))))
+
+
+def weighted_draws_direct(rng, probs: np.ndarray, k: int) -> np.ndarray:
+    """``k`` draws without replacement the slow way, the reference for
+    ``CounterRng.weighted_draws``: one uniform, one total and one cumulative
+    sum per draw."""
+    p = np.asarray(probs, dtype=np.float64).copy()
+    if k > p.size:
+        raise ValueError("cannot draw more items than candidates")
+    out = np.empty(k, dtype=np.int64)
+    for t in range(k):
+        total = p.sum()
+        if not total > 0.0:
+            raise ValueError("probabilities sum to zero before all draws done")
+        u = rng.uniforms(1)[0] * total
+        j = int(np.searchsorted(np.cumsum(p), u, side="left"))
+        j = min(j, p.size - 1)
+        while p[j] == 0.0 and j + 1 < p.size:  # u landed on a spent index's boundary
+            j += 1
+        if p[j] == 0.0:
+            j = int(np.argmax(p))
+        out[t] = j
+        p[j] = 0.0
+    return out
+
+
+def update_u_direct(u1: np.ndarray, u2: np.ndarray, batch, mean1, mean2, gamma: float) -> None:
+    """The moving-average u update one batch index at a time, in place: a
+    cold (zero) estimator takes the full batch mean unless gamma is 0."""
+    for pos, i in enumerate(batch):
+        g1 = 1.0 if (u1[i] == 0.0 and gamma > 0.0) else gamma
+        g2 = 1.0 if (u2[i] == 0.0 and gamma > 0.0) else gamma
+        u1[i] = (1.0 - g1) * u1[i] + g1 * mean1[pos]
+        u2[i] = (1.0 - g2) * u2[i] + g2 * mean2[pos]

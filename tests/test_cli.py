@@ -245,6 +245,22 @@ def test_corrupt_artifact_reported_as_error(tmp_path, capsys):
         (lambda manifest: [], "manifest"),
         (lambda manifest: {**manifest, "meta": [1]}, "meta"),
         (lambda manifest: {**manifest, "meta": {k: v for k, v in manifest["meta"].items() if k != "seed"}}, "seed"),
+        pytest.param(lambda manifest: {**manifest, "meta": {**manifest["meta"], "seed": [0]}}, "seed", id="seed-list"),
+        pytest.param(lambda manifest: {**manifest, "arrays": "xs"}, "arrays", id="arrays-string"),
+        pytest.param(lambda manifest: {**manifest, "arrays": ["xs", *manifest["arrays"][1:]]}, "arrays[0]", id="entry-string"),
+        pytest.param(
+            lambda manifest: {**manifest, "arrays": [{"shape": a["shape"]} for a in manifest["arrays"]]},
+            "arrays[0]",
+            id="entry-no-name",
+        ),
+        pytest.param(
+            lambda manifest: {**manifest, "arrays": [*manifest["arrays"][:1], {"name": "ys"}]}, "arrays[1]", id="entry-no-shape"
+        ),
+        pytest.param(
+            lambda manifest: {**manifest, "arrays": [*manifest["arrays"][:2], {"name": "split", "shape": 96}]},
+            "arrays[2]",
+            id="entry-shape-int",
+        ),
     ],
 )
 def test_bad_dataset_manifest_exits_1_naming_field(tmp_path, capsys, edit, field):

@@ -8,7 +8,7 @@ import pytest
 from drrho import container, contrastive, data, encoder, trainer
 from drrho.errors import ConfigError, FormatError, StateError, TrainingError
 
-from oracles import finite_diff_matrix, rel_err
+from oracles import finite_diff_matrix, rel_err, update_u_direct
 
 
 def _setup(n=10, d=4, dx=6, dy=5, tau=0.5, seed=0, **cfg_overrides):
@@ -77,10 +77,32 @@ def test_update_u_first_touch_and_untouched_entries():
     assert (state.u1[4:] == 0).all() and (state.u2[4:] == 0).all()
 
 
+def test_update_u_matches_per_index_loop():
+    ds, cache, state, _ = _setup(n=12, gamma=0.3)
+    state.u1[[1, 5, 7, 10]] = [0.2, 1.7, 0.0, 3.1]
+    state.u2[[0, 5, 9]] = [0.9, 0.05, 2.4]
+    batch = np.array([9, 1, 5, 0, 7, 11, 3])  # unsorted, cold and warm mixed
+    fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
+    s_r = cache.similarity(batch)
+    u1, u2 = state.u1.copy(), state.u2.copy()
+    update_u_direct(u1, u2, batch, *_batch_means(state, batch, fwd.s, s_r), state.config.gamma)
+    trainer.update_u(state, batch, fwd.s, s_r)
+    assert np.array_equal(state.u1, u1) and np.array_equal(state.u2, u2)
+
+
 def test_update_u_rejects_singleton_batch():
     ds, cache, state, _ = _setup()
     with pytest.raises(ValueError):
         trainer.update_u(state, np.array([3]), np.array([[1.0]]), None)
+
+
+def test_update_u_rejects_repeated_index():
+    ds, cache, state, _ = _setup()
+    batch = np.array([0, 1, 2, 1])
+    fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
+    with pytest.raises(ValueError, match="repeat"):
+        trainer.update_u(state, batch, fwd.s, cache.similarity(batch))
+    assert not state.u1.any() and not state.u2.any()
 
 
 def test_u_positivity_and_bound():
@@ -379,6 +401,16 @@ def test_checkpoint_without_run_config_is_format_error(tmp_path):
 def test_checkpoint_invalid_config_names_field(tmp_path):
     path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update(gamma=0.0))
     with pytest.raises(ConfigError, match="gamma"):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gamma", "0.8"), ("steps", 4.0), ("distill", 0), ("seed", True), ("tau_learnable", "yes"), ("step", [4])],
+)
+def test_checkpoint_mistyped_meta_names_field(tmp_path, field, value):
+    path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update({field: value}))
+    with pytest.raises(FormatError, match=field):
         trainer.load_checkpoint(path)
 
 
