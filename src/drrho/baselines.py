@@ -111,7 +111,6 @@ def jest_select(
     mode: str = "sample",
     seed: int = 0,
     score_tau: float = 0.01,
-    sample_tau: float = 1.0,
 ) -> SelectionOutcome:
     """Select ceil(ratio * |super|) pairs from a super batch in chunks.
 
@@ -119,9 +118,9 @@ def jest_select(
     s(x_i, y_i); later chunks score each remaining candidate by its shifted
     soft-maximum loss against everything already selected, so picks stay
     informative relative to each other. ``sample`` draws without
-    replacement with probability proportional to softmax(score /
-    sample_tau); ``topk`` takes the largest scores (ties to the lower
-    position). Deterministic given seed.
+    replacement with probability proportional to softmax(score); ``topk``
+    takes the largest scores (ties to the lower position). Deterministic
+    given seed.
     """
     s_t, s_r = _check_same_shape(s_target, s_reference)
     super_batch = np.asarray(super_batch, dtype=np.int64)
@@ -153,8 +152,7 @@ def jest_select(
         if mode == "topk":
             order = np.argsort(-scores, kind="stable")[:size]
         else:
-            shifted = (scores - scores.max()) / sample_tau
-            probs = np.exp(shifted)
+            probs = np.exp(scores - scores.max())
             order = rng.weighted_draws(probs, size)
         picked = remaining[order]
         trace.append(ChunkTrace(indices=super_batch[picked], scores=scores[order].copy()))

@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import data, encoder, experiments, trainer
-from .errors import DrrhoError
+from .errors import ConfigError, DrrhoError
 from .report import ExperimentReport
 
 METHOD_CHOICES = list(trainer.METHODS)
+_CONFIG_FIELDS = {f.name for f in fields(trainer.TrainConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,29 +41,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="reference model checkpoint (.ckpt)")
     p.add_argument("--output", required=True, help="cache file to write (.emb)")
 
-    p = sub.add_parser("train", help="train a model with the chosen method")
+    # Each run flag's dest is its TrainConfig field, and a flag left out is
+    # left out of the namespace, so TrainConfig holds the defaults.
+    p = sub.add_parser(
+        "train", help="train a model with the chosen method", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--method", choices=METHOD_CHOICES, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--ref", default=None, help="reference cache (.emb)")
     p.add_argument("--output", required=True, help="output directory")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--embed-dim", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--tau", type=float, default=trainer.DEFAULT_TAU)
-    p.add_argument("--learnable-tau", action="store_true", default=None)
-    p.add_argument("--fixed-tau", dest="learnable_tau", action="store_false")
-    p.add_argument("--tau-init", type=float, default=trainer.DEFAULT_TAU_INIT)
-    p.add_argument("--rho", type=float, default=trainer.DEFAULT_RHO_TAU)
-    p.add_argument("--gamma", type=float, default=trainer.DEFAULT_GAMMA)
-    p.add_argument("--epsilon", type=float, default=trainer.DEFAULT_EPSILON)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--learnable-tau", dest="tau_learnable", action="store_true")
+    p.add_argument("--fixed-tau", dest="tau_learnable", action="store_false")
+    p.add_argument("--tau-init", type=float)
+    p.add_argument("--rho", dest="rho_tau", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--distill", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=float, default=trainer.DEFAULT_LAMBDA)
-    p.add_argument("--ratio", type=float, default=trainer.DEFAULT_JEST_RATIO)
-    p.add_argument("--n-chunks", type=int, default=trainer.DEFAULT_JEST_CHUNKS)
-    p.add_argument("--train-fraction", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--plot-data", action="store_true", help="also emit per-metric (x, y) CSVs")
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--ratio", dest="jest_ratio", type=float)
+    p.add_argument("--n-chunks", dest="jest_chunks", type=int)
+    p.add_argument("--train-fraction", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--plot-data", action="store_true", default=False, help="also emit per-metric (x, y) CSVs")
 
     p = sub.add_parser("eval", help="retrieval accuracy of a saved model")
     p.add_argument("--model", required=True)
@@ -83,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="1.0,0.75,0.5")
     p.add_argument("--seeds", default="0")
     p.add_argument("--steps", type=int, default=150)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--embed-dim", type=int, default=8)
+    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--embed-dim", type=int, default=argparse.SUPPRESS)
     p.add_argument("--lr", type=float, default=5e-3)
     p.add_argument("--output", required=True)
 
@@ -126,28 +132,15 @@ def _cmd_ref_embed(args) -> int:
     return 0
 
 
+def _train_config(args) -> trainer.TrainConfig:
+    """The run config from the flags given; TrainConfig supplies the rest."""
+    return trainer.TrainConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+
+
 def _cmd_train(args) -> int:
     dataset = data.load_dataset(args.data)
     cache = data.load_cache(args.ref) if args.ref else None
-    config = trainer.TrainConfig(
-        method=args.method,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        embed_dim=args.embed_dim,
-        lr=args.lr,
-        tau=args.tau,
-        tau_learnable=args.learnable_tau,
-        tau_init=args.tau_init,
-        rho_tau=args.rho,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        distill=args.distill,
-        lam=args.lam,
-        jest_ratio=args.ratio,
-        jest_chunks=args.n_chunks,
-        train_fraction=args.train_fraction,
-        seed=args.seed,
-    )
+    config = _train_config(args)
     state, report = trainer.train(config, dataset, cache)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -177,6 +170,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_variance(args) -> int:
+    if args.subset < 3:
+        raise ConfigError(f"subset: need at least 3 anchors, got {args.subset}")
     dataset = data.load_dataset(args.data)
     model = encoder.load_model(args.model)
     cache = data.load_cache(args.ref) if args.ref else None
@@ -203,11 +198,8 @@ def _cmd_variance(args) -> int:
 def _cmd_sweep(args) -> int:
     dataset = data.load_dataset(args.data)
     cache = data.load_cache(args.ref) if args.ref else None
-    config = trainer.TrainConfig(
-        steps=args.steps, batch_size=args.batch_size, embed_dim=args.embed_dim, lr=args.lr
-    )
     report = experiments.data_efficiency_sweep(
-        config,
+        _train_config(args),
         dataset,
         cache,
         fractions=[float(f) for f in args.fractions.split(",")],
@@ -227,6 +219,8 @@ def _cmd_scaling_fit(args) -> int:
         if reader.fieldnames is None or not {"compute", "error"} <= set(reader.fieldnames):
             raise DrrhoError("points: CSV must carry 'compute' and 'error' columns")
         for row in reader:
+            if row["compute"] is None or row["error"] is None:
+                raise DrrhoError(f"points: line {reader.line_num} lacks a compute or error value")
             points.append(experiments.ScalingPoint(float(row["compute"]), float(row["error"])))
     alpha, beta, residual = experiments.fit_scaling_law(points)
     print(f"alpha: {alpha:.9g}")

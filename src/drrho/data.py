@@ -242,10 +242,11 @@ def load_cache(path: str | Path) -> EmbeddingCache:
             raise FormatError(f"{path}: cache file missing array {key!r}")
     if meta.get("n") != len(arrays["e1"]):
         raise FormatError(f"{path}: manifest n disagrees with payload length")
+    meta = container.require_meta(path, meta, {"source_id": (str,), "dataset_id": (str,), "source_tau": (float,)})
     return EmbeddingCache(
         e1=arrays["e1"],
         e2=arrays["e2"],
-        source_id=str(meta.get("source_id", "")),
-        dataset_id=str(meta.get("dataset_id", "")),
-        source_tau=float(meta.get("source_tau", 0.0)),
+        source_id=meta["source_id"],
+        dataset_id=meta["dataset_id"],
+        source_tau=float(meta["source_tau"]),
     )

@@ -44,22 +44,18 @@ _STREAM_BATCHES = 10
 
 # Mini-batch descent on tiny models is insensitive to the exact Adam
 # constants; these follow common contrastive-pretraining practice.
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.98
-DEFAULT_OPT_EPS = 1e-8
-DEFAULT_WEIGHT_DECAY = 0.1
+BETA1 = 0.9
+BETA2 = 0.98
+OPT_EPS = 1e-8
+WEIGHT_DECAY = 0.1
+TAU_MIN = 0.005
+TAU_LR_SCALE = 0.25
+# The JEST methods train for this multiple of the configured steps, the
+# step budget their comparison grants them to match compute.
+JEST_ITER_MULTIPLIER = 1.87
 
 DEFAULT_TAU = 0.01
-DEFAULT_TAU_INIT = 0.07
-DEFAULT_TAU_MIN = 0.005
-DEFAULT_TAU_LR_SCALE = 0.25
-DEFAULT_RHO_TAU = 11.0
-DEFAULT_GAMMA = 0.8
-DEFAULT_EPSILON = 1e-8
-DEFAULT_LAMBDA = 0.25
 DEFAULT_JEST_RATIO = 0.2
-DEFAULT_JEST_CHUNKS = 2
-DEFAULT_JEST_ITER_MULTIPLIER = 1.87
 
 
 @dataclass
@@ -69,26 +65,16 @@ class TrainConfig:
     batch_size: int = 32
     embed_dim: int = 8
     lr: float = 1e-2
-    warmup_steps: int | None = None  # default: 10% of effective steps
-    weight_decay: float = DEFAULT_WEIGHT_DECAY
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    opt_eps: float = DEFAULT_OPT_EPS
     tau: float = DEFAULT_TAU
     tau_learnable: bool | None = None  # default: per-method convention
-    tau_init: float = DEFAULT_TAU_INIT
-    tau_min: float = DEFAULT_TAU_MIN
-    tau_lr_scale: float = DEFAULT_TAU_LR_SCALE
-    rho_tau: float = DEFAULT_RHO_TAU
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
+    tau_init: float = 0.07
+    rho_tau: float = 11.0
+    gamma: float = 0.8
+    epsilon: float = 1e-8
     distill: bool = False
-    lam: float = DEFAULT_LAMBDA
-    distill_tau_ref: float | None = None  # default: the cache's source temperature
+    lam: float = 0.25
     jest_ratio: float = DEFAULT_JEST_RATIO
-    jest_chunks: int = DEFAULT_JEST_CHUNKS
-    jest_sample_tau: float = 1.0
-    jest_iter_multiplier: float = DEFAULT_JEST_ITER_MULTIPLIER
+    jest_chunks: int = 2
     train_fraction: float = 1.0
     eval_every: int | None = None  # default: max(1, effective_steps // 50)
     eval_subset: int = 128
@@ -102,18 +88,14 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 2),
             ("embed_dim", self.embed_dim >= 1),
             ("lr", self.lr > 0),
-            ("warmup_steps", self.warmup_steps is None or self.warmup_steps >= 0),
-            ("weight_decay", self.weight_decay >= 0),
             ("tau", self.tau > 0),
             ("tau_init", self.tau_init > 0),
-            ("tau_min", self.tau_min > 0),
             ("rho_tau", self.rho_tau >= 0),
             ("gamma", 0 < self.gamma <= 1),
             ("epsilon", self.epsilon >= 0),
             ("lam", 0 <= self.lam <= 1),
             ("jest_ratio", 0 < self.jest_ratio <= 1),
             ("jest_chunks", self.jest_chunks >= 1),
-            ("jest_iter_multiplier", self.jest_iter_multiplier > 0),
             ("train_fraction", 0 < self.train_fraction <= 1),
             ("eval_every", self.eval_every is None or self.eval_every >= 1),
             ("eval_subset", self.eval_subset >= 4),
@@ -138,7 +120,7 @@ class TrainConfig:
     @property
     def effective_steps(self) -> int:
         if self.method in ("jest", "jest-topk"):
-            return int(round(self.steps * self.jest_iter_multiplier))
+            return int(round(self.steps * JEST_ITER_MULTIPLIER))
         return self.steps
 
     def resolved(self) -> dict:
@@ -150,8 +132,6 @@ class TrainConfig:
         return out
 
     def resolved_warmup(self) -> int:
-        if self.warmup_steps is not None:
-            return self.warmup_steps
         return max(1, self.effective_steps // 10)
 
     def resolved_eval_every(self) -> int:
@@ -330,36 +310,35 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
 
     Applies the warmup/cosine learning rate at the current step, then
     increments the step counter. The temperature uses its own moment pair,
-    a scaled learning rate, no weight decay, and a floor at tau_min.
+    a scaled learning rate, no weight decay, and a floor at TAU_MIN.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             bad = int(np.size(g) - np.isfinite(g).sum())
             raise TrainingError(f"non-finite gradient for {name!r} ({bad} entries); training aborted")
-    cfg = state.config
     lr = state.lr_at(state.step)
     t = state.step + 1
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
 
     def adam(m: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        return (m / bc1) / (np.sqrt(v / bc2) + cfg.opt_eps)
+        m[...] = BETA1 * m + (1.0 - BETA1) * g
+        v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+        return (m / bc1) / (np.sqrt(v / bc2) + OPT_EPS)
 
     model = state.model
     for name, w in (("w1", model.w1), ("w2", model.w2)):
         if name not in grads:
             continue
         direction = adam(state.moments[f"m_{name}"], state.moments[f"v_{name}"], grads[name])
-        w *= 1.0 - lr * cfg.weight_decay
+        w *= 1.0 - lr * WEIGHT_DECAY
         w -= lr * direction
     if "tau" in grads:
-        if not cfg.learnable_tau:
+        if not state.config.learnable_tau:
             raise StateError("tau gradient supplied but temperature is fixed")
         g = np.asarray(grads["tau"], dtype=np.float64).reshape(1)
         direction = adam(state.moments["m_tau"], state.moments["v_tau"], g)
-        model.tau = max(cfg.tau_min, model.tau - lr * cfg.tau_lr_scale * float(direction[0]))
+        model.tau = max(TAU_MIN, model.tau - lr * TAU_LR_SCALE * float(direction[0]))
     state.step += 1
     return model
 
@@ -434,11 +413,7 @@ def train(
     rng = CounterRng(config.seed, _STREAM_BATCHES)
     sampler = _EpochSampler(pool, super_size, rng)
     eval_every = config.resolved_eval_every()
-    distill_tau_ref = config.distill_tau_ref
-    if distill_tau_ref is None and cache is not None and cache.source_tau > 0:
-        distill_tau_ref = cache.source_tau
-    if distill_tau_ref is None:
-        distill_tau_ref = DEFAULT_TAU
+    distill_tau_ref = cache.source_tau if cache is not None and cache.source_tau > 0 else DEFAULT_TAU
 
     for t in range(steps):
         batch = sampler.next_batch()
@@ -454,7 +429,6 @@ def train(
                 mode="topk" if config.method == "jest-topk" else "sample",
                 seed=config.seed + t,
                 score_tau=model.tau,
-                sample_tau=config.jest_sample_tau,
             )
             batch = outcome.selected
         xs_b, ys_b = dataset.xs[batch], dataset.ys[batch]

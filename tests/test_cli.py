@@ -109,6 +109,41 @@ def test_train_distill_smoke(tmp_path):
     assert rc == 0
 
 
+def test_train_flags_land_in_config_and_defaults_come_from_train_config(tmp_path):
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    common = ["train", "--data", str(data_path), "--ref", str(cache_path)]
+    flags = {
+        "--steps": ("steps", 3),
+        "--batch-size": ("batch_size", 8),
+        "--embed-dim": ("embed_dim", 4),
+        "--lr": ("lr", 0.003),
+        "--tau": ("tau", 0.02),
+        "--tau-init": ("tau_init", 0.05),
+        "--rho": ("rho_tau", 5.0),
+        "--gamma": ("gamma", 0.5),
+        "--epsilon": ("epsilon", 1e-6),
+        "--lambda": ("lam", 0.4),
+        "--ratio": ("jest_ratio", 0.25),
+        "--n-chunks": ("jest_chunks", 3),
+        "--train-fraction": ("train_fraction", 0.9),
+        "--seed": ("seed", 3),
+    }
+    argv = common + ["--method", "jest", "--fixed-tau", "--distill", "--output", str(tmp_path / "set")]
+    for flag, (_, value) in flags.items():
+        argv += [flag, str(value)]
+    assert cli.run(argv) == 0
+    config = json.loads((tmp_path / "set" / "report.json").read_text())["config"]
+    want = {name: value for name, value in flags.values()}
+    want.update(method="jest", tau_learnable=False, distill=True)
+    assert {name: config[name] for name in want} == want
+    assert all(value != getattr(trainer.TrainConfig(), name) for name, value in want.items())
+
+    assert cli.run(common + ["--method", "drrho-clip", "--output", str(tmp_path / "default")]) == 0
+    config = json.loads((tmp_path / "default" / "report.json").read_text())["config"]
+    assert config == trainer.TrainConfig().resolved()
+
+
 def test_unknown_method_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.run(["train", "--method", "bogus", "--data", "x", "--output", "y"])
@@ -228,6 +263,38 @@ def test_scaling_fit_bad_csv_exits_1(tmp_path, capsys):
     path.write_text("x,y\n1,2\n")
     rc = cli.run(["scaling-fit", str(path)])
     assert rc == 1
+
+
+def test_scaling_fit_short_row_exits_1_naming_points(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("compute,error\n10\n")
+    assert cli.run(["scaling-fit", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "points" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("subset", ["-5", "0", "2"])
+def test_variance_subset_below_three_exits_1(tmp_path, capsys, subset):
+    data_path = _gen(tmp_path)
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    argv = ["variance", "--model", str(model_path), "--data", str(data_path), "--subset", subset]
+    assert cli.run(argv + ["--output", str(tmp_path / "var")]) == 1
+    assert "subset" in capsys.readouterr().err
+
+
+def test_mistyped_cache_meta_exits_1_naming_field(tmp_path, capsys):
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    mpath = container.manifest_path(cache_path)
+    manifest = json.loads(mpath.read_text())
+    manifest["meta"]["source_tau"] = [0.07]
+    mpath.write_text(json.dumps(manifest))
+    argv = ["variance", "--model", str(model_path), "--data", str(data_path), "--ref", str(cache_path)]
+    assert cli.run(argv + ["--output", str(tmp_path / "var")]) == 1
+    assert "source_tau" in capsys.readouterr().err
 
 
 def test_corrupt_artifact_reported_as_error(tmp_path, capsys):
