@@ -123,7 +123,10 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
     mpath = manifest_path(path)
     if not mpath.exists():
         raise FormatError(f"{path}: missing manifest sidecar {mpath.name}")
-    manifest = json.loads(mpath.read_text())
+    try:
+        manifest = json.loads(mpath.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{mpath}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
     if not isinstance(manifest.get("meta", {}), dict):

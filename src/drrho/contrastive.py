@@ -8,12 +8,14 @@ text negatives, text anchor over image negatives). ``global_objective``
 averages both directions over all anchors and serves as the exact
 ground truth that the stochastic trainer is verified against.
 
-``shifted_gaps`` builds the b x b gap matrices of both directions; the
-trainer's estimators, the loss-variance metric and ``global_objective``
-all start from it. ``global_objective`` is one array computation over those
-matrices. The per-anchor functions (``drrho_anchor_loss``,
-``gcl_anchor_loss``) compute the same soft maxima one anchor at a time and
-are the reference it is tested against.
+``shifted_gaps`` builds the b x b gap matrices of both directions, which
+the trainer's estimators start from. ``negative_gaps`` stacks the same gaps
+with the anchor itself dropped, one row per anchor; the exclude-anchor
+objective, the loss-variance metric and the trainer's eval points share it.
+``global_objective`` is one array computation over those rows. The
+per-anchor functions (``drrho_anchor_loss``, ``gcl_anchor_loss``) compute
+the same soft maxima one anchor at a time and are the reference it is
+tested against.
 
 Averaging set: "full" includes j = i (whose shifted gap is identically 0),
 "exclude-anchor" drops it. The trainer's estimators target the
@@ -115,6 +117,38 @@ def shifted_gaps(s_target: np.ndarray, s_reference: np.ndarray | None = None) ->
     return gaps1, gaps2
 
 
+def negative_gaps(
+    s_target: np.ndarray, s_reference: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Every anchor's gaps to its negatives (j != anchor), one row per anchor.
+
+    Rows 0..n-1 are the image anchors and rows n..2n-1 the text anchors, in
+    the order of ``shifted_gaps`` with the diagonal dropped: a (2n, n-1)
+    array. Given ``out`` of that shape, the rows are written into it.
+    """
+    s_t = _check_square(s_target, "s_target")
+    n = len(s_t)
+    if n == 0:
+        raise ValueError("s_target must hold at least one pair, got shape (0, 0)")
+    if out is None:
+        out = np.empty((2 * n, n - 1))
+    image, text = out[:n], out[n:]
+    # Anchor a's negatives are the entries before the diagonal, then those
+    # after it: column k < a holds j = k, column k >= a holds j = k + 1.
+    before = np.tri(n, n - 1, -1, dtype=bool)
+    np.copyto(image, s_t[:, 1:])
+    np.copyto(image, s_t[:, :-1], where=before)
+    np.copyto(text.T, s_t[1:])
+    np.copyto(text.T, s_t[:-1], where=before.T)
+    diag = s_t.diagonal()[:, None]
+    image -= diag
+    text -= diag
+    if s_reference is not None:
+        _, s_r = _check_same_shape(s_t, s_reference)
+        out -= negative_gaps(s_r)
+    return out
+
+
 def _check_tau_over(tau: float, over: str) -> None:
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -176,15 +210,13 @@ def global_objective(
     soft maxima come from one log-mean-exp over the stacked gap rows.
     """
     _check_tau_over(tau, over)
-    gaps1, gaps2 = shifted_gaps(s_target, s_reference)
-    n = len(gaps1)
-    if n == 0:
-        raise ValueError("s_target must hold at least one pair, got shape (0, 0)")
+    n = len(_check_square(s_target, "s_target"))
     if over == OVER_FULL:
-        rows = np.concatenate((gaps1, gaps2))
+        if n == 0:
+            raise ValueError("s_target must hold at least one pair, got shape (0, 0)")
+        rows = np.concatenate(shifted_gaps(s_target, s_reference))
     elif n == 1:
         raise ValueError("anchor has an empty negative set")
     else:
-        negatives = ~np.eye(n, dtype=bool)
-        rows = np.concatenate((gaps1[negatives], gaps2[negatives])).reshape(2 * n, n - 1)
+        rows = negative_gaps(s_target, s_reference)
     return float(log_mean_exp(rows, tau).sum() / n)

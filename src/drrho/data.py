@@ -243,6 +243,10 @@ def load_cache(path: str | Path) -> EmbeddingCache:
     if meta.get("n") != len(arrays["e1"]):
         raise FormatError(f"{path}: manifest n disagrees with payload length")
     meta = container.require_meta(path, meta, {"source_id": (str,), "dataset_id": (str,), "source_tau": (float,)})
+    if not meta["dataset_id"]:
+        # every save_cache writes the embedded dataset's hash; without it
+        # train could not tell this cache from one of another dataset
+        raise FormatError(f"{path}: manifest meta 'dataset_id' is empty")
     return EmbeddingCache(
         e1=arrays["e1"],
         e2=arrays["e2"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contrastive import shifted_gaps
+from .contrastive import negative_gaps
 from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate_synthetic
 from .encoder import batch_forward
 from .errors import ConfigError
@@ -48,6 +48,13 @@ class VarianceSummary:
     image_variances: np.ndarray  # (b,) variance over negatives, image anchors
     text_variances: np.ndarray  # (b,) text anchors
 
+    @classmethod
+    def of_rows(cls, rows: np.ndarray) -> "VarianceSummary":
+        """Summarize ``contrastive.negative_gaps`` rows: image anchors, then text anchors."""
+        var = rows.var(axis=1)
+        b = len(rows) // 2
+        return cls(image_variances=var[:b], text_variances=var[b:])
+
     @property
     def image_mean(self) -> float:
         return float(self.image_variances.mean())
@@ -68,14 +75,10 @@ class VarianceSummary:
 def loss_variance(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> VarianceSummary:
     """Variance over negatives of each anchor's pairwise loss (shifted by
     the reference when one is given), per direction."""
-    gaps1, gaps2 = shifted_gaps(s_target, s_reference)
-    b = len(gaps1)
-    if b < 3:
+    rows = negative_gaps(s_target, s_reference)
+    if len(rows) // 2 < 3:
         raise ValueError("need at least 2 negatives per anchor (3 pairs)")
-    mask = ~np.eye(b, dtype=bool)
-    image_var = gaps1[mask].reshape(b, b - 1).var(axis=1)
-    text_var = gaps2[mask].reshape(b, b - 1).var(axis=1)
-    return VarianceSummary(image_variances=image_var, text_variances=text_var)
+    return VarianceSummary.of_rows(rows)
 
 
 @dataclass

@@ -129,7 +129,9 @@ def log_mean_exp(v: np.ndarray, tau: float) -> np.ndarray:
     """tau * log((1/m) sum exp(v_i / tau)) along the last axis, stabilized
     by subtracting each row's max. A 1-d vector gives a scalar."""
     m = v.max(axis=-1, keepdims=True)
-    mean = np.exp((v - m) / tau).sum(axis=-1) / v.shape[-1]
+    t = v - m  # the one temporary; scaled and exponentiated in place
+    t /= tau
+    mean = np.exp(t, out=t).sum(axis=-1) / v.shape[-1]
     return m[..., 0] + tau * np.log(mean)
 
 

@@ -30,11 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, container
-from .contrastive import OVER_EXCLUDE, global_objective, shifted_gaps
+# global_objective is not called here; bench/test_bench.py checks that the
+# tracer wraps it through this module's binding.
+from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
 from .data import EmbeddingCache, PairedDataset
 from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, similarity_backward
 from .errors import ConfigError, FormatError, StateError, TrainingError
 from .report import ExperimentReport
+from .risk import log_mean_exp
 from .rng import CounterRng
 
 METHODS = ("openclip", "fastclip", "drrho-clip", "jest", "jest-topk")
@@ -157,7 +160,7 @@ class TrainerState:
     config: TrainConfig
     step: int = 0
     moments: dict[str, np.ndarray] = field(default_factory=dict)
-    _u_token: tuple[int, int] | None = field(default=None, repr=False)
+    _u_token: tuple[int, bytes] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.u1 = np.asarray(self.u1, dtype=np.float64)
@@ -179,8 +182,8 @@ def init_trainer_state(model: TwoTowerModel, n: int, config: TrainConfig) -> Tra
     return TrainerState(model=model, u1=np.zeros(n), u2=np.zeros(n), config=config)
 
 
-def _batch_token(step: int, batch_indices: np.ndarray) -> tuple[int, int]:
-    return (step, hash(tuple(int(i) for i in batch_indices)))
+def _batch_token(step: int, batch_indices: np.ndarray) -> tuple[int, bytes]:
+    return (step, batch_indices.tobytes())
 
 
 def shifted_gap_exponentials(
@@ -410,6 +413,7 @@ def train(
     if steps == 0:
         return state, report
 
+    evaluator = _Evaluator(config, dataset, cache, pool)
     rng = CounterRng(config.seed, _STREAM_BATCHES)
     sampler = _EpochSampler(pool, super_size, rng)
     eval_every = config.resolved_eval_every()
@@ -462,40 +466,53 @@ def train(
         optimizer_step(state, grads)
 
         if (t + 1) % eval_every == 0 or t == steps - 1:
-            _record_metrics(report, state, config, dataset, cache, t + 1)
+            evaluator.record(report, model, t + 1)
     return state, report
 
 
-def _record_metrics(
-    report: ExperimentReport,
-    state: TrainerState,
-    config: TrainConfig,
-    dataset: PairedDataset,
-    cache: EmbeddingCache | None,
-    step: int,
-) -> None:
-    from . import experiments  # local import; experiments drives trainer for sweeps
+class _Evaluator:
+    """The eval points of one run, over inputs gathered when the run starts.
 
-    pool = _train_pool(dataset, config.train_fraction)
-    subset = pool[: min(config.eval_subset, len(pool))]
-    fwd = batch_forward(state.model, dataset.xs[subset], dataset.ys[subset])
-    use_ref = config.method == "drrho-clip" and cache is not None
-    s_ref = cache.similarity(subset) if use_ref else None
-    if config.method in _U_METHODS:
-        objective = global_objective(fwd.s, s_ref, tau=state.model.tau, over=OVER_EXCLUDE)
-    else:
-        objective = baselines.infonce_loss(fwd.s, state.model.tau)
-    report.add(step, "objective", objective)
-    if len(subset) >= 3:
-        var = experiments.loss_variance(fwd.s, s_ref)
-        report.add(step, "loss_variance_image", var.image_mean)
-        report.add(step, "loss_variance_text", var.text_mean)
-    test = dataset.test_indices
-    if len(test) >= 2:
-        s_test = batch_forward(state.model, dataset.xs[test], dataset.ys[test]).s
-        report.add(step, "recall_at_1", experiments.recall_at_1(s_test))
-    if config.learnable_tau:
-        report.add(step, "tau", state.model.tau)
+    It holds the features of the eval subset (the head of the training
+    pool) and of the test split, the reference half of the drrho-clip gaps,
+    which is fixed for the run, and one buffer of ``negative_gaps`` rows.
+    Each eval point does one forward pass and fills that buffer in place;
+    the exclude-anchor objective and both loss variances read it.
+    """
+
+    def __init__(
+        self, config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None, pool: np.ndarray
+    ):
+        self.config = config
+        subset = pool[: config.eval_subset]
+        self.xs, self.ys = dataset.xs[subset], dataset.ys[subset]
+        test = dataset.test_indices
+        self.test = (dataset.xs[test], dataset.ys[test]) if len(test) >= 2 else None
+        self.rows = np.empty((2 * len(subset), len(subset) - 1))
+        self.ref_rows = negative_gaps(cache.similarity(subset)) if config.method == "drrho-clip" else None
+
+    def record(self, report: ExperimentReport, model: TwoTowerModel, step: int) -> None:
+        from . import experiments  # local import; experiments drives trainer for sweeps
+
+        s = batch_forward(model, self.xs, self.ys).s
+        n = len(s)
+        rows = negative_gaps(s, out=self.rows)
+        if self.ref_rows is not None:
+            rows -= self.ref_rows
+        if self.config.method in _U_METHODS:
+            objective = float(log_mean_exp(rows, model.tau).sum() / n)
+        else:
+            objective = baselines.infonce_loss(s, model.tau)
+        report.add(step, "objective", objective)
+        if n >= 3:
+            var = experiments.VarianceSummary.of_rows(rows)
+            report.add(step, "loss_variance_image", var.image_mean)
+            report.add(step, "loss_variance_text", var.text_mean)
+        if self.test is not None:
+            s_test = batch_forward(model, *self.test).s
+            report.add(step, "recall_at_1", experiments.recall_at_1(s_test))
+        if self.config.learnable_tau:
+            report.add(step, "tau", model.tau)
 
 
 def save_checkpoint(state: TrainerState, path: str | Path) -> None:

@@ -297,6 +297,32 @@ def test_mistyped_cache_meta_exits_1_naming_field(tmp_path, capsys):
     assert "source_tau" in capsys.readouterr().err
 
 
+def test_blank_cache_dataset_id_exits_1_naming_field(tmp_path, capsys):
+    (tmp_path / "d0").mkdir()
+    (tmp_path / "d1").mkdir()
+    cache_path = _make_cache(tmp_path, _gen(tmp_path / "d0", seed=0))
+    other_data = _gen(tmp_path / "d1", seed=1)
+    mpath = container.manifest_path(cache_path)
+    manifest = json.loads(mpath.read_text())
+    manifest["meta"]["dataset_id"] = ""
+    mpath.write_text(json.dumps(manifest))
+    argv = ["train", "--method", "drrho-clip", "--data", str(other_data), "--ref", str(cache_path), "--steps", "4"]
+    assert cli.run(argv + ["--output", str(tmp_path / "run")]) == 1
+    assert "dataset_id" in capsys.readouterr().err
+
+
+def test_truncated_manifest_exits_1_naming_path(tmp_path, capsys):
+    data_path = _gen(tmp_path)
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    mpath = container.manifest_path(data_path)
+    text = mpath.read_text()
+    mpath.write_text(text[: len(text) // 2])
+    rc = cli.run(["eval", "--model", str(model_path), "--data", str(data_path), "--output", str(tmp_path / "e")])
+    assert rc == 1
+    assert str(mpath) in capsys.readouterr().err
+
+
 def test_corrupt_artifact_reported_as_error(tmp_path, capsys):
     data_path = _gen(tmp_path)
     blob = bytearray(data_path.read_bytes())

@@ -76,6 +76,22 @@ def test_shifted_gaps_match_pairwise_losses():
         contrastive.shifted_gaps(s_t, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_negative_gaps_are_shifted_gaps_without_the_anchor(n):
+    s_t = _random_sim(20, n)
+    s_r = _random_sim(21, n)
+    keep = ~np.eye(n, dtype=bool)
+    for s, ref in [(s_t, None), (s_t, s_r), (s_t.T, None), (s_t.T, s_r.T)]:  # row- and column-major
+        gaps1, gaps2 = contrastive.shifted_gaps(s, ref)
+        expected = np.concatenate((gaps1[keep], gaps2[keep])).reshape(2 * n, n - 1)
+        assert np.array_equal(contrastive.negative_gaps(s, ref), expected)
+        out = np.full((2 * n, n - 1), np.nan)
+        assert contrastive.negative_gaps(s, ref, out=out) is out
+        assert np.array_equal(out, expected)
+    with pytest.raises(ValueError, match="s_target"):
+        contrastive.negative_gaps(np.zeros((0, 0)))
+
+
 def test_drrho_anchor_loss_self_reference_is_zero():
     s = _random_sim(3, 5)
     for i in range(5):

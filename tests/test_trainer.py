@@ -1,11 +1,12 @@
 """Estimator maintenance, gradient estimators, optimizer, and the loop."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from drrho import container, contrastive, data, encoder, trainer
+from drrho import container, contrastive, data, encoder, experiments, report, trainer
 from drrho.errors import ConfigError, FormatError, StateError, TrainingError
 
 from oracles import finite_diff_matrix, rel_err, update_u_direct
@@ -145,6 +146,19 @@ def test_gradient_estimator_requires_fresh_u():
     state.step += 1  # stale now
     with pytest.raises(StateError):
         trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_r, fwd=fwd)
+
+
+def test_stale_u_for_changed_batch_index_raises():
+    ds, cache, state, _ = _setup()
+    batch = np.arange(8)
+    fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
+    s_r = cache.similarity(batch)
+    trainer.update_u(state, batch, fwd.s, s_r)
+    changed = batch.copy()
+    changed[3] = 9  # same step, one index differs
+    with pytest.raises(StateError):
+        trainer.gradient_estimator(state, changed, ds.xs[changed], ds.ys[changed], cache.similarity(changed))
+    trainer.gradient_estimator(state, batch, ds.xs[batch], ds.ys[batch], s_r, fwd=fwd)
 
 
 def _exact_objective_fn(ds, s_r, tau, which, other_w):
@@ -347,6 +361,45 @@ def test_train_missing_cache_rejected():
     config = trainer.TrainConfig(method="drrho-clip", steps=5, batch_size=8, embed_dim=6)
     with pytest.raises(ConfigError):
         trainer.train(config, ds, None)
+
+
+@pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
+def test_eval_point_matches_exact_objective_and_loss_variance(method):
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.2, 0.25, seed=5)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=66))
+    config = trainer.TrainConfig(
+        method=method, steps=12, batch_size=12, embed_dim=6, lr=5e-3, train_fraction=0.75, eval_subset=32, seed=3
+    )
+    state, rep = trainer.train(config, ds, cache if config.needs_reference else None)
+    subset = trainer._train_pool(ds, config.train_fraction)[: config.eval_subset]
+    s = encoder.batch_forward(state.model, ds.xs[subset], ds.ys[subset]).s
+    s_ref = cache.similarity(subset) if method == "drrho-clip" else None
+    var = experiments.loss_variance(s, s_ref)
+    final = rep.summary
+    assert final["objective"] == contrastive.global_objective(
+        s, s_ref, tau=state.model.tau, over=contrastive.OVER_EXCLUDE
+    )
+    assert final["loss_variance_image"] == var.image_mean
+    assert final["loss_variance_text"] == var.text_mean
+
+
+@pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
+def test_eval_point_transient_memory(method):
+    # The monitored-small-batch shape: a 640-pair pool, 128 test pairs, eval_subset=128.
+    ds = data.generate_synthetic(640, 24, 20, 4, 0.3, 0.2, seed=0)
+    cache = data.build_reference_cache(ds, encoder.init_model(16, 24, 20, seed=5))
+    config = trainer.TrainConfig(method=method, steps=150, batch_size=48, embed_dim=8, eval_subset=128)
+    model = encoder.init_model(8, 24, 20, seed=1, tau=0.07)
+    evaluator = trainer._Evaluator(config, ds, cache, trainer._train_pool(ds, 1.0))
+    rep = report.ExperimentReport(config_snapshot={})
+    evaluator.record(rep, model, 1)  # the first point; later ones are the steady state
+    tracemalloc.start()
+    try:
+        evaluator.record(rep, model, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
 
 
 def test_checkpoint_round_trip(tmp_path):
