@@ -4,21 +4,12 @@ independent oracle."""
 
 from .baselines import (
     SelectionOutcome,
-    combined_objective,
     distillation_grad_s,
-    distillation_loss,
     infonce_grad_s,
     infonce_loss,
     jest_select,
 )
-from .contrastive import (
-    AnchorLossBundle,
-    drrho_anchor_loss,
-    gcl_anchor_loss,
-    global_objective,
-    pairwise_loss,
-    rho_pairwise_loss,
-)
+from .contrastive import global_objective
 from .data import (
     EmbeddingCache,
     PairedDataset,
@@ -31,13 +22,10 @@ from .data import (
 )
 from .encoder import (
     TwoTowerModel,
-    embed,
     embed_batch,
     init_model,
     load_model,
     save_model,
-    similarity_batch,
-    similarity_grad,
 )
 from .experiments import (
     ScalingPoint,
@@ -49,12 +37,9 @@ from .experiments import (
 )
 from .report import ExperimentReport
 from .risk import (
-    LossVector,
-    RiskSpec,
     chi2_dro_risk,
     cvar_topk,
     drrho_shift,
-    evaluate_risk,
     kl_constrained_risk,
     kl_regularized_risk,
     softmax_weights,

@@ -1,6 +1,6 @@
-"""Comparison methods: mini-batch InfoNCE, the no-reference estimator
-step, staged joint example selection, and the soft-target distillation
-objective with its convex combination.
+"""Comparison methods: mini-batch InfoNCE, staged joint example
+selection, and the gradient of the soft-target distillation loss, which
+the trainer blends with the contrastive gradient.
 
 All losses here are functions of a batch similarity matrix, so each one
 also exposes its dLoss/dS; chaining that through
@@ -171,24 +171,12 @@ def jest_select(
 # soft-target distillation
 
 
-def distillation_loss(s_target, s_reference, tau: float, tau_ref: float) -> float:
-    """Cross-entropy from the reference's row and column softmax
-    distributions to the target's, averaged over all b^2 entries."""
-    s_t, s_r = _check_same_shape(s_target, s_reference)
-    if not (tau > 0 and tau_ref > 0):
-        raise ValueError("temperatures must be positive")
-    b = len(s_t)
-    total = 0.0
-    for axis in (1, 0):
-        log_p = _log_softmax(s_t / tau, axis=axis)
-        p_hat = np.exp(_log_softmax(s_r / tau_ref, axis=axis))
-        total -= float(np.sum(p_hat * log_p)) / (b * b)
-    return total
-
-
 def distillation_grad_s(s_target, s_reference, tau: float, tau_ref: float) -> np.ndarray:
-    """dDistillation/dS_target: (target softmax - reference softmax) per
-    direction, scaled by 1/(b^2 tau). Exactly zero at matched
+    """dDistillation/dS_target, where the distillation loss is the
+    cross-entropy from the reference's row and column softmax distributions
+    (at tau_ref) to the target's (at tau), summed over both directions and
+    divided by b^2. That is (target softmax - reference softmax) per
+    direction, scaled by 1/(b^2 tau); exactly zero at matched
     distributions."""
     s_t, s_r = _check_same_shape(s_target, s_reference)
     if not (tau > 0 and tau_ref > 0):
@@ -201,9 +189,3 @@ def distillation_grad_s(s_target, s_reference, tau: float, tau_ref: float) -> np
         grad += p - p_hat
     return grad / (b * b * tau)
 
-
-def combined_objective(con_loss: float, dist_loss: float, lam: float) -> float:
-    """(1 - lambda) * contrastive + lambda * distillation."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    return (1.0 - lam) * con_loss + lam * dist_loss

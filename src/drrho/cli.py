@@ -195,16 +195,21 @@ def _cmd_variance(args) -> int:
     return 0
 
 
+def _number_list(name: str, text: str, kind: type) -> list:
+    """The comma-separated numbers of one flag; DrrhoError naming it otherwise."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise DrrhoError(f"{name}: expected comma-separated {kind.__name__} values, got {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
+    fractions = _number_list("fractions", args.fractions, float)
+    seeds = _number_list("seeds", args.seeds, int)
     dataset = data.load_dataset(args.data)
     cache = data.load_cache(args.ref) if args.ref else None
     report = experiments.data_efficiency_sweep(
-        _train_config(args),
-        dataset,
-        cache,
-        fractions=[float(f) for f in args.fractions.split(",")],
-        methods=args.methods.split(","),
-        seeds=[int(s) for s in args.seeds.split(",")],
+        _train_config(args), dataset, cache, fractions=fractions, methods=args.methods.split(","), seeds=seeds
     )
     _write_report(report, Path(args.output))
     for row in report.config_snapshot["rows"]:
@@ -221,7 +226,12 @@ def _cmd_scaling_fit(args) -> int:
         for row in reader:
             if row["compute"] is None or row["error"] is None:
                 raise DrrhoError(f"points: line {reader.line_num} lacks a compute or error value")
-            points.append(experiments.ScalingPoint(float(row["compute"]), float(row["error"])))
+            try:
+                compute, error = float(row["compute"]), float(row["error"])
+            except ValueError:
+                line = reader.line_num
+                raise DrrhoError(f"points: line {line} holds a non-numeric compute or error value") from None
+            points.append(experiments.ScalingPoint(compute, error))
     alpha, beta, residual = experiments.fit_scaling_law(points)
     print(f"alpha: {alpha:.9g}")
     print(f"beta: {beta:.9g}")

@@ -156,6 +156,13 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
     return arrays, manifest.get("meta", {})
 
 
+def require_arrays(path: str | Path, arrays: dict[str, np.ndarray], names) -> None:
+    """FormatError naming the path and the first of ``names`` not in ``arrays``."""
+    for name in names:
+        if name not in arrays:
+            raise FormatError(f"{path}: container missing array {name!r}")
+
+
 def require_meta(path: str | Path, meta: dict, spec: dict[str, tuple[type, ...]]) -> dict:
     """The named entries of a manifest's meta, each of one of its listed JSON
     types (``bool`` only where listed, ``int`` wherever ``float`` is);

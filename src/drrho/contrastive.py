@@ -1,4 +1,4 @@
-"""Per-anchor contrastive losses built from similarity-gap pairwise losses.
+"""Contrastive losses built from similarity-gap pairwise losses.
 
 The pairwise loss of a negative j against anchor i is the similarity gap
 s(i, j) - s(i, i); the reference-shifted variant subtracts the same gap
@@ -12,10 +12,7 @@ ground truth that the stochastic trainer is verified against.
 the trainer's estimators start from. ``negative_gaps`` stacks the same gaps
 with the anchor itself dropped, one row per anchor; the exclude-anchor
 objective, the loss-variance metric and the trainer's eval points share it.
-``global_objective`` is one array computation over those rows. The
-per-anchor functions (``drrho_anchor_loss``, ``gcl_anchor_loss``) compute
-the same soft maxima one anchor at a time and are the reference it is
-tested against.
+``global_objective`` is one array computation over those rows.
 
 Averaging set: "full" includes j = i (whose shifted gap is identically 0),
 "exclude-anchor" drops it. The trainer's estimators target the
@@ -25,32 +22,12 @@ variant is what makes target == reference give an objective of exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .risk import log_mean_exp
 
-IMAGE_SIDE = "image"
-TEXT_SIDE = "text"
-
 OVER_FULL = "full"
 OVER_EXCLUDE = "exclude-anchor"
-
-
-@dataclass
-class AnchorLossBundle:
-    """One anchor's aggregated loss and the per-negative losses behind it.
-
-    ``losses`` always holds the negatives only (j != anchor); in full-set
-    mode the aggregated ``value`` additionally averages the anchor's own
-    zero term.
-    """
-
-    anchor_index: int
-    direction: str
-    losses: np.ndarray  # shifted (or plain) pairwise losses of the negatives
-    value: float
 
 
 def _check_square(s: np.ndarray, name: str = "s") -> np.ndarray:
@@ -66,35 +43,6 @@ def _check_same_shape(s_target, s_reference) -> tuple[np.ndarray, np.ndarray]:
     if s_t.shape != s_r.shape:
         raise ValueError(f"matrices differ in shape: {s_t.shape} vs {s_r.shape}")
     return s_t, s_r
-
-
-def _check_index(i: int, n: int) -> None:
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for {n} pairs")
-
-
-def pairwise_loss(s: np.ndarray, i: int, j: int, direction: str = IMAGE_SIDE) -> float:
-    """Similarity gap of negative j against anchor i's positive pair."""
-    s = _check_square(s)
-    _check_index(i, len(s))
-    _check_index(j, len(s))
-    if direction == IMAGE_SIDE:
-        return float(s[i, j] - s[i, i])
-    if direction == TEXT_SIDE:
-        return float(s[j, i] - s[i, i])
-    raise ValueError(f"direction must be {IMAGE_SIDE!r} or {TEXT_SIDE!r}")
-
-
-def rho_pairwise_loss(
-    s_target: np.ndarray,
-    s_reference: np.ndarray,
-    i: int,
-    j: int,
-    direction: str = IMAGE_SIDE,
-) -> float:
-    """Target gap minus reference gap for the same (i, j, direction)."""
-    s_t, s_r = _check_same_shape(s_target, s_reference)
-    return pairwise_loss(s_t, i, j, direction) - pairwise_loss(s_r, i, j, direction)
 
 
 def shifted_gaps(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -149,54 +97,6 @@ def negative_gaps(
     return out
 
 
-def _check_tau_over(tau: float, over: str) -> None:
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if over not in (OVER_FULL, OVER_EXCLUDE):
-        raise ValueError(f"over must be {OVER_FULL!r} or {OVER_EXCLUDE!r}")
-
-
-def _anchor_loss(
-    gaps: tuple[np.ndarray, np.ndarray], i: int, direction: str, tau: float, over: str
-) -> AnchorLossBundle:
-    """Anchor i's soft maximum over its row of ``shifted_gaps`` output."""
-    _check_tau_over(tau, over)
-    _check_index(i, len(gaps[0]))
-    if direction not in (IMAGE_SIDE, TEXT_SIDE):
-        raise ValueError(f"direction must be {IMAGE_SIDE!r} or {TEXT_SIDE!r}")
-    row = gaps[0 if direction == IMAGE_SIDE else 1][i]
-    negatives = np.delete(row, i)
-    averaged = negatives if over == OVER_EXCLUDE else row
-    if averaged.size == 0:
-        raise ValueError("anchor has an empty negative set")
-    return AnchorLossBundle(
-        anchor_index=i, direction=direction, losses=negatives, value=float(log_mean_exp(averaged, tau))
-    )
-
-
-def drrho_anchor_loss(
-    s_target: np.ndarray,
-    s_reference: np.ndarray,
-    i: int,
-    direction: str = IMAGE_SIDE,
-    tau: float = 0.01,
-    over: str = OVER_FULL,
-) -> AnchorLossBundle:
-    """Soft maximum of anchor i's reference-shifted gaps."""
-    return _anchor_loss(shifted_gaps(s_target, s_reference), i, direction, tau, over)
-
-
-def gcl_anchor_loss(
-    s_target: np.ndarray,
-    i: int,
-    direction: str = IMAGE_SIDE,
-    tau: float = 0.01,
-    over: str = OVER_FULL,
-) -> AnchorLossBundle:
-    """Soft maximum of anchor i's plain gaps (no reference model)."""
-    return _anchor_loss(shifted_gaps(s_target), i, direction, tau, over)
-
-
 def global_objective(
     s_target: np.ndarray,
     s_reference: np.ndarray | None = None,
@@ -209,7 +109,10 @@ def global_objective(
     the exact objective the batch estimators approximate. All 2n anchor
     soft maxima come from one log-mean-exp over the stacked gap rows.
     """
-    _check_tau_over(tau, over)
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    if over not in (OVER_FULL, OVER_EXCLUDE):
+        raise ValueError(f"over must be {OVER_FULL!r} or {OVER_EXCLUDE!r}")
     n = len(_check_square(s_target, "s_target"))
     if over == OVER_FULL:
         if n == 0:

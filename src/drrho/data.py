@@ -146,8 +146,8 @@ def generate_synthetic(
         raise ConfigError("n must be at least 2")
     if d_latent < 1 or d_latent > min(d_x, d_y):
         raise ConfigError("d_latent must satisfy 1 <= d_latent <= min(d_x, d_y)")
-    if noise_sigma < 0:
-        raise ConfigError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ConfigError(f"noise_sigma: must be finite and nonnegative, got {noise_sigma!r}")
     if not 0.0 <= test_fraction <= 1.0:
         raise ConfigError("test_fraction must lie in [0, 1]")
 
@@ -202,13 +202,18 @@ def save_dataset(dataset: PairedDataset, path: str | Path) -> None:
     )
 
 
-def load_dataset(path: str | Path) -> PairedDataset:
-    arrays, meta = container.read_container(path, expect_kind=container.KIND_DATASET)
-    for key in ("xs", "ys", "split"):
-        if key not in arrays:
-            raise FormatError(f"{path}: dataset file missing array {key!r}")
-    if meta.get("n") != len(arrays["xs"]):
+def _read_pairs(path: str | Path, kind: int, names: tuple[str, ...]) -> tuple[dict, dict]:
+    """A dataset or cache container holding ``names``, one row per pair, as
+    many as its manifest's ``n``."""
+    arrays, meta = container.read_container(path, expect_kind=kind)
+    container.require_arrays(path, arrays, names)
+    if meta.get("n") != len(arrays[names[0]]):
         raise FormatError(f"{path}: manifest n disagrees with payload length")
+    return arrays, meta
+
+
+def load_dataset(path: str | Path) -> PairedDataset:
+    arrays, meta = _read_pairs(path, container.KIND_DATASET, ("xs", "ys", "split"))
     meta = container.require_meta(path, meta, {"seed": (int,), "noise_sigma": (float,), "d_latent": (int,)})
     return PairedDataset(
         xs=arrays["xs"],
@@ -236,12 +241,7 @@ def save_cache(cache: EmbeddingCache, path: str | Path) -> None:
 
 
 def load_cache(path: str | Path) -> EmbeddingCache:
-    arrays, meta = container.read_container(path, expect_kind=container.KIND_CACHE)
-    for key in ("e1", "e2"):
-        if key not in arrays:
-            raise FormatError(f"{path}: cache file missing array {key!r}")
-    if meta.get("n") != len(arrays["e1"]):
-        raise FormatError(f"{path}: manifest n disagrees with payload length")
+    arrays, meta = _read_pairs(path, container.KIND_CACHE, ("e1", "e2"))
     meta = container.require_meta(path, meta, {"source_id": (str,), "dataset_id": (str,), "source_tau": (float,)})
     if not meta["dataset_id"]:
         # every save_cache writes the embedded dataset's hash; without it

@@ -7,10 +7,9 @@ r = ||W v||, perturbing W moves e inside the tangent plane at e, giving
 
     d s(e, c) / dW = ((I - e e^T) c / r) v^T
 
-for any fixed cosine partner c. ``similarity_grad`` exposes the per-pair
-form; ``similarity_backward`` chains an arbitrary dLoss/dS through a whole
-batch similarity matrix, which is how every training objective here turns
-into weight gradients.
+for any fixed cosine partner c. ``similarity_backward`` chains an arbitrary
+dLoss/dS through a whole batch similarity matrix with this rule, which is
+how every training objective here turns into weight gradients.
 """
 
 from __future__ import annotations
@@ -87,19 +86,6 @@ def _weight(model: TwoTowerModel, modality: str) -> np.ndarray:
     raise ValueError(f"modality must be 'image' or 'text', got {modality!r}")
 
 
-def embed(model: TwoTowerModel, modality: str, raw: np.ndarray) -> np.ndarray:
-    """Unit-normalized embedding of one raw vector."""
-    w = _weight(model, modality)
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (w.shape[1],):
-        raise ConfigError(f"{modality} input has dim {raw.shape}, expected ({w.shape[1]},)")
-    h = w @ raw
-    r = np.linalg.norm(h)
-    if r < DEGENERACY_THRESHOLD:
-        raise DegenerateEmbeddingError(f"{modality} embedding norm {r:.3e} below {DEGENERACY_THRESHOLD:.0e}")
-    return h / r
-
-
 def embed_batch(model: TwoTowerModel, modality: str, raws: np.ndarray) -> np.ndarray:
     """Unit-normalized embeddings for a (b, d_in) batch, row per input."""
     e, _ = _embed_batch_with_norms(model, modality, raws)
@@ -140,26 +126,6 @@ def batch_forward(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> Batch
     return BatchForward(e1=e1, e2=e2, r1=r1, r2=r2, s=e1 @ e2.T)
 
 
-def similarity_batch(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Cosine similarity matrix s[i, j] = <embed(x_i), embed(y_j)>."""
-    return batch_forward(model, xs, ys).s
-
-
-def similarity_grad(model: TwoTowerModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of s(x, y) with respect to w1 and w2 (closed form)."""
-    w1, w2 = model.w1, model.w2
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    h1, h2 = w1 @ x, w2 @ y
-    r1, r2 = np.linalg.norm(h1), np.linalg.norm(h2)
-    if r1 < DEGENERACY_THRESHOLD or r2 < DEGENERACY_THRESHOLD:
-        raise DegenerateEmbeddingError("embedding norm below threshold in similarity_grad")
-    e1, e2 = h1 / r1, h2 / r2
-    g1 = np.outer((e2 - (e1 @ e2) * e1) / r1, x)
-    g2 = np.outer((e1 - (e1 @ e2) * e2) / r2, y)
-    return g1, g2
-
-
 def similarity_backward(
     fwd: BatchForward,
     xs: np.ndarray,
@@ -195,9 +161,7 @@ def save_model(model: TwoTowerModel, path) -> None:
 
 def load_model(path) -> TwoTowerModel:
     arrays, meta = container.read_container(path, expect_kind=container.KIND_MODEL)
-    for key in ("w1", "w2", "tau"):
-        if key not in arrays:
-            raise FormatError(f"{path}: model file missing array {key!r}")
+    container.require_arrays(path, arrays, ("w1", "w2", "tau"))
     model = TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
     declared = meta.get("id_hash")
     if declared and declared != model.id_hash:

@@ -60,16 +60,8 @@ class VarianceSummary:
         return float(self.image_variances.mean())
 
     @property
-    def image_std(self) -> float:
-        return float(self.image_variances.std())
-
-    @property
     def text_mean(self) -> float:
         return float(self.text_variances.mean())
-
-    @property
-    def text_std(self) -> float:
-        return float(self.text_variances.std())
 
 
 def loss_variance(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> VarianceSummary:

@@ -78,11 +78,3 @@ class ExperimentReport:
                     writer.writerow([s, repr(v)])
             written.append(path)
         return written
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "ExperimentReport":
-        raw = json.loads(Path(path).read_text())
-        report = cls(config_snapshot=raw.get("config", {}), provenance=raw.get("provenance", {}))
-        for s, m, v in raw.get("series", []):
-            report.series.append((int(s), str(m), float(v)))
-        return report

@@ -19,8 +19,6 @@ searches and closed forms); tolerances are part of the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SolverError
@@ -31,54 +29,6 @@ TAU_BOUND_HI = 1e6
 _TERNARY_ITERS = 80
 
 CHI2_CONSTRAINT_TOL = 1e-10
-
-
-@dataclass
-class LossVector:
-    """Per-sample losses with optional known bounds (m0, m1)."""
-
-    values: np.ndarray
-    bounds: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("losses must form a nonempty 1-d vector")
-        if not np.isfinite(self.values).all():
-            raise ValueError("losses must be finite")
-        if self.bounds is not None:
-            m0, m1 = self.bounds
-            if not (m0 <= m1):
-                raise ValueError("bounds must satisfy m0 <= m1")
-            if (self.values < m0).any() or (self.values > m1).any():
-                raise ValueError("losses fall outside declared bounds")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass
-class RiskSpec:
-    """Which functional to apply, with its parameters."""
-
-    kind: str  # chi2_constrained | cvar_topk | kl_constrained | kl_regularized
-    rho: float = 0.0
-    k: int = 1
-    tau: float = 1.0
-
-    def __post_init__(self):
-        kinds = ("chi2_constrained", "cvar_topk", "kl_constrained", "kl_regularized")
-        if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}")
-        if self.kind in ("chi2_constrained", "kl_constrained") and self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.kind == "cvar_topk" and self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if self.kind == "kl_regularized" and not self.tau > 0:
-            raise ValueError("tau must be positive")
 
 
 def _values(losses) -> np.ndarray:
@@ -265,16 +215,3 @@ def drrho_shift(target_losses, reference_losses) -> np.ndarray:
     if t.shape != r.shape:
         raise ValueError(f"loss vectors differ in length: {t.size} vs {r.size}")
     return t - r
-
-
-def evaluate_risk(spec: RiskSpec, losses, n: int | None = None) -> float:
-    """Apply the functional a RiskSpec describes; n defaults to the length."""
-    v = _values(losses)
-    n = v.size if n is None else n
-    if spec.kind == "cvar_topk":
-        return cvar_topk(v, spec.k)
-    if spec.kind == "kl_regularized":
-        return kl_regularized_risk(v, spec.tau)
-    if spec.kind == "kl_constrained":
-        return kl_constrained_risk(v, spec.rho, n)[0]
-    return chi2_dro_risk(v, spec.rho, n)[0]

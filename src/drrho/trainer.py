@@ -35,7 +35,7 @@ from . import baselines, container
 from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
 from .data import EmbeddingCache, PairedDataset
 from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, similarity_backward
-from .errors import ConfigError, FormatError, StateError, TrainingError
+from .errors import ConfigError, StateError, TrainingError
 from .report import ExperimentReport
 from .risk import log_mean_exp
 from .rng import CounterRng
@@ -86,7 +86,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}, expected one of {METHODS}")
-        checks = [
+        # Every float setting must be finite, then lie in its range.
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        checks = [(name, math.isfinite(v)) for name, v in values.items() if isinstance(v, float)]
+        checks += [
             ("steps", self.steps >= 0),
             ("batch_size", self.batch_size >= 2),
             ("embed_dim", self.embed_dim >= 1),
@@ -531,9 +534,7 @@ def save_checkpoint(state: TrainerState, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> TrainerState:
     arrays, meta = container.read_container(path, expect_kind=container.KIND_TRAINER)
-    missing = {"w1", "w2", "tau", "u1", "u2", *_MOMENTS} - arrays.keys()
-    if missing:
-        raise FormatError(f"{path}: trainer checkpoint missing arrays {sorted(missing)}")
+    container.require_arrays(path, arrays, ("w1", "w2", "tau", "u1", "u2", *_MOMENTS))
     values = container.require_meta(path, meta, {**_CONFIG_META_TYPES, "step": (int,)})
     step = int(values.pop("step"))
     config = TrainConfig(**values)

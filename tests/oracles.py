@@ -185,23 +185,67 @@ def infonce_direct(s: np.ndarray, tau: float) -> float:
 
 
 def distillation_direct(s_t: np.ndarray, s_r: np.ndarray, tau: float, tau_ref: float) -> float:
-    """Soft-target cross-entropy by explicit loops over rows and columns."""
+    """Soft-target cross-entropy by explicit loops over rows and columns;
+    each softmax subtracts its max first, so tiny tau_ref cannot overflow."""
     s_t = np.asarray(s_t, dtype=np.float64)
     s_r = np.asarray(s_r, dtype=np.float64)
+
+    def softmax(v, temp):
+        e = np.exp((v - v.max()) / temp)
+        return e / e.sum()
+
     b = len(s_t)
     total = 0.0
     for i in range(b):
-        p_hat = np.exp(s_r[i, :] / tau_ref)
-        p_hat /= p_hat.sum()
-        p = np.exp(s_t[i, :] / tau)
-        p /= p.sum()
-        total -= float(p_hat @ np.log(p))
-        q_hat = np.exp(s_r[:, i] / tau_ref)
-        q_hat /= q_hat.sum()
-        q = np.exp(s_t[:, i] / tau)
-        q /= q.sum()
-        total -= float(q_hat @ np.log(q))
+        total -= float(softmax(s_r[i, :], tau_ref) @ np.log(softmax(s_t[i, :], tau)))
+        total -= float(softmax(s_r[:, i], tau_ref) @ np.log(softmax(s_t[:, i], tau)))
     return total / (b * b)
+
+
+def pairwise_loss(s: np.ndarray, i: int, j: int, direction: str = "image") -> float:
+    """Similarity gap of negative j against anchor i's positive pair: the
+    image anchor reads row i, the text anchor column i."""
+    s = np.asarray(s, dtype=np.float64)
+    if direction == "image":
+        return float(s[i, j] - s[i, i])
+    return float(s[j, i] - s[i, i])
+
+
+def rho_pairwise_loss(s_t: np.ndarray, s_r: np.ndarray, i: int, j: int, direction: str = "image") -> float:
+    """Target gap minus reference gap for the same (i, j, direction)."""
+    return pairwise_loss(s_t, i, j, direction) - pairwise_loss(s_r, i, j, direction)
+
+
+def anchor_loss(s_t: np.ndarray, s_r, i: int, direction: str, tau: float, over: str) -> float:
+    """Anchor i's soft maximum over its (reference-shifted when s_r is given)
+    pairwise losses, one negative at a time, at 50 decimal digits. ``over``
+    is "full" (the anchor's own zero gap included) or "exclude-anchor"."""
+    terms = [
+        pairwise_loss(s_t, i, j, direction) if s_r is None else rho_pairwise_loss(s_t, s_r, i, j, direction)
+        for j in range(len(s_t))
+        if over == "full" or j != i
+    ]
+    return log_mean_exp_direct(terms, tau)
+
+
+def embed(model, modality: str, raw: np.ndarray) -> np.ndarray:
+    """Unit-normalized embedding of one raw vector."""
+    w = model.w1 if modality == "image" else model.w2
+    h = w @ np.asarray(raw, dtype=np.float64)
+    return h / np.linalg.norm(h)
+
+
+def similarity_grad(model, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the one-pair similarity s(x, y) in w1 and w2, in closed
+    form: ((I - e e^T) c / r) v^T per side."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    h1, h2 = model.w1 @ x, model.w2 @ y
+    r1, r2 = np.linalg.norm(h1), np.linalg.norm(h2)
+    e1, e2 = h1 / r1, h2 / r2
+    g1 = np.outer((e2 - (e1 @ e2) * e1) / r1, x)
+    g2 = np.outer((e1 - (e1 @ e2) * e2) / r2, y)
+    return g1, g2
 
 
 def anchor_loss_direct(gaps: np.ndarray, tau: float) -> float:

@@ -111,7 +111,7 @@ def _fd_instance(seed: int, with_reference: bool) -> float:
             if which == "w1"
             else encoder.TwoTowerModel(w1=model.w1, w2=w, tau=tau)
         )
-        s = encoder.similarity_batch(m, ds.xs, ds.ys)
+        s = encoder.batch_forward(m, ds.xs, ds.ys).s
         return contrastive.global_objective(s, s_ref, tau=tau, over=contrastive.OVER_EXCLUDE)
 
     err = rel_err(grads["w1"], finite_diff_matrix(lambda w: objective(w, "w1"), model.w1))

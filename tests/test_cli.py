@@ -273,6 +273,42 @@ def test_scaling_fit_short_row_exits_1_naming_points(tmp_path, capsys):
     assert "points" in err and "line 2" in err
 
 
+def test_scaling_fit_non_numeric_cell_exits_1_naming_points(tmp_path, capsys):
+    path = tmp_path / "abc.csv"
+    path.write_text("compute,error\n1e4,0.5\nabc,0.4\n")
+    assert cli.run(["scaling-fit", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "points" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--fractions", "1.0,abc"), ("--seeds", "0,x")])
+def test_sweep_non_numeric_list_exits_1_naming_field(tmp_path, capsys, flag, value):
+    data_path = _gen(tmp_path)
+    argv = ["sweep", "--data", str(data_path), "--methods", "fastclip", flag, value]
+    assert cli.run(argv + ["--output", str(tmp_path / "sweep")]) == 1
+    assert flag[2:] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_data_non_finite_noise_exits_1_naming_field(tmp_path, capsys, value):
+    path = tmp_path / "d.dpd"
+    assert cli.run(["gen-data", "--noise-sigma", value, "--output", str(path)]) == 1
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--tau", "inf", "--fixed-tau"], "tau"), (["--epsilon", "inf"], "epsilon"), (["--rho", "inf"], "rho_tau")],
+)
+def test_train_non_finite_setting_exits_1_naming_field(tmp_path, capsys, flags, field):
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    argv = ["train", "--method", "drrho-clip", "--data", str(data_path), "--ref", str(cache_path), *flags]
+    assert cli.run(argv + ["--steps", "4", "--output", str(tmp_path / "run")]) == 1
+    assert f"{field}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subset", ["-5", "0", "2"])
 def test_variance_subset_below_three_exits_1(tmp_path, capsys, subset):
     data_path = _gen(tmp_path)

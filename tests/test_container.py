@@ -1,11 +1,12 @@
 """Binary container round trips and the three distinct load failures."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from drrho import container
+from drrho import container, data, encoder, trainer
 from drrho.errors import ChecksumError, FormatError, VersionError
 from drrho.rng import CounterRng
 
@@ -79,6 +80,44 @@ def test_wrong_kind_raises_format_error(tmp_path):
     container.write_container(path, container.KIND_MODEL, _sample_arrays())
     with pytest.raises(FormatError):
         container.read_container(path, expect_kind=container.KIND_DATASET)
+
+
+def _small_dataset():
+    return data.generate_synthetic(16, 6, 5, 3, 0.1, 0.25, seed=1)
+
+
+def _small_model():
+    return encoder.init_model(4, 6, 5, seed=2)
+
+
+@pytest.mark.parametrize(
+    "kind, save, load, dropped",
+    [
+        (container.KIND_DATASET, lambda p: data.save_dataset(_small_dataset(), p), data.load_dataset, "xs"),
+        (
+            container.KIND_CACHE,
+            lambda p: data.save_cache(data.build_reference_cache(_small_dataset(), _small_model()), p),
+            data.load_cache,
+            "e1",
+        ),
+        (container.KIND_MODEL, lambda p: encoder.save_model(_small_model(), p), encoder.load_model, "tau"),
+        (
+            container.KIND_TRAINER,
+            lambda p: trainer.save_checkpoint(trainer.init_trainer_state(_small_model(), 16, trainer.TrainConfig()), p),
+            trainer.load_checkpoint,
+            "v_tau",
+        ),
+    ],
+    ids=["dataset", "cache", "model", "trainer"],
+)
+def test_missing_array_names_path_and_array(tmp_path, kind, save, load, dropped):
+    path = tmp_path / "artifact.bin"
+    save(path)
+    arrays, meta = container.read_container(path, expect_kind=kind)
+    del arrays[dropped]
+    container.write_container(path, kind, arrays, meta=meta)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{dropped!r}"):
+        load(path)
 
 
 def test_rng_streams_are_positional_and_disjoint():

@@ -1,13 +1,24 @@
-"""Pairwise gaps, per-anchor soft-maximum losses, and the exact objective."""
+"""Pairwise gaps, per-anchor soft-maximum losses, and the exact objective.
+
+An anchor's loss is the library's ``risk.log_mean_exp`` over its row of
+``shifted_gaps`` (full set) or ``negative_gaps`` (exclude-anchor): image
+anchor i is row i, text anchor i is row n + i. The per-element references
+are in ``oracles``.
+"""
 
 import numpy as np
 import pytest
 
 from drrho import contrastive, risk
-from drrho.contrastive import IMAGE_SIDE, OVER_EXCLUDE, OVER_FULL, TEXT_SIDE
+from drrho.contrastive import OVER_EXCLUDE, OVER_FULL
 from drrho.rng import CounterRng
 
-from oracles import anchor_loss_direct
+from oracles import anchor_loss, anchor_loss_direct, pairwise_loss, rho_pairwise_loss
+
+
+def _full_rows(s_t, s_r=None):
+    """Every anchor's gaps including its own zero: image anchors, then text."""
+    return np.concatenate(contrastive.shifted_gaps(s_t, s_r))
 
 
 def _random_sim(seed, n):
@@ -22,41 +33,36 @@ def _random_sim(seed, n):
 
 def test_pairwise_loss_basics():
     s = _random_sim(1, 4)
-    assert contrastive.pairwise_loss(s, 2, 2) == 0.0
+    assert contrastive.shifted_gaps(s)[0][2, 2] == 0.0
     s2 = s.copy()
     s2[1, 3], s2[1, 1] = 0.3, 0.9
-    assert contrastive.pairwise_loss(s2, 1, 3) == pytest.approx(-0.6, abs=1e-15)
+    gaps1, gaps2 = contrastive.shifted_gaps(s2)
+    assert gaps1[1, 3] == pytest.approx(-0.6, abs=1e-15)
     # text side reads the transposed entry
-    assert contrastive.pairwise_loss(s2, 1, 3, TEXT_SIDE) == pytest.approx(
-        s2[3, 1] - s2[1, 1], abs=1e-15
-    )
-    with pytest.raises(IndexError):
-        contrastive.pairwise_loss(s, 0, 7)
+    assert gaps2[1, 3] == pytest.approx(s2[3, 1] - s2[1, 1], abs=1e-15)
 
 
 def test_pairwise_loss_bounded_for_cosine_matrices():
     for seed in range(10):
-        s = _random_sim(seed, 6)
-        for i in range(6):
-            for j in range(6):
-                assert -2.0 - 1e-9 <= contrastive.pairwise_loss(s, i, j) <= 2.0 + 1e-9
+        gaps1, _ = contrastive.shifted_gaps(_random_sim(seed, 6))
+        assert (-2.0 - 1e-9 <= gaps1).all() and (gaps1 <= 2.0 + 1e-9).all()
 
 
 def test_rho_pairwise_loss_cases():
     s = _random_sim(2, 4)
-    assert contrastive.rho_pairwise_loss(s, s, 1, 2) == 0.0
+    assert contrastive.shifted_gaps(s, s)[0][1, 2] == 0.0
     # diagonal-perfect reference: gap is constant -1, so shifted = target + 1
     ref = np.zeros((4, 4))
     np.fill_diagonal(ref, 1.0)
-    got = contrastive.rho_pairwise_loss(s, ref, 0, 2)
-    assert got == pytest.approx(contrastive.pairwise_loss(s, 0, 2) + 1.0, abs=1e-15)
+    got = contrastive.shifted_gaps(s, ref)[0][0, 2]
+    assert got == pytest.approx(contrastive.shifted_gaps(s)[0][0, 2] + 1.0, abs=1e-15)
     st = s.copy()
     st[0, 1], st[0, 0] = 0.3, 0.9
     sr = s.copy()
     sr[0, 1], sr[0, 0] = 0.5, 0.7
-    assert contrastive.rho_pairwise_loss(st, sr, 0, 1) == pytest.approx(-0.4, abs=1e-15)
+    assert contrastive.shifted_gaps(st, sr)[0][0, 1] == pytest.approx(-0.4, abs=1e-15)
     with pytest.raises(ValueError):
-        contrastive.rho_pairwise_loss(s, np.zeros((3, 3)), 0, 1)
+        contrastive.shifted_gaps(s, np.zeros((3, 3)))
 
 
 def test_shifted_gaps_match_pairwise_losses():
@@ -66,12 +72,10 @@ def test_shifted_gaps_match_pairwise_losses():
     plain1, plain2 = contrastive.shifted_gaps(s_t)
     for i in range(5):
         for j in range(5):
-            assert gaps1[i, j] == pytest.approx(contrastive.rho_pairwise_loss(s_t, s_r, i, j), abs=1e-15)
-            assert gaps2[i, j] == pytest.approx(
-                contrastive.rho_pairwise_loss(s_t, s_r, i, j, TEXT_SIDE), abs=1e-15
-            )
-            assert plain1[i, j] == contrastive.pairwise_loss(s_t, i, j)
-            assert plain2[i, j] == contrastive.pairwise_loss(s_t, i, j, TEXT_SIDE)
+            assert gaps1[i, j] == pytest.approx(rho_pairwise_loss(s_t, s_r, i, j), abs=1e-15)
+            assert gaps2[i, j] == pytest.approx(rho_pairwise_loss(s_t, s_r, i, j, "text"), abs=1e-15)
+            assert plain1[i, j] == pairwise_loss(s_t, i, j)
+            assert plain2[i, j] == pairwise_loss(s_t, i, j, "text")
     with pytest.raises(ValueError, match="differ in shape"):
         contrastive.shifted_gaps(s_t, np.zeros((3, 3)))
 
@@ -94,10 +98,7 @@ def test_negative_gaps_are_shifted_gaps_without_the_anchor(n):
 
 def test_drrho_anchor_loss_self_reference_is_zero():
     s = _random_sim(3, 5)
-    for i in range(5):
-        for direction in (IMAGE_SIDE, TEXT_SIDE):
-            bundle = contrastive.drrho_anchor_loss(s, s, i, direction, tau=0.5, over=OVER_FULL)
-            assert bundle.value == 0.0
+    assert (risk.log_mean_exp(_full_rows(s, s), 0.5) == 0.0).all()
 
 
 def test_anchor_loss_constant_gaps():
@@ -107,52 +108,49 @@ def test_anchor_loss_constant_gaps():
     c = 0.37
     s_t = s_r + c
     np.fill_diagonal(s_t, np.diag(s_r))  # target diag = ref diag, off-diag gap +c
-    bundle = contrastive.drrho_anchor_loss(s_t, s_r, 1, tau=0.3, over=OVER_EXCLUDE)
-    assert bundle.value == pytest.approx(c, abs=1e-12)
+    values = risk.log_mean_exp(contrastive.negative_gaps(s_t, s_r), 0.3)
+    assert values == pytest.approx(np.full(2 * n, c), abs=1e-12)
 
 
 def test_drrho_anchor_loss_matches_direct_summation():
     s_t = _random_sim(5, 3)
     s_r = _random_sim(6, 3)
-    for i in range(3):
-        for direction in (IMAGE_SIDE, TEXT_SIDE):
-            for over in (OVER_FULL, OVER_EXCLUDE):
-                bundle = contrastive.drrho_anchor_loss(s_t, s_r, i, direction, tau=0.5, over=over)
-                # bundle.losses holds negatives only; full mode also averages
-                # the anchor's own zero term
-                averaged = np.append(bundle.losses, 0.0) if over == OVER_FULL else bundle.losses
-                assert bundle.value == pytest.approx(
-                    anchor_loss_direct(averaged, 0.5), abs=1e-12
-                )
-                assert len(bundle.losses) == 2
+    negatives = contrastive.negative_gaps(s_t, s_r)
+    assert negatives.shape == (6, 2)
+    for over, rows in ((OVER_FULL, _full_rows(s_t, s_r)), (OVER_EXCLUDE, negatives)):
+        values = risk.log_mean_exp(rows, 0.5)
+        for i in range(3):
+            for side, direction in enumerate(("image", "text")):
+                # full mode also averages the anchor's own zero term
+                gaps = [rho_pairwise_loss(s_t, s_r, i, j, direction) for j in range(3) if over == OVER_FULL or j != i]
+                assert values[side * 3 + i] == pytest.approx(anchor_loss_direct(gaps, 0.5), abs=1e-12)
 
 
 def test_gcl_anchor_loss_equals_drrho_with_flat_reference():
     s_t = _random_sim(7, 5)
     # reference with every row constant: all reference gaps vanish
     s_r = np.tile(np.linspace(-0.5, 0.5, 5)[:, None], (1, 5))
-    for i in range(5):
-        a = contrastive.gcl_anchor_loss(s_t, i, tau=0.4)
-        b = contrastive.drrho_anchor_loss(s_t, s_r, i, tau=0.4)
-        assert a.value == pytest.approx(b.value, abs=1e-12)
+    a = risk.log_mean_exp(contrastive.shifted_gaps(s_t)[0], 0.4)
+    b = risk.log_mean_exp(contrastive.shifted_gaps(s_t, s_r)[0], 0.4)
+    assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_gcl_anchor_loss_known_value():
     s = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    bundle = contrastive.gcl_anchor_loss(s, 0, tau=1.0, over=OVER_FULL)
+    value = risk.log_mean_exp(contrastive.shifted_gaps(s)[0], 1.0)[0]
     # terms: j=0 gives 0, j=1 gives -2
     want = np.log((1.0 + np.exp(-2.0)) / 2.0)
-    assert bundle.value == pytest.approx(want, abs=1e-12)
-    assert round(bundle.value, 6) == -0.566219
+    assert value == pytest.approx(want, abs=1e-12)
+    assert round(value, 6) == -0.566219
 
 
 def test_gcl_anchor_loss_gap_structure_invariance():
     s = _random_sim(8, 4)
     shifted = s.copy()
     shifted[2, :] += 0.17  # raises s[2, j] and s[2, 2] equally
-    a = contrastive.gcl_anchor_loss(s, 2, IMAGE_SIDE, tau=0.3)
-    b = contrastive.gcl_anchor_loss(shifted, 2, IMAGE_SIDE, tau=0.3)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
+    a = risk.log_mean_exp(contrastive.shifted_gaps(s)[0], 0.3)[2]
+    b = risk.log_mean_exp(contrastive.shifted_gaps(shifted)[0], 0.3)[2]
+    assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_global_objective_zero_cases():
@@ -169,13 +167,7 @@ def test_global_objective_zero_cases():
 def test_global_objective_matches_per_anchor_sum(over, with_reference, tau, n):
     s_t = _random_sim(10, n)
     s_r = _random_sim(11, n) if with_reference else None
-    total = 0.0
-    for i in range(n):
-        for direction in (IMAGE_SIDE, TEXT_SIDE):
-            if with_reference:
-                total += contrastive.drrho_anchor_loss(s_t, s_r, i, direction, tau, over).value
-            else:
-                total += contrastive.gcl_anchor_loss(s_t, i, direction, tau, over).value
+    total = sum(anchor_loss(s_t, s_r, i, direction, tau, over) for i in range(n) for direction in ("image", "text"))
     got = contrastive.global_objective(s_t, s_r, tau=tau, over=over)
     assert got == pytest.approx(total / n, rel=1e-12)
 
@@ -187,19 +179,19 @@ def test_permuting_negatives_leaves_anchor_loss_unchanged():
     perm = np.array([0, 1, 2, 5, 3, 4])  # fixes the anchor
     s_t_p = s_t[np.ix_(perm, perm)]
     s_r_p = s_r[np.ix_(perm, perm)]
-    for direction in (IMAGE_SIDE, TEXT_SIDE):
-        a = contrastive.drrho_anchor_loss(s_t, s_r, i, direction, 0.4)
-        b = contrastive.drrho_anchor_loss(s_t_p, s_r_p, i, direction, 0.4)
-        assert a.value == pytest.approx(b.value, abs=1e-12)
+    a = risk.log_mean_exp(_full_rows(s_t, s_r), 0.4)
+    b = risk.log_mean_exp(_full_rows(s_t_p, s_r_p), 0.4)
+    for row in (i, 6 + i):  # the image and the text anchor
+        assert a[row] == pytest.approx(b[row], abs=1e-12)
 
 
 def test_anchor_loss_dominates_mean():
     for seed in range(10):
         s_t = _random_sim(20 + seed, 5)
         s_r = _random_sim(40 + seed, 5)
+        rows = contrastive.negative_gaps(s_t, s_r)
         for tau in (0.05, 0.3, 2.0):
-            bundle = contrastive.drrho_anchor_loss(s_t, s_r, 1, tau=tau, over=OVER_EXCLUDE)
-            assert bundle.value >= float(np.mean(bundle.losses)) - 1e-12
+            assert (risk.log_mean_exp(rows, tau) >= rows.mean(axis=1) - 1e-12).all()
 
 
 def test_reference_negative_shift_moves_value_and_keeps_weights():
@@ -210,11 +202,11 @@ def test_reference_negative_shift_moves_value_and_keeps_weights():
     mask = np.ones(5, dtype=bool)
     mask[i] = False
     shifted[i, mask] += c  # negatives only; diagonal untouched
-    a = contrastive.drrho_anchor_loss(s_t, s_r, i, IMAGE_SIDE, 0.4, OVER_EXCLUDE)
-    b = contrastive.drrho_anchor_loss(s_t, shifted, i, IMAGE_SIDE, 0.4, OVER_EXCLUDE)
-    assert b.value == pytest.approx(a.value - c, abs=1e-12)
-    wa = risk.softmax_weights(a.losses, 0.4)
-    wb = risk.softmax_weights(b.losses, 0.4)
+    a = contrastive.negative_gaps(s_t, s_r)[i]
+    b = contrastive.negative_gaps(s_t, shifted)[i]
+    assert risk.log_mean_exp(b, 0.4) == pytest.approx(risk.log_mean_exp(a, 0.4) - c, abs=1e-12)
+    wa = risk.softmax_weights(a, 0.4)
+    wb = risk.softmax_weights(b, 0.4)
     assert np.allclose(wa, wb, atol=1e-12)
 
 
@@ -223,15 +215,13 @@ def test_whole_row_reference_shift_is_noop():
     s_r = _random_sim(17, 5)
     shifted = s_r.copy()
     shifted[3, :] += 0.6  # diagonal shifts too: reference gaps unchanged
-    a = contrastive.drrho_anchor_loss(s_t, s_r, 3, IMAGE_SIDE, 0.4)
-    b = contrastive.drrho_anchor_loss(s_t, shifted, 3, IMAGE_SIDE, 0.4)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
+    a = risk.log_mean_exp(contrastive.shifted_gaps(s_t, s_r)[0], 0.4)[3]
+    b = risk.log_mean_exp(contrastive.shifted_gaps(s_t, shifted)[0], 0.4)[3]
+    assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_empty_negative_set_raises():
     single = np.array([[0.4]])
-    with pytest.raises(ValueError):
-        contrastive.gcl_anchor_loss(single, 0, tau=0.5, over=OVER_EXCLUDE)
     with pytest.raises(ValueError, match="empty negative set"):
         contrastive.global_objective(single, tau=0.5, over=OVER_EXCLUDE)
     for over in (OVER_FULL, OVER_EXCLUDE):

@@ -87,7 +87,7 @@ def test_cache_similarity_matches_on_the_fly_recompute():
     ref = encoder.init_model(6, 12, 10, seed=8)
     cache = data.build_reference_cache(ds, ref)
     idx = np.array([3, 7, 11, 19])
-    on_the_fly = encoder.similarity_batch(ref, ds.xs[idx], ds.ys[idx])
+    on_the_fly = encoder.batch_forward(ref, ds.xs[idx], ds.ys[idx]).s
     assert np.max(np.abs(cache.similarity(idx) - on_the_fly)) < 1e-12
 
 

@@ -1,4 +1,7 @@
-"""Encoder normalization, similarity, and closed-form gradients vs FD."""
+"""Encoder normalization, similarity, and closed-form gradients vs FD.
+
+The per-vector ``embed`` and per-pair ``similarity_grad`` references are in
+``oracles``; the library embeds whole batches."""
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from drrho import encoder
 from drrho.errors import DegenerateEmbeddingError
 from drrho.rng import CounterRng
 
-from oracles import finite_diff_matrix, rel_err
+from oracles import embed, finite_diff_matrix, rel_err, similarity_grad
 
 
 def _random_model(seed, d=5, dx=6, dy=7, tau=0.2):
@@ -18,7 +21,7 @@ def test_identity_padded_on_unit_input():
     w = np.concatenate([np.eye(3), np.zeros((3, 2))], axis=1)
     model = encoder.TwoTowerModel(w1=w, w2=np.eye(3))
     raw = np.array([0.6, 0.8, 0.0, 0.9, 0.9])
-    out = encoder.embed(model, "image", raw)
+    out = encoder.embed_batch(model, "image", raw[None])[0]
     expected = raw[:3] / np.linalg.norm(raw[:3])
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -28,27 +31,27 @@ def test_embed_output_always_unit_norm():
     model = _random_model(1)
     for _ in range(20):
         v = rng.normals(6)
-        assert abs(np.linalg.norm(encoder.embed(model, "image", v)) - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(encoder.embed_batch(model, "image", v[None])[0]) - 1.0) <= 1e-9
 
 
 def test_embed_scale_invariance():
     model = _random_model(2)
     v = CounterRng(8).normals(6)
-    base = encoder.embed(model, "image", v)
+    base = encoder.embed_batch(model, "image", v[None])
     scaled = encoder.TwoTowerModel(w1=3.0 * model.w1, w2=model.w2, tau=model.tau)
-    assert np.allclose(encoder.embed(scaled, "image", v), base, atol=1e-12)
+    assert np.allclose(encoder.embed_batch(scaled, "image", v[None]), base, atol=1e-12)
 
 
 def test_embed_degenerate_raises():
     model = encoder.TwoTowerModel(w1=np.zeros((3, 4)), w2=np.eye(3))
     with pytest.raises(DegenerateEmbeddingError):
-        encoder.embed(model, "image", np.ones(4))
+        encoder.embed_batch(model, "image", np.ones((1, 4)))
 
 
 def test_similarity_self_and_orthogonal():
     model = encoder.TwoTowerModel(w1=np.eye(3), w2=np.eye(3))
     xs = np.eye(3)
-    s = encoder.similarity_batch(model, xs, xs)
+    s = encoder.batch_forward(model, xs, xs).s
     assert np.allclose(np.diag(s), 1.0)
     assert np.allclose(s - np.diag(np.diag(s)), 0.0)
 
@@ -58,67 +61,73 @@ def test_similarity_matches_dot_product_oracle():
     rng = CounterRng(77)
     xs = rng.normals((3, 5))
     ys = rng.normals((3, 6))
-    s = encoder.similarity_batch(model, xs, ys)
+    s = encoder.batch_forward(model, xs, ys).s
     for i in range(3):
-        e1 = encoder.embed(model, "image", xs[i])
+        e1 = embed(model, "image", xs[i])
         for j in range(3):
-            e2 = encoder.embed(model, "text", ys[j])
+            e2 = embed(model, "text", ys[j])
             assert abs(s[i, j] - float(e1 @ e2)) < 1e-12
     assert np.all(np.abs(s) <= 1.0 + 1e-9)
 
 
 def test_similarity_grad_matches_finite_differences():
+    # the per-pair reference that the batch backward is checked against
     rng = CounterRng(17)
     worst = 0.0
     for seed in range(20):
         model = _random_model(100 + seed)
         x = rng.normals(6)
         y = rng.normals(7)
-        g1, g2 = encoder.similarity_grad(model, x, y)
+        g1, g2 = similarity_grad(model, x, y)
 
         def s_of_w1(w):
-            return encoder.similarity_batch(
+            return encoder.batch_forward(
                 encoder.TwoTowerModel(w1=w, w2=model.w2, tau=model.tau), x[None], y[None]
-            )[0, 0]
+            ).s[0, 0]
 
         def s_of_w2(w):
-            return encoder.similarity_batch(
+            return encoder.batch_forward(
                 encoder.TwoTowerModel(w1=model.w1, w2=w, tau=model.tau), x[None], y[None]
-            )[0, 0]
+            ).s[0, 0]
 
         worst = max(worst, rel_err(g1, finite_diff_matrix(s_of_w1, model.w1)))
         worst = max(worst, rel_err(g2, finite_diff_matrix(s_of_w2, model.w2)))
     assert worst <= 1e-4
 
 
+def _pair_backward(model, x, y):
+    """The batch forward and backward of the one-pair similarity s(x, y)."""
+    fwd = encoder.batch_forward(model, x[None], y[None])
+    return fwd, encoder.similarity_backward(fwd, x[None], y[None], np.ones((1, 1)))
+
+
 def test_similarity_grad_orthogonal_to_own_embedding():
     model = _random_model(4)
     rng = CounterRng(5)
     x, y = rng.normals(6), rng.normals(7)
-    g1, _ = encoder.similarity_grad(model, x, y)
-    e1 = encoder.embed(model, "image", x)
+    fwd, grads = _pair_backward(model, x, y)
     # each column of g1 is proportional to the projected partner: e1 . (g1 @ dual) = 0
-    assert np.max(np.abs(e1 @ g1)) < 1e-12
+    assert np.max(np.abs(fwd.e1[0] @ grads["w1"])) < 1e-12
 
 
 def test_similarity_grad_zero_at_aligned_pair():
     model = _random_model(6)
     rng = CounterRng(15)
     x = rng.normals(6)
-    e1 = encoder.embed(model, "image", x)
+    e1 = encoder.embed_batch(model, "image", x[None])[0]
     # choose y so the text embedding equals e1 exactly: solve w2 @ y = e1
     y, *_ = np.linalg.lstsq(model.w2, e1, rcond=None)
-    g1, _ = encoder.similarity_grad(model, x, y)
-    assert np.max(np.abs(g1)) < 1e-12
+    _, grads = _pair_backward(model, x, y)
+    assert np.max(np.abs(grads["w1"])) < 1e-12
 
 
 def test_positive_homogeneity_of_similarities():
     model = _random_model(7)
     rng = CounterRng(25)
     xs, ys = rng.normals((4, 6)), rng.normals((4, 7))
-    s = encoder.similarity_batch(model, xs, ys)
+    s = encoder.batch_forward(model, xs, ys).s
     scaled = encoder.TwoTowerModel(w1=2.5 * model.w1, w2=0.3 * model.w2, tau=model.tau)
-    assert np.allclose(encoder.similarity_batch(scaled, xs, ys), s, atol=1e-12)
+    assert np.allclose(encoder.batch_forward(scaled, xs, ys).s, s, atol=1e-12)
 
 
 def test_similarity_backward_matches_per_pair_grads():
@@ -132,7 +141,7 @@ def test_similarity_backward_matches_per_pair_grads():
     want2 = np.zeros_like(model.w2)
     for i in range(5):
         for j in range(5):
-            g1, g2 = encoder.similarity_grad(model, xs[i], ys[j])
+            g1, g2 = similarity_grad(model, xs[i], ys[j])
             want1 += coef[i, j] * g1
             want2 += coef[i, j] * g2
     assert rel_err(got["w1"], want1) < 1e-10

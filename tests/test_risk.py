@@ -18,27 +18,6 @@ from oracles import (
 )
 
 
-def test_loss_vector_validation():
-    lv = risk.LossVector(values=[0.1, 0.5], bounds=(0.0, 1.0))
-    assert len(lv) == 2
-    with pytest.raises(ValueError):
-        risk.LossVector(values=[0.1, np.inf])
-    with pytest.raises(ValueError):
-        risk.LossVector(values=[2.0], bounds=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        risk.LossVector(values=[])
-
-
-def test_risk_spec_validation():
-    risk.RiskSpec(kind="cvar_topk", k=3)
-    with pytest.raises(ValueError):
-        risk.RiskSpec(kind="bogus")
-    with pytest.raises(ValueError):
-        risk.RiskSpec(kind="kl_constrained", rho=-1.0)
-    with pytest.raises(ValueError):
-        risk.RiskSpec(kind="kl_regularized", tau=0.0)
-
-
 def test_cvar_topk_hand_cases():
     assert risk.cvar_topk([1.0, 3.0, 2.0], 2) == pytest.approx(2.5, abs=1e-15)
     assert risk.cvar_topk([4.0] * 5, 3) == pytest.approx(4.0, abs=1e-15)
@@ -223,30 +202,10 @@ def test_shifted_risk_equals_unshifted_minus_constant_reference():
     )
 
 
-def test_risk_ops_accept_loss_vector_instances():
-    lv = risk.LossVector(values=[0.0, 1.0, 0.5])
-    assert risk.cvar_topk(lv, 2) == pytest.approx(0.75, abs=1e-15)
-    assert risk.kl_regularized_risk(lv, 1.0) > 0
-
-
 def test_cvar_topk_nondecreasing_as_k_shrinks():
     v = CounterRng(66).normals(9)
     vals = [risk.cvar_topk(v, k) for k in range(9, 0, -1)]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
-
-
-def test_evaluate_risk_dispatch():
-    v = np.array([0.1, 0.9, 0.4])
-    assert risk.evaluate_risk(risk.RiskSpec(kind="cvar_topk", k=2), v) == risk.cvar_topk(v, 2)
-    assert risk.evaluate_risk(risk.RiskSpec(kind="kl_regularized", tau=0.5), v) == (
-        risk.kl_regularized_risk(v, 0.5)
-    )
-    assert risk.evaluate_risk(risk.RiskSpec(kind="kl_constrained", rho=1.0), v) == (
-        risk.kl_constrained_risk(v, 1.0, 3)[0]
-    )
-    assert risk.evaluate_risk(risk.RiskSpec(kind="chi2_constrained", rho=0.2), v) == (
-        risk.chi2_dro_risk(v, 0.2, 3)[0]
-    )
 
 
 def test_softmax_and_lse_match_high_precision_direct():

@@ -9,7 +9,7 @@ import pytest
 from drrho import container, contrastive, data, encoder, experiments, report, trainer
 from drrho.errors import ConfigError, FormatError, StateError, TrainingError
 
-from oracles import finite_diff_matrix, rel_err, update_u_direct
+from oracles import finite_diff_matrix, rel_err, similarity_grad, update_u_direct
 
 
 def _setup(n=10, d=4, dx=6, dy=5, tau=0.5, seed=0, **cfg_overrides):
@@ -167,7 +167,7 @@ def _exact_objective_fn(ds, s_r, tau, which, other_w):
             model = encoder.TwoTowerModel(w1=w, w2=other_w, tau=tau)
         else:
             model = encoder.TwoTowerModel(w1=other_w, w2=w, tau=tau)
-        s = encoder.similarity_batch(model, ds.xs, ds.ys)
+        s = encoder.batch_forward(model, ds.xs, ds.ys).s
         return contrastive.global_objective(s, s_r, tau=tau, over=contrastive.OVER_EXCLUDE)
 
     return f
@@ -217,12 +217,12 @@ def test_gradient_self_reference_closed_form():
     want1 = np.zeros_like(state.model.w1)
     want2 = np.zeros_like(state.model.w2)
     for i in range(n):
-        gii_1, gii_2 = encoder.similarity_grad(state.model, ds.xs[i], ds.ys[i])
+        gii_1, gii_2 = similarity_grad(state.model, ds.xs[i], ds.ys[i])
         for j in range(n):
             if j == i:
                 continue
-            gij_1, gij_2 = encoder.similarity_grad(state.model, ds.xs[i], ds.ys[j])
-            gji_1, gji_2 = encoder.similarity_grad(state.model, ds.xs[j], ds.ys[i])
+            gij_1, gij_2 = similarity_grad(state.model, ds.xs[i], ds.ys[j])
+            gji_1, gji_2 = similarity_grad(state.model, ds.xs[j], ds.ys[i])
             want1 += (gij_1 - gii_1) + (gji_1 - gii_1)
             want2 += (gij_2 - gii_2) + (gji_2 - gii_2)
     want1 /= n * (n - 1)
@@ -337,7 +337,7 @@ def test_train_monitored_descent():
     s_ref = cache.similarity(batch)
 
     def exact(model):
-        s = encoder.similarity_batch(model, ds.xs[batch], ds.ys[batch])
+        s = encoder.batch_forward(model, ds.xs[batch], ds.ys[batch]).s
         return contrastive.global_objective(s, s_ref, tau=0.1, over=contrastive.OVER_EXCLUDE)
 
     start = exact(init_model_)
@@ -479,6 +479,12 @@ def test_config_validation_names_field():
         ("lam", 1.5),
         ("eval_every", 0),
         ("eval_every", -1),
+        ("tau", float("inf")),
+        ("epsilon", float("inf")),
+        ("rho_tau", float("inf")),
+        ("lr", float("inf")),
+        ("tau_init", float("inf")),
+        ("gamma", float("nan")),
     ]
     for field, value in cases:
         with pytest.raises(ConfigError, match=field):
