@@ -231,7 +231,10 @@ def _cmd_scaling_fit(args) -> int:
             except ValueError:
                 line = reader.line_num
                 raise DrrhoError(f"points: line {line} holds a non-numeric compute or error value") from None
-            points.append(experiments.ScalingPoint(compute, error))
+            try:
+                points.append(experiments.ScalingPoint(compute, error))
+            except ValueError as exc:
+                raise DrrhoError(f"points: line {reader.line_num}: {exc}") from None
     alpha, beta, residual = experiments.fit_scaling_law(points)
     print(f"alpha: {alpha:.9g}")
     print(f"beta: {beta:.9g}")

@@ -10,9 +10,8 @@ cross-method comparisons here are about exponents.
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,8 +78,8 @@ class ScalingPoint:
     error: float
 
     def __post_init__(self):
-        if not self.compute > 0:
-            raise ValueError("compute must be positive")
+        if not (self.compute > 0 and math.isfinite(self.compute)):
+            raise ValueError("compute must be positive and finite")
         if not 0.0 < self.error < 1.0:
             raise ValueError("error must lie in the open unit interval")
 
@@ -161,6 +160,9 @@ def _run_jobs(jobs: list, fn, workers: int | None = None) -> list:
     workers = min(workers, len(jobs))
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    import multiprocessing  # the pool's imports are paid only by parallel runs
+    from concurrent.futures import ProcessPoolExecutor
+
     # Only starting the pool may fall back to running in this process; an
     # exception raised by a job propagates from its future's result.
     pool = None

@@ -13,8 +13,11 @@ around uniform weights:
 the contrastive losses and the selection scores use it too.
 ``drrho_shift`` subtracts a reference model's losses first; feeding the
 shifted vector to any functional above gives the reference-guided risk.
-Every solver here has an independent oracle in the test suite (dense grid
-searches and closed forms); tolerances are part of the contract.
+The two duals are solved from their optimality conditions, not searched:
+Newton steps on tau's first-order condition, and one sort that scores the
+closed-form weights of every top-k support. Every solver here has an
+independent oracle in the test suite (grid and ternary searches, bisection,
+closed forms); tolerances are part of the contract.
 """
 
 from __future__ import annotations
@@ -23,18 +26,21 @@ import numpy as np
 
 from .errors import SolverError
 
-# KL dual search bounds scale with the loss range; see kl_constrained_risk.
+# KL dual bracket for tau, scaled by the loss range; see kl_constrained_risk.
 TAU_BOUND_LO = 1e-6
 TAU_BOUND_HI = 1e6
-_TERNARY_ITERS = 80
+_KL_LOG_TAU_TOL = 1e-10  # the Newton step in log tau at which the KL dual stops
+_KL_MAX_STEPS = 100
 
-CHI2_CONSTRAINT_TOL = 1e-10
+CHI2_CONSTRAINT_TOL = 1e-10  # relative to the squared ball radius
 
 
 def _values(losses) -> np.ndarray:
     v = np.asarray(losses, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("losses must form a nonempty 1-d vector")
+    if not np.isfinite(v).all():
+        raise ValueError("losses must be finite (found NaN or inf)")
     return v
 
 
@@ -96,10 +102,12 @@ def kl_regularized_risk(losses, tau: float) -> float:
 def kl_constrained_risk(losses, rho: float, n: int) -> tuple[float, float]:
     """min over tau of tau*log-mean-exp(losses/tau) + tau*rho/n.
 
-    The objective is convex in tau; we bracket [tau_min, tau_max] scaled by
-    the loss range and run ternary search on log tau. ``n`` is the dataset
-    size appearing in the radius rho/n and need not equal len(losses):
-    callers evaluating on a mini-batch choose which n they mean.
+    With x = log tau the derivative has the sign of h(x) = rho/n -
+    KL(softmax(losses/tau) || uniform), increasing with dh/dx = Var_p(losses/tau).
+    Its root in [TAU_BOUND_LO, TAU_BOUND_HI] * max(1, loss range) is found by
+    Newton steps safeguarded by bisection; where h keeps one sign, the end it
+    points to is the minimizer. ``n`` is the dataset size in the radius rho/n
+    and need not equal len(losses): callers on a mini-batch choose which n.
 
     Returns (risk, minimizing tau).
     """
@@ -109,35 +117,39 @@ def kl_constrained_risk(losses, rho: float, n: int) -> tuple[float, float]:
     if n < 1:
         raise ValueError("n must be at least 1")
     scale = max(1.0, float(v.max() - v.min()))
-    lo = np.log(TAU_BOUND_LO * scale)
-    hi = np.log(TAU_BOUND_HI * scale)
+    lo, hi = np.log(TAU_BOUND_LO * scale), np.log(TAU_BOUND_HI * scale)
     radius = rho / n
+    top = v.max()
 
-    def g(log_tau: float) -> float:
-        tau = np.exp(log_tau)
-        return float(log_mean_exp(v, tau)) + tau * radius
+    def slope(x: float) -> tuple[float, float]:  # h(x) and dh/dx from one exp pass
+        z = (v - top) / np.exp(x)
+        e = np.exp(z)
+        total = e.sum()
+        mean_z = float(e @ z) / total
+        var_z = float((e * z) @ z) / total - mean_z * mean_z
+        return radius - mean_z + float(np.log(total / v.size)), var_z
 
-    for _ in range(_TERNARY_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) <= g(m2):
-            hi = m2
+    h_lo, _ = slope(lo)
+    h_hi, var_hi = slope(hi)
+    x = lo if h_lo >= 0.0 else hi
+    if h_lo < 0.0 < h_hi:
+        # First guess from the small-KL expansion KL ~ Var_p / 2, read at hi.
+        guess = hi + 0.5 * np.log(var_hi / (2.0 * radius)) if var_hi > 0.0 else lo
+        x = guess if lo < guess < hi else 0.5 * (lo + hi)
+        step = hi - lo
+        for _ in range(_KL_MAX_STEPS):
+            h, dh = slope(x)
+            lo, hi = (x, hi) if h < 0.0 else (lo, x)
+            newton = -h / dh if dh > 0.0 else np.inf
+            # Newton while it stays in the bracket and at least halves the last step.
+            step = newton if lo <= x + newton <= hi and abs(2.0 * newton) <= abs(step) else 0.5 * (lo + hi) - x
+            x += step
+            if abs(step) <= _KL_LOG_TAU_TOL:
+                break
         else:
-            lo = m1
-    log_tau = 0.5 * (lo + hi)
-    tau_star = float(np.exp(log_tau))
-    return float(g(log_tau)), tau_star
-
-
-def _project_simplex(a: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a onto the probability simplex (sorted form)."""
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, a.size + 1)
-    cond = u - css / idx > 0
-    k = idx[cond][-1]
-    theta = css[k - 1] / k
-    return np.maximum(a - theta, 0.0)
+            raise SolverError(f"KL dual: no root of the tau condition in {_KL_MAX_STEPS} steps")
+    tau_star = float(np.exp(x))
+    return float(log_mean_exp(v, tau_star)) + tau_star * radius, tau_star
 
 
 def chi2_dro_risk(losses, rho: float, n: int) -> tuple[float, np.ndarray]:
@@ -145,8 +157,10 @@ def chi2_dro_risk(losses, rho: float, n: int) -> tuple[float, np.ndarray]:
 
     Maximizes sum p_i * l_i over the simplex subject to
     (1/n) sum phi(p_i n) <= rho/n with phi(t) = (t-1)^2 / 2, i.e.
-    ||p - 1/n||^2 <= 2 rho / n^2. Outer bisection on the ball multiplier;
-    the inner nonnegativity step is an exact simplex projection.
+    ||p - 1/n||^2 <= r^2 = 2 rho / n^2. The optimal p is nonzero only on the
+    k largest losses, p = 1/k + c_k (l - mean_k) / ||dev_k|| there, with
+    c_k = sqrt(r^2 - (1/k - 1/n)). Prefix sums of one sort score every k; the
+    best k whose smallest weight is nonnegative is the optimum.
 
     Returns (risk, attaining weights). Requires len(losses) == n.
     """
@@ -161,50 +175,31 @@ def chi2_dro_risk(losses, rho: float, n: int) -> tuple[float, np.ndarray]:
         return float(uniform @ v), uniform
 
     # Ball large enough to contain the unconstrained maximizer (uniform over
-    # the argmax set): the constraint is slack, no bisection needed.
+    # the argmax set): the constraint is slack.
     top = v == v.max()
-    vertex = top.astype(np.float64) / top.sum()
-    if float(np.sum((vertex - uniform) ** 2)) <= r2 + CHI2_CONSTRAINT_TOL:
+    vertex = top / top.sum()
+    if float(np.sum((vertex - uniform) ** 2)) <= r2 * (1.0 + CHI2_CONSTRAINT_TOL):
         return float(vertex @ v), vertex
 
-    def weights_for(lam: float) -> np.ndarray:
-        return _project_simplex(uniform + v / lam)
-
-    def residual(lam: float) -> float:
-        p = weights_for(lam)
-        return float(np.sum((p - uniform) ** 2)) - r2
-
-    # residual decreases in lam: find a bracket, then bisect.
-    lam_lo, lam_hi = 1.0, 1.0
-    for _ in range(200):
-        if residual(lam_hi) <= 0:
-            break
-        lam_hi *= 2.0
-    else:
-        raise SolverError("chi2 bisection: failed to bracket from above")
-    for _ in range(200):
-        if residual(lam_lo) >= 0:
-            break
-        lam_lo *= 0.5
-    else:
-        raise SolverError("chi2 bisection: failed to bracket from below")
-
-    for _ in range(200):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        res = residual(lam_mid)
-        if abs(res) <= CHI2_CONSTRAINT_TOL:
-            break
-        if res > 0:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-    lam_star = 0.5 * (lam_lo + lam_hi)
-    p = weights_for(lam_star)
-    if abs(float(np.sum((p - uniform) ** 2)) - r2) > 1e3 * CHI2_CONSTRAINT_TOL:
-        raise SolverError(
-            f"chi2 solver residual {np.sum((p - uniform) ** 2) - r2:.3e} "
-            f"exceeds tolerance at lambda={lam_star:.6e}"
-        )
+    desc = np.sort(v)[::-1]
+    shifted = desc - desc[0]  # at most 0, so the prefix sums below do not cancel
+    k = np.arange(1, n + 1)
+    sums = np.cumsum(shifted)
+    means = sums / k
+    norms = np.sqrt(np.maximum(np.cumsum(shifted * shifted) - sums * means, 0.0))
+    c2 = r2 - (1.0 / k - 1.0 / n)
+    c = np.sqrt(np.maximum(c2, 0.0))
+    # The k-th largest carries the smallest weight 1/k + c (l_k - mean_k) / ||dev_k||.
+    feasible = (c2 >= 0.0) & (norms >= k * c * (means - shifted))
+    if not feasible.any():
+        raise SolverError("chi2 solver: no support size gives nonnegative weights")
+    best = int(np.argmax(np.where(feasible, means + c * norms, -np.inf)))
+    support = shifted[: best + 1]
+    mean = support.mean()
+    p = np.maximum(1.0 / (best + 1) + c[best] * (v - desc[0] - mean) / np.linalg.norm(support - mean), 0.0)
+    residual = float(np.sum((p - uniform) ** 2)) - r2
+    if abs(residual) > CHI2_CONSTRAINT_TOL * r2:
+        raise SolverError(f"chi2 solver residual {residual:.3e} exceeds tolerance at r^2={r2:.3e}")
     return float(p @ v), p
 
 

@@ -50,6 +50,16 @@ def log_mean_exp_direct(values, tau: float) -> float:
         return float(t * mp.log(mp.fsum(exps) / len(exps)))
 
 
+def kl_to_uniform_direct(values, tau: float) -> float:
+    """KL(softmax(values / tau) || uniform) at 50 decimal digits."""
+    with mp.workdps(50):
+        t = mp.mpf(tau)
+        exps = [mp.e ** (mp.mpf(float(v)) / t) for v in values]
+        total = mp.fsum(exps)
+        n = len(exps)
+        return float(mp.fsum(e / total * mp.log(e * n / total) for e in exps))
+
+
 def topk_mean_direct(values, k: int) -> float:
     """Sort descending (stable in index) and average the first k."""
     pairs = sorted(enumerate(values), key=lambda p: (-p[1], p[0]))
@@ -285,3 +295,72 @@ def update_u_direct(u1: np.ndarray, u2: np.ndarray, batch, mean1, mean2, gamma: 
         g2 = 1.0 if (u2[i] == 0.0 and gamma > 0.0) else gamma
         u1[i] = (1.0 - g1) * u1[i] + g1 * mean1[pos]
         u2[i] = (1.0 - g2) * u2[i] + g2 * mean2[pos]
+
+
+def kl_constrained_ternary(values, rho: float, n: int, iters: int = 80) -> tuple[float, float]:
+    """The constrained soft-maximum dual by ternary search on log tau over
+    [1e-6, 1e6] * max(1, loss range), the bracket the library uses: it
+    never looks at a derivative. Returns (value, tau)."""
+    v = np.asarray(values, dtype=np.float64)
+    scale = max(1.0, float(v.max() - v.min()))
+    lo, hi = np.log(1e-6 * scale), np.log(1e6 * scale)
+    m = v.max()
+
+    def g(log_tau: float) -> float:
+        tau = np.exp(log_tau)
+        return float(m + tau * np.log(np.mean(np.exp((v - m) / tau)))) + tau * rho / n
+
+    for _ in range(iters):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if g(m1) <= g(m2):
+            hi = m2
+        else:
+            lo = m1
+    log_tau = 0.5 * (lo + hi)
+    return g(log_tau), float(np.exp(log_tau))
+
+
+def _project_simplex(a: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a onto the probability simplex (sorted form)."""
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, a.size + 1)
+    k = idx[u - css / idx > 0][-1]
+    return np.maximum(a - css[k - 1] / k, 0.0)
+
+
+def chi2_bisection(values, rho: float, rel_tol: float = 1e-12) -> tuple[float, np.ndarray]:
+    """The chi-square ball worst case by bisection on the ball multiplier
+    lam, with weights proj_simplex(1/n + l / lam): ||p - 1/n||^2 falls as
+    lam grows. Stops when it is within rel_tol of r^2 = 2 rho / n^2 or the
+    bracket can shrink no further. Returns (value, weights)."""
+    v = np.asarray(values, dtype=np.float64)
+    n = v.size
+    uniform = np.full(n, 1.0 / n)
+    r2 = 2.0 * rho / (n * n)
+    top = v == v.max()
+    vertex = top / top.sum()
+    if rho == 0.0 or float(np.sum((vertex - uniform) ** 2)) <= r2:
+        p = uniform if rho == 0.0 else vertex
+        return float(p @ v), p
+
+    def residual(lam: float) -> float:
+        return float(np.sum((_project_simplex(uniform + v / lam) - uniform) ** 2)) - r2
+
+    lam_lo, lam_hi = 1.0, 1.0
+    while residual(lam_hi) > 0:
+        lam_hi *= 2.0
+    while residual(lam_lo) < 0:
+        lam_lo *= 0.5
+    for _ in range(200):
+        lam = 0.5 * (lam_lo + lam_hi)
+        res = residual(lam)
+        if abs(res) <= rel_tol * r2 or not lam_lo < lam < lam_hi:
+            break
+        if res > 0:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+    p = _project_simplex(uniform + v / lam)
+    return float(p @ v), p

@@ -281,6 +281,16 @@ def test_scaling_fit_non_numeric_cell_exits_1_naming_points(tmp_path, capsys):
     assert "points" in err and "line 3" in err
 
 
+@pytest.mark.parametrize("cells", ["inf,0.4", "1e5,nan", "-inf,0.4"])
+def test_scaling_fit_non_finite_cell_exits_1_naming_points(tmp_path, capfd, cells):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"compute,error\n1e4,0.5\n{cells}\n")
+    assert cli.run(["scaling-fit", str(path)]) == 1
+    err = capfd.readouterr().err  # fd 2, where LAPACK would print DLASCL complaints
+    assert err.startswith("error: points: line 3") and "DLASCL" not in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag, value", [("--fractions", "1.0,abc"), ("--seeds", "0,x")])
 def test_sweep_non_numeric_list_exits_1_naming_field(tmp_path, capsys, flag, value):
     data_path = _gen(tmp_path)

@@ -115,6 +115,10 @@ def test_fit_scaling_law_argument_errors():
         ScalingPoint(-1.0, 0.5)
     with pytest.raises(ValueError):
         ScalingPoint(1.0, 1.5)
+    with pytest.raises(ValueError, match="compute"):
+        ScalingPoint(float("inf"), 0.5)
+    with pytest.raises(ValueError, match="error"):
+        ScalingPoint(1.0, float("nan"))
 
 
 def test_best_error_per_compute():

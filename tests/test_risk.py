@@ -8,10 +8,14 @@ from drrho import risk
 from drrho.rng import CounterRng
 
 from oracles import (
+    chi2_bisection,
     chi2_grid_max,
     chi2_interior_closed_form,
     chi2_interior_holds,
+    chi2_support_enumeration,
     kl_constrained_grid,
+    kl_constrained_ternary,
+    kl_to_uniform_direct,
     log_mean_exp_direct,
     softmax_direct,
     topk_mean_direct,
@@ -216,3 +220,96 @@ def test_softmax_and_lse_match_high_precision_direct():
         tau = 0.2 + rng.uniforms(1)[0]
         assert np.max(np.abs(risk.softmax_weights(v, tau) - softmax_direct(v, tau))) < 1e-10
         assert abs(risk.kl_regularized_risk(v, tau) - log_mean_exp_direct(v, tau)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda v: risk.cvar_topk(v, 1),
+        lambda v: risk.softmax_weights(v, 0.5),
+        lambda v: risk.kl_regularized_risk(v, 0.5),
+        lambda v: risk.kl_constrained_risk(v, 2.0, 3),
+        lambda v: risk.chi2_dro_risk(v, 2.0, 3),
+        lambda v: risk.drrho_shift(v, [0.0, 0.0, 0.0]),
+    ],
+    ids=["cvar_topk", "softmax_weights", "kl_regularized_risk", "kl_constrained_risk", "chi2_dro_risk", "drrho_shift"],
+)
+def test_non_finite_losses_rejected_naming_losses(solve):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="losses"):
+            solve([1.0, bad, 0.5])
+
+
+def _loss_pair(rng, n):
+    target = np.exp(0.5 * rng.normals(n))
+    return target, 0.6 * target + 0.1 * rng.normals(n)
+
+
+def _plain_and_shifted(seed, sizes, repeats):
+    rng = CounterRng(seed)
+    for n in sizes:
+        for _ in range(repeats):
+            target, reference = _loss_pair(rng, n)
+            yield target
+            yield risk.drrho_shift(target, reference)
+
+
+def test_chi2_matches_support_enumeration_small_n():
+    for v in _plain_and_shifted(67, range(2, 13), 2):
+        for rho in (0.05, 0.5, 2.0, 50.0):
+            got, weights = risk.chi2_dro_risk(v, rho, v.size)
+            want = chi2_support_enumeration(v, rho)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert (weights >= 0).all() and weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 2.0, 50.0])
+def test_chi2_matches_bisection_reference(rho):
+    for v in _plain_and_shifted(68, (100, 1000, 10000), 1):
+        got, weights = risk.chi2_dro_risk(v, rho, v.size)
+        want, _ = chi2_bisection(v, rho)
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+        assert (weights >= 0).all() and weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_chi2_weights_on_the_ball_boundary_at_large_n():
+    n, rho = 10000, 0.5
+    r2 = 2.0 * rho / (n * n)
+    for v in _plain_and_shifted(69, (n,), 1):
+        _, weights = risk.chi2_dro_risk(v, rho, n)
+        assert float(np.sum((weights - 1.0 / n) ** 2)) == pytest.approx(r2, rel=1e-9)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 2.0, 50.0])
+def test_kl_constrained_matches_ternary_reference(rho):
+    for v in _plain_and_shifted(70, (*range(2, 13), 100, 1000, 10000), 1):
+        got, _ = risk.kl_constrained_risk(v, rho, v.size)
+        want, _ = kl_constrained_ternary(v, rho, v.size)
+        # At rho = 0 both answers sit at tau ~ 1e6 * scale, where log-mean-exp
+        # itself carries ~1e-9 rounding; elsewhere the minimum is well resolved.
+        assert got == pytest.approx(want, rel=1e-8 if rho == 0.0 else 1e-11)
+
+
+def test_kl_constrained_interior_tau_meets_the_radius():
+    checked = 0
+    for v in _plain_and_shifted(71, (100, 1000), 2):
+        for rho in (0.5, 2.0, 50.0):
+            _, tau = risk.kl_constrained_risk(v, rho, v.size)
+            scale = max(1.0, float(v.max() - v.min()))
+            if not risk.TAU_BOUND_LO * scale < tau < risk.TAU_BOUND_HI * scale:
+                continue
+            assert kl_to_uniform_direct(v, tau) == pytest.approx(rho / v.size, rel=1e-9)
+            checked += 1
+    assert checked >= 10
+
+
+def test_kl_constrained_bracket_ends_without_a_root():
+    v = np.array([0.2, 1.4, 0.9, 0.3])
+    scale = float(v.max() - v.min())
+    # rho = 0: the dual falls all the way to the top of the bracket.
+    _, tau = risk.kl_constrained_risk(v, 0.0, 4)
+    assert tau == pytest.approx(risk.TAU_BOUND_HI * scale, rel=1e-12)
+    # rho / n above log(n) = KL of a point mass: it rises from the bottom.
+    value, tau = risk.kl_constrained_risk(v, 4 * np.log(4) + 1.0, 4)
+    assert tau == pytest.approx(risk.TAU_BOUND_LO * scale, rel=1e-12)
+    assert value == pytest.approx(v.max(), abs=1e-5)
