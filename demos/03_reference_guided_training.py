@@ -16,7 +16,7 @@ dataset = data.generate_synthetic(
 )
 print(f"dataset: {dataset.n} pairs, {len(dataset.train_indices)} train / {len(dataset.test_indices)} test")
 
-ref_model, cache = experiments.train_reference(dataset, embed_dim=16, steps=800, batch_size=64, seed=1000)
+ref_model, cache = experiments.train_reference(dataset)
 print(f"reference recall@1: {experiments.evaluate_recall(ref_model, dataset):.3f}")
 print(f"cache: {cache.n} pairs embedded offline by model {cache.source_id}\n")
 

@@ -12,7 +12,7 @@ from drrho import data, experiments, trainer
 dataset = data.generate_synthetic(
     n=640, d_x=24, d_y=20, d_latent=4, noise_sigma=0.3, test_fraction=0.2, seed=0
 )
-_, cache = experiments.train_reference(dataset, embed_dim=16, steps=800, batch_size=64, seed=1000)
+_, cache = experiments.train_reference(dataset)
 
 config = trainer.TrainConfig(
     steps=150, batch_size=48, embed_dim=8, lr=5e-3, seed=0, eval_subset=32, tau_learnable=True

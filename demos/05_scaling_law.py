@@ -7,23 +7,13 @@ keeps its best error, then a log-log least-squares line goes through the
 nine points of each method.
 """
 
-from drrho import data, experiments, trainer
+from drrho import data, experiments
 
 dataset = data.generate_synthetic(
     n=640, d_x=24, d_y=20, d_latent=4, noise_sigma=0.3, test_fraction=0.2, seed=0
 )
-_, cache = experiments.train_reference(dataset, embed_dim=16, steps=800, batch_size=64, seed=1000)
-
-base = trainer.TrainConfig(batch_size=32, lr=5e-3, eval_subset=32, tau_learnable=True, seed=0)
-suite = experiments.scaling_suite(
-    dataset,
-    cache,
-    methods=("drrho-clip", "openclip"),
-    embed_dims=(4, 8, 16),
-    step_budgets=(40, 110, 300),
-    fractions=(0.6, 1.0),
-    base_config=base,
-)
+_, cache = experiments.train_reference(dataset)
+suite = experiments.scaling_suite(dataset, cache)
 
 for method, info in suite.items():
     print(f"\n{method}: error = {info['alpha']:.3g} * C^({info['beta']:.4f}), "

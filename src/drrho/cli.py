@@ -175,6 +175,8 @@ def _cmd_variance(args) -> int:
     dataset = data.load_dataset(args.data)
     model = encoder.load_model(args.model)
     cache = data.load_cache(args.ref) if args.ref else None
+    if cache is not None:
+        data.check_cache_matches(cache, dataset)
     anchors = dataset.train_indices[: args.subset]
     fwd = encoder.batch_forward(model, dataset.xs[anchors], dataset.ys[anchors])
     plain = experiments.loss_variance(fwd.s)

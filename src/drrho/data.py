@@ -119,6 +119,14 @@ class EmbeddingCache:
         return self.e1[rows] @ self.e2[cols].T
 
 
+def check_cache_matches(cache: EmbeddingCache, dataset: PairedDataset) -> None:
+    """ConfigError naming ``cache`` unless the cache embeds this dataset."""
+    if cache.n != dataset.n:
+        raise ConfigError(f"cache: holds {cache.n} pairs but dataset has {dataset.n}")
+    if cache.dataset_id and cache.dataset_id != dataset.content_hash():
+        raise ConfigError("cache: dataset_id does not match this dataset (id_hash mismatch)")
+
+
 def synthetic_projections(d_x: int, d_y: int, d_latent: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixed projection matrices A (d_x, d_latent), B (d_y, d_latent)
     used by generate_synthetic for this seed. Exposed so tests and demos

@@ -2,6 +2,11 @@
 accuracy, per-anchor loss variance, data-efficiency sweeps, and power-law
 fits of error against compute.
 
+The paper's three experiments are fixed recipes: the two trials take only
+a seed, and ``scaling_suite`` runs one grid on the pool and reference cache
+it is given. ``train_reference`` defaults to the reference recipe (fastclip,
+d=16, b=64, 800 steps). Every grid trains through one job function.
+
 Compute is counted in abstract units of trainable-parameter count times
 samples seen. Any consistent unit works: rescaling compute by a constant
 shifts the fitted log-intercept but leaves the exponent untouched, and the
@@ -21,7 +26,7 @@ from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate
 from .encoder import batch_forward
 from .errors import ConfigError
 from .report import ExperimentReport
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, _train_pool, train
 
 ERROR_CLIP = 1e-6  # keeps error rates inside the open unit interval for log fits
 
@@ -177,12 +182,11 @@ def _run_jobs(jobs: list, fn, workers: int | None = None) -> list:
         return [future.result() for future in futures]
 
 
-def _sweep_job(args) -> tuple:
-    method, fraction, seed, config, dataset, cache = args
-    run_config = replace(config, method=method, train_fraction=fraction, seed=seed)
-    _, run_report = train(run_config, dataset, cache)
-    summary = run_report.summary
-    return (method, fraction, seed, summary.get("recall_at_1", 0.0), summary.get("objective", 0.0))
+def _recall_job(args) -> float:
+    """Final test recall@1 of one run; the cache goes only to runs that use it."""
+    config, dataset, cache = args
+    _, run_report = train(config, dataset, cache if config.needs_reference else None)
+    return run_report.summary.get("recall_at_1", 0.0)
 
 
 def data_efficiency_sweep(
@@ -202,22 +206,24 @@ def data_efficiency_sweep(
     fractions = [float(f) for f in fractions]
     methods = [config.method] if methods is None else list(methods)
     seeds = [config.seed] if seeds is None else [int(s) for s in seeds]
+    for name, values in (("methods", methods), ("fractions", fractions), ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name}: entries must be distinct, got {values}")
     if any(not 0 < f <= 1 for f in fractions):
         raise ConfigError("fractions: every fraction must lie in (0, 1]")
-    pool = dataset.train_indices
     for f in fractions:
-        if int(np.floor(f * len(pool))) < 2 * config.batch_size:
+        if len(_train_pool(dataset, f)) < 2 * config.batch_size:
             raise ConfigError(
                 f"fractions: fraction {f} yields fewer than 2*batch_size={2 * config.batch_size} samples"
             )
 
+    cells = [(method, fraction) for method in methods for fraction in fractions]
     jobs = [
-        (method, fraction, seed, config, dataset, cache)
-        for method in methods
-        for fraction in fractions
+        (replace(config, method=method, train_fraction=fraction, seed=seed), dataset, cache)
+        for method, fraction in cells
         for seed in seeds
     ]
-    results = _run_jobs(jobs, _sweep_job)
+    recalls = _run_jobs(jobs, _recall_job)
 
     report = ExperimentReport(
         config_snapshot={**config.resolved(), "fractions": fractions, "methods": methods, "seeds": seeds},
@@ -228,66 +234,36 @@ def data_efficiency_sweep(
         },
     )
     rows = []
-    by_cell: dict[tuple[str, float], list[float]] = {}
-    for method, fraction, seed, recall, objective in results:
-        by_cell.setdefault((method, fraction), []).append(recall)
-    for row, (method, fraction) in enumerate(
-        (m, f) for m in methods for f in fractions
-    ):
-        recalls = by_cell[(method, fraction)]
-        rows.append({"method": method, "fraction": fraction, "recall_at_1": float(np.mean(recalls))})
-        report.add(row, f"recall_at_1/{method}/frac={fraction}", float(np.mean(recalls)))
-        for k, r in enumerate(recalls):
-            report.add(row, f"recall_at_1/{method}/frac={fraction}/seed={seeds[k]}", r)
+    for row, (method, fraction) in enumerate(cells):
+        cell = recalls[row * len(seeds) : (row + 1) * len(seeds)]
+        mean = float(np.mean(cell))
+        rows.append({"method": method, "fraction": fraction, "recall_at_1": mean})
+        report.add(row, f"recall_at_1/{method}/frac={fraction}", mean)
+        for seed, recall in zip(seeds, cell):
+            report.add(row, f"recall_at_1/{method}/frac={fraction}/seed={seed}", recall)
     report.config_snapshot["rows"] = rows
     return report
 
 
-def variance_reduction_trial(
-    seed: int,
-    n_target_pool: int = 192,
-    d_x: int = 24,
-    d_y: int = 20,
-    d_latent: int = 6,
-    noise_sigma: float = 0.25,
-    embed_dim: int = 8,
-    reference_steps: int = 300,
-    target_steps: int = 150,
-    eval_anchors: int = 96,
-) -> dict[str, float]:
+def variance_reduction_trial(seed: int) -> dict[str, float]:
     """One seeded trial of the variance-reduction effect.
 
-    A reference is trained on a 4x pool; a target is trained fresh on a
-    quarter of it; then per-anchor pairwise-loss variances of the target
-    are measured with and without the reference shift on an evaluation
-    subset of the target's training data.
+    A reference is trained on a pool of 768 pairs; a target is trained
+    fresh on its first quarter; then per-anchor pairwise-loss variances of
+    the target are measured with and without the reference shift on the
+    first 96 pairs of the target's training data.
     """
-    n = 4 * n_target_pool
     dataset = generate_synthetic(
-        n=n + max(32, n // 8),
-        d_x=d_x,
-        d_y=d_y,
-        d_latent=d_latent,
-        noise_sigma=noise_sigma,
-        test_fraction=max(32, n // 8) / (n + max(32, n // 8)),
-        seed=seed,
+        n=864, d_x=24, d_y=20, d_latent=6, noise_sigma=0.25, test_fraction=96 / 864, seed=seed
     )
-    ref_config = TrainConfig(
-        method="fastclip", steps=reference_steps, batch_size=48, embed_dim=embed_dim, lr=5e-3, seed=seed + 1
-    )
+    ref_config = TrainConfig(method="fastclip", steps=300, batch_size=48, embed_dim=8, lr=5e-3, seed=seed + 1)
     ref_state, _ = train(ref_config, dataset)
     target_config = TrainConfig(
-        method="fastclip",
-        steps=target_steps,
-        batch_size=48,
-        embed_dim=embed_dim,
-        lr=5e-3,
-        train_fraction=0.25,
-        seed=seed + 2,
+        method="fastclip", steps=150, batch_size=48, embed_dim=8, lr=5e-3, train_fraction=0.25, seed=seed + 2
     )
     target_state, _ = train(target_config, dataset)
 
-    anchors = dataset.train_indices[: min(eval_anchors, n_target_pool)]
+    anchors = dataset.train_indices[:96]
     s_target = batch_forward(target_state.model, dataset.xs[anchors], dataset.ys[anchors]).s
     s_reference = batch_forward(ref_state.model, dataset.xs[anchors], dataset.ys[anchors]).s
     plain = loss_variance(s_target)
@@ -300,39 +276,18 @@ def variance_reduction_trial(
     }
 
 
-def data_efficiency_trial(
-    seed: int,
-    n: int = 640,
-    d_x: int = 24,
-    d_y: int = 20,
-    d_latent: int = 4,
-    noise_sigma: float = 0.3,
-    test_fraction: float = 0.2,
-    ref_dim: int = 16,
-    ref_steps: int = 800,
-    target_steps: int = 150,
-    batch: int = 48,
-    lr: float = 5e-3,
-) -> dict[str, float]:
+def data_efficiency_trial(seed: int) -> dict[str, float]:
     """One seeded data-efficiency comparison against a strong reference.
 
-    Trains a reference on the full pool, then the reference-shifted method
-    on half and on all of the pool, and the no-reference baseline on all of
-    it, every run with the same step budget and learnable temperature.
-    Returns final test retrieval accuracies.
+    Trains the reference recipe on the full pool of 640 pairs, then the
+    reference-shifted method on half and on all of the pool, and the
+    no-reference baseline on all of it, every run for 150 steps at batch
+    48 with learnable temperature. Returns final test retrieval accuracies.
     """
-    dataset = generate_synthetic(n, d_x, d_y, d_latent, noise_sigma, test_fraction, seed=seed)
-    ref_model, cache = train_reference(
-        dataset, embed_dim=ref_dim, steps=ref_steps, batch_size=64, lr=lr, seed=seed + 1000
-    )
+    dataset = generate_synthetic(640, 24, 20, 4, 0.3, 0.2, seed=seed)
+    ref_model, cache = train_reference(dataset, seed=seed + 1000)
     base = TrainConfig(
-        steps=target_steps,
-        batch_size=batch,
-        embed_dim=8,
-        lr=lr,
-        seed=seed,
-        eval_subset=32,
-        tau_learnable=True,
+        steps=150, batch_size=48, embed_dim=8, lr=5e-3, seed=seed, eval_subset=32, tau_learnable=True
     )
     out = {"reference": evaluate_recall(ref_model, dataset)}
     runs = (
@@ -341,70 +296,48 @@ def data_efficiency_trial(
         ("baseline_full", "fastclip", 1.0),
     )
     for key, method, fraction in runs:
-        config = replace(base, method=method, train_fraction=fraction)
-        _, run_report = train(config, dataset, cache if method == "drrho-clip" else None)
-        out[key] = run_report.summary["recall_at_1"]
+        out[key] = _recall_job((replace(base, method=method, train_fraction=fraction), dataset, cache))
     return out
 
 
-def _scaling_job(args) -> tuple:
-    method, embed_dim, steps, fraction, config, dataset, cache = args
-    run_config = replace(
-        config, method=method, embed_dim=embed_dim, steps=steps, train_fraction=fraction
-    )
-    state, run_report = train(run_config, dataset, cache if run_config.needs_reference else None)
-    recall = run_report.summary.get("recall_at_1", 0.0)
-    params = state.model.w1.size + state.model.w2.size
-    samples = run_config.effective_steps * run_config.batch_size
-    return (method, compute_units(params, samples), clip_error(1.0 - recall))
+def scaling_suite(dataset: PairedDataset, cache: EmbeddingCache) -> dict[str, dict]:
+    """Error-versus-compute grids for drrho-clip and openclip, with fitted
+    power laws.
 
-
-def scaling_suite(
-    dataset: PairedDataset,
-    cache: EmbeddingCache,
-    methods=("drrho-clip", "openclip"),
-    embed_dims=(4, 8, 16),
-    step_budgets=(40, 110, 300),
-    fractions=(0.6, 1.0),
-    base_config: TrainConfig | None = None,
-) -> dict[str, dict]:
-    """Error-versus-compute grids per method, with fitted power laws.
-
-    For each method and model size, every step budget is run at several
-    dataset fractions; the best error per compute value forms the points
-    for the log-log fit (mirroring best-over-dataset-size selection).
+    Each method trains at embedding widths 4, 8 and 16 for 40, 110 and 300
+    steps, each cell at dataset fractions 0.6 and 1.0, at batch 32 with
+    learnable temperature. The best error per compute value forms the
+    points for the log-log fit (mirroring best-over-dataset-size selection).
     """
-    config = base_config or TrainConfig(batch_size=32, lr=5e-3, eval_subset=32)
-    jobs = [
-        (method, d, steps, fraction, config, dataset, cache)
+    base = TrainConfig(batch_size=32, lr=5e-3, eval_subset=32, tau_learnable=True)
+    methods = ("drrho-clip", "openclip")
+    configs = [
+        replace(base, method=method, embed_dim=d, steps=steps, train_fraction=fraction)
         for method in methods
-        for d in embed_dims
-        for steps in step_budgets
-        for fraction in fractions
+        for d in (4, 8, 16)
+        for steps in (40, 110, 300)
+        for fraction in (0.6, 1.0)
     ]
-    results = _run_jobs(jobs, _scaling_job)
+    recalls = _run_jobs([(config, dataset, cache) for config in configs], _recall_job)
     out: dict[str, dict] = {}
     for method in methods:
         groups: dict[float, list[float]] = {}
-        for m, compute, error in results:
-            if m == method:
-                groups.setdefault(compute, []).append(error)
+        for config, recall in zip(configs, recalls):
+            if config.method == method:
+                params = config.embed_dim * (dataset.d_x + dataset.d_y)
+                compute = compute_units(params, config.effective_steps * config.batch_size)
+                groups.setdefault(compute, []).append(clip_error(1.0 - recall))
         points = best_error_per_compute(groups)
         alpha, beta, residual = fit_scaling_law(points)
-        out[method] = {
-            "points": points,
-            "alpha": alpha,
-            "beta": beta,
-            "residual": residual,
-        }
+        out[method] = {"points": points, "alpha": alpha, "beta": beta, "residual": residual}
     return out
 
 
 def train_reference(
     dataset: PairedDataset,
-    embed_dim: int = 10,
-    steps: int = 400,
-    batch_size: int = 48,
+    embed_dim: int = 16,
+    steps: int = 800,
+    batch_size: int = 64,
     lr: float = 5e-3,
     seed: int = 1000,
 ):

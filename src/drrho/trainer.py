@@ -33,7 +33,7 @@ from . import baselines, container
 # global_objective is not called here; bench/test_bench.py checks that the
 # tracer wraps it through this module's binding.
 from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
-from .data import EmbeddingCache, PairedDataset
+from .data import EmbeddingCache, PairedDataset, check_cache_matches
 from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, similarity_backward
 from .errors import ConfigError, StateError, TrainingError
 from .report import ExperimentReport
@@ -386,10 +386,7 @@ def train(
     if config.needs_reference:
         if cache is None:
             raise ConfigError(f"method: {config.method!r} (distill={config.distill}) requires a reference cache")
-        if cache.n != dataset.n:
-            raise ConfigError(f"cache: holds {cache.n} pairs but dataset has {dataset.n}")
-        if cache.dataset_id and cache.dataset_id != dataset.content_hash():
-            raise ConfigError("cache: dataset_id does not match this dataset (id_hash mismatch)")
+        check_cache_matches(cache, dataset)
 
     pool = _train_pool(dataset, config.train_fraction)
     if len(pool) < config.batch_size:

@@ -299,6 +299,30 @@ def test_sweep_non_numeric_list_exits_1_naming_field(tmp_path, capsys, flag, val
     assert flag[2:] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--methods", "fastclip,fastclip"), ("--fractions", "1.0,1.0"), ("--seeds", "0,0")]
+)
+def test_sweep_repeated_list_entry_exits_1_naming_field(tmp_path, capsys, flag, value):
+    data_path = _gen(tmp_path)
+    argv = ["sweep", "--data", str(data_path), "--methods", "fastclip", "--fractions", "1.0", flag, value]
+    assert cli.run(argv + ["--steps", "4", "--batch-size", "8", "--output", str(tmp_path / "sweep")]) == 1
+    assert f"{flag[2:]}:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("n_data, n_cache", [(64, 32), (96, 96)], ids=["other-size", "same-size"])
+def test_variance_cache_of_other_dataset_exits_1_naming_cache(tmp_path, capsys, n_data, n_cache):
+    (tmp_path / "d0").mkdir()
+    (tmp_path / "d1").mkdir()
+    data_path = _gen(tmp_path / "d0", seed=0, n=n_data)
+    cache_path = _make_cache(tmp_path / "d1", _gen(tmp_path / "d1", seed=1, n=n_cache))
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    argv = ["variance", "--model", str(model_path), "--data", str(data_path), "--ref", str(cache_path)]
+    assert cli.run(argv + ["--subset", "48", "--output", str(tmp_path / "var")]) == 1
+    assert "cache:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_gen_data_non_finite_noise_exits_1_naming_field(tmp_path, capsys, value):
     path = tmp_path / "d.dpd"

@@ -2,6 +2,7 @@
 
 import functools
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,25 @@ def test_sweep_rows_and_nesting():
     a = _train_pool(ds, 0.5)
     b = _train_pool(ds, 0.75)
     assert set(a.tolist()) <= set(b.tolist())
+
+
+def test_sweep_seed_values_match_direct_runs_and_rows_hold_their_mean():
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
+    config = trainer.TrainConfig(method="fastclip", steps=30, batch_size=16, embed_dim=6, lr=5e-3, seed=3)
+    methods, fractions, seeds = ["fastclip", "openclip"], [1.0, 0.5], [1, 0]
+    report = experiments.data_efficiency_sweep(config, ds, None, fractions=fractions, methods=methods, seeds=seeds)
+    rows = report.config_snapshot["rows"]
+    assert [(r["method"], r["fraction"]) for r in rows] == [(m, f) for m in methods for f in fractions]
+    for index, row in enumerate(rows):
+        key = f"recall_at_1/{row['method']}/frac={row['fraction']}"
+        recalls = []
+        for seed in seeds:
+            run_config = replace(config, method=row["method"], train_fraction=row["fraction"], seed=seed)
+            _, direct = trainer.train(run_config, ds)
+            recalls.append(direct.summary["recall_at_1"])
+            assert (index, f"{key}/seed={seed}", recalls[-1]) in report.series
+        assert row["recall_at_1"] == float(np.mean(recalls))
+        assert (index, key, row["recall_at_1"]) in report.series
 
 
 def test_sweep_rejects_too_small_fraction():
