@@ -6,7 +6,6 @@ from .baselines import (
     SelectionOutcome,
     distillation_grad_s,
     infonce_grad_s,
-    infonce_loss,
     jest_select,
 )
 from .contrastive import global_objective

@@ -1,9 +1,9 @@
-"""Comparison methods: mini-batch InfoNCE, staged joint example
-selection, and the gradient of the soft-target distillation loss, which
-the trainer blends with the contrastive gradient.
+"""Comparison methods: the mini-batch InfoNCE gradients, staged joint
+example selection, and the gradient of the soft-target distillation loss,
+which the trainer blends with the contrastive gradient.
 
-All losses here are functions of a batch similarity matrix, so each one
-also exposes its dLoss/dS; chaining that through
+Only the gradients of both losses live here, in the batch similarity
+matrix (and InfoNCE's in tau); chaining dLoss/dS through
 ``encoder.similarity_backward`` is how the training loop consumes them.
 """
 
@@ -26,19 +26,6 @@ def _log_softmax(a: np.ndarray, axis: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # mini-batch InfoNCE
-
-
-def infonce_loss(s, tau: float) -> float:
-    """Symmetric cross-entropy of the scaled similarity matrix: the mean of
-    row-wise (image to text) and column-wise (text to image) terms."""
-    s = _check_square(s)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    a = s / tau
-    idx = np.arange(len(s))
-    row = -_log_softmax(a, axis=1)[idx, idx]
-    col = -_log_softmax(a, axis=0)[idx, idx]
-    return float(0.5 * (row.mean() + col.mean()))
 
 
 def infonce_grad_s(s, tau: float) -> np.ndarray:

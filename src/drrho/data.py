@@ -12,7 +12,7 @@ larger ones.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,8 @@ _STREAM_PROJ_Y = 1
 _STREAM_LATENT = 2
 _STREAM_NOISE_X = 3
 _STREAM_NOISE_Y = 4
+
+_NORM_TOL = 1e-9  # how far a cached embedding's norm may sit from 1
 
 
 @dataclass
@@ -91,9 +93,8 @@ class EmbeddingCache:
     e1: np.ndarray  # (n, d) first modality
     e2: np.ndarray  # (n, d) second modality
     source_id: str  # identity hash of the model that produced it
-    dataset_id: str = ""  # content hash of the embedded dataset
-    source_tau: float = 0.0  # temperature of the source model, for distillation
-    _norm_tol: float = field(default=1e-9, repr=False)
+    dataset_id: str  # content hash of the embedded dataset
+    source_tau: float  # temperature of the source model, for distillation
 
     def __post_init__(self):
         self.e1 = np.asarray(self.e1, dtype=np.float64)
@@ -102,8 +103,14 @@ class EmbeddingCache:
             raise ConfigError("e1 and e2 must be 2-d arrays with identical shape")
         for name, e in (("e1", self.e1), ("e2", self.e2)):
             norms = np.linalg.norm(e, axis=1)
-            if not np.all(np.abs(norms - 1.0) <= self._norm_tol):
-                raise ConfigError(f"{name} rows must be unit-normalized within {self._norm_tol}")
+            if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
+                raise ConfigError(f"{name} rows must be unit-normalized within {_NORM_TOL}")
+        # without the dataset's hash, train could not tell this cache from
+        # one of another dataset
+        if not self.dataset_id:
+            raise ConfigError("dataset_id: a cache must name the dataset it embeds")
+        if not (np.isfinite(self.source_tau) and self.source_tau > 0):
+            raise ConfigError(f"source_tau: must be finite and positive, got {self.source_tau!r}")
 
     @property
     def n(self) -> int:
@@ -113,17 +120,16 @@ class EmbeddingCache:
     def d(self) -> int:
         return self.e1.shape[1]
 
-    def similarity(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """Reference cosine similarities e1[rows] @ e2[cols].T."""
-        cols = rows if cols is None else cols
-        return self.e1[rows] @ self.e2[cols].T
+    def similarity(self, rows: np.ndarray) -> np.ndarray:
+        """Reference cosine similarities e1[rows] @ e2[rows].T."""
+        return self.e1[rows] @ self.e2[rows].T
 
 
 def check_cache_matches(cache: EmbeddingCache, dataset: PairedDataset) -> None:
     """ConfigError naming ``cache`` unless the cache embeds this dataset."""
     if cache.n != dataset.n:
         raise ConfigError(f"cache: holds {cache.n} pairs but dataset has {dataset.n}")
-    if cache.dataset_id and cache.dataset_id != dataset.content_hash():
+    if cache.dataset_id != dataset.content_hash():
         raise ConfigError("cache: dataset_id does not match this dataset (id_hash mismatch)")
 
 
@@ -251,10 +257,6 @@ def save_cache(cache: EmbeddingCache, path: str | Path) -> None:
 def load_cache(path: str | Path) -> EmbeddingCache:
     arrays, meta = _read_pairs(path, container.KIND_CACHE, ("e1", "e2"))
     meta = container.require_meta(path, meta, {"source_id": (str,), "dataset_id": (str,), "source_tau": (float,)})
-    if not meta["dataset_id"]:
-        # every save_cache writes the embedded dataset's hash; without it
-        # train could not tell this cache from one of another dataset
-        raise FormatError(f"{path}: manifest meta 'dataset_id' is empty")
     return EmbeddingCache(
         e1=arrays["e1"],
         e2=arrays["e2"],

@@ -163,7 +163,7 @@ def load_model(path) -> TwoTowerModel:
     arrays, meta = container.read_container(path, expect_kind=container.KIND_MODEL)
     container.require_arrays(path, arrays, ("w1", "w2", "tau"))
     model = TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
-    declared = meta.get("id_hash")
-    if declared and declared != model.id_hash:
+    declared = container.require_meta(path, meta, {"id_hash": (str,)})["id_hash"]
+    if declared != model.id_hash:
         raise FormatError(f"{path}: stored id_hash {declared} does not match weights")
     return model

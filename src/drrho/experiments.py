@@ -185,8 +185,8 @@ def _run_jobs(jobs: list, fn, workers: int | None = None) -> list:
 def _recall_job(args) -> float:
     """Final test recall@1 of one run; the cache goes only to runs that use it."""
     config, dataset, cache = args
-    _, run_report = train(config, dataset, cache if config.needs_reference else None)
-    return run_report.summary.get("recall_at_1", 0.0)
+    state, _ = train(config, dataset, cache if config.needs_reference else None)
+    return evaluate_recall(state.model, dataset)
 
 
 def data_efficiency_sweep(
@@ -211,6 +211,9 @@ def data_efficiency_sweep(
             raise ConfigError(f"{name}: entries must be distinct, got {values}")
     if any(not 0 < f <= 1 for f in fractions):
         raise ConfigError("fractions: every fraction must lie in (0, 1]")
+    n_test = len(dataset.test_indices)
+    if n_test < 2:
+        raise ConfigError(f"dataset: test split holds {n_test} pairs, retrieval needs at least 2")
     for f in fractions:
         if len(_train_pool(dataset, f)) < 2 * config.batch_size:
             raise ConfigError(

@@ -417,7 +417,6 @@ def train(
     rng = CounterRng(config.seed, _STREAM_BATCHES)
     sampler = _EpochSampler(pool, super_size, rng)
     eval_every = config.resolved_eval_every()
-    distill_tau_ref = cache.source_tau if cache is not None and cache.source_tau > 0 else DEFAULT_TAU
 
     for t in range(steps):
         batch = sampler.next_batch()
@@ -452,7 +451,7 @@ def train(
             tau_grad = baselines.infonce_tau_gradient(fwd.s, model.tau) if config.learnable_tau else None
 
         if config.distill:
-            dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, distill_tau_ref)
+            dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau)
             dist_grads = similarity_backward(fwd, xs_b, ys_b, dist_coef)
             lam = config.lam
             for name in grads:
@@ -477,7 +476,7 @@ class _Evaluator:
     pool) and of the test split, the reference half of the drrho-clip gaps,
     which is fixed for the run, and one buffer of ``negative_gaps`` rows.
     Each eval point does one forward pass and fills that buffer in place;
-    the exclude-anchor objective and both loss variances read it.
+    every method's objective and both loss variances read it.
     """
 
     def __init__(
@@ -499,10 +498,13 @@ class _Evaluator:
         rows = negative_gaps(s, out=self.rows)
         if self.ref_rows is not None:
             rows -= self.ref_rows
+        lme = log_mean_exp(rows, model.tau)
         if self.config.method in _U_METHODS:
-            objective = float(log_mean_exp(rows, model.tau).sum() / n)
+            objective = float(lme.sum() / n)
         else:
-            objective = baselines.infonce_loss(s, model.tau)
+            # InfoNCE: each anchor's log(1 + sum_{j != i} exp(gap_ij / tau)),
+            # averaged over the 2n image and text rows.
+            objective = float(np.logaddexp(0.0, math.log(n - 1) + lme / model.tau).mean())
         report.add(step, "objective", objective)
         if n >= 3:
             var = experiments.VarianceSummary.of_rows(rows)

@@ -381,6 +381,32 @@ def test_blank_cache_dataset_id_exits_1_naming_field(tmp_path, capsys):
     assert "dataset_id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source_tau", [0.0, -3.0])
+def test_bad_cache_source_tau_exits_1_naming_field(tmp_path, capsys, source_tau):
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    mpath = container.manifest_path(cache_path)
+    manifest = json.loads(mpath.read_text())
+    manifest["meta"]["source_tau"] = source_tau
+    mpath.write_text(json.dumps(manifest))
+    argv = ["train", "--method", "openclip", "--distill", "--data", str(data_path), "--ref", str(cache_path)]
+    assert cli.run(argv + ["--steps", "4", "--output", str(tmp_path / "run")]) == 1
+    assert "source_tau" in capsys.readouterr().err
+
+
+def test_model_without_id_hash_exits_1_naming_field(tmp_path, capsys):
+    data_path = _gen(tmp_path)
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    mpath = container.manifest_path(model_path)
+    manifest = json.loads(mpath.read_text())
+    del manifest["meta"]["id_hash"]
+    mpath.write_text(json.dumps(manifest))
+    rc = cli.run(["eval", "--model", str(model_path), "--data", str(data_path), "--output", str(tmp_path / "e")])
+    assert rc == 1
+    assert "id_hash" in capsys.readouterr().err
+
+
 def test_truncated_manifest_exits_1_naming_path(tmp_path, capsys):
     data_path = _gen(tmp_path)
     model_path = tmp_path / "m.ckpt"

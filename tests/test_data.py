@@ -101,7 +101,7 @@ def test_cache_dimension_mismatch():
 def test_cache_unit_norm_invariant_enforced():
     bad = np.ones((3, 4))
     with pytest.raises(ConfigError):
-        data.EmbeddingCache(e1=bad, e2=bad, source_id="x")
+        data.EmbeddingCache(e1=bad, e2=bad, source_id="x", dataset_id="d", source_tau=0.07)
 
 
 def test_dataset_round_trip(tmp_path):

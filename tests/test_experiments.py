@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drrho import data, experiments, trainer
+from drrho import data, encoder, experiments, trainer
 from drrho.errors import ConfigError
 from drrho.experiments import ScalingPoint
 from drrho.rng import CounterRng
@@ -187,6 +187,21 @@ def test_sweep_rejects_too_small_fraction():
     config = trainer.TrainConfig(method="fastclip", steps=5, batch_size=16, embed_dim=4)
     with pytest.raises(ConfigError):
         experiments.data_efficiency_sweep(config, ds, None, fractions=[0.1])
+
+
+def test_sweep_untrained_rows_hold_the_model_recall():
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
+    config = trainer.TrainConfig(method="fastclip", steps=0, batch_size=16, embed_dim=6, seed=3)
+    report = experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0])
+    untrained = encoder.init_model(6, 12, 10, seed=3, tau=config.tau_init)
+    assert report.config_snapshot["rows"][0]["recall_at_1"] == experiments.evaluate_recall(untrained, ds)
+
+
+def test_sweep_rejects_dataset_without_test_pairs():
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.0, seed=2)
+    config = trainer.TrainConfig(method="fastclip", steps=5, batch_size=16, embed_dim=4)
+    with pytest.raises(ConfigError, match="test split"):
+        experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0])
 
 
 def test_sweep_parallel_matches_sequential(monkeypatch):

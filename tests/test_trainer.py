@@ -9,7 +9,7 @@ import pytest
 from drrho import container, contrastive, data, encoder, experiments, report, trainer
 from drrho.errors import ConfigError, FormatError, StateError, TrainingError
 
-from oracles import finite_diff_matrix, rel_err, similarity_grad, update_u_direct
+from oracles import finite_diff_matrix, infonce_direct, rel_err, similarity_grad, update_u_direct
 
 
 def _setup(n=10, d=4, dx=6, dy=5, tau=0.5, seed=0, **cfg_overrides):
@@ -383,7 +383,23 @@ def test_eval_point_matches_exact_objective_and_loss_variance(method):
     assert final["loss_variance_text"] == var.text_mean
 
 
-@pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
+@pytest.mark.parametrize("method", ["openclip", "jest"])
+def test_eval_point_infonce_matches_loop_oracle(method):
+    # 160 pairs leave a 120-pair pool, enough for JEST's 60-pair super batches.
+    ds = data.generate_synthetic(160, 12, 10, 4, 0.2, 0.25, seed=5)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=66))
+    config = trainer.TrainConfig(method=method, steps=12, batch_size=12, embed_dim=6, lr=5e-3, eval_subset=32, seed=3)
+    state, rep = trainer.train(config, ds, cache if config.needs_reference else None)
+    subset = trainer._train_pool(ds, config.train_fraction)[: config.eval_subset]
+    s = encoder.batch_forward(state.model, ds.xs[subset], ds.ys[subset]).s
+    final = rep.summary
+    assert rel_err(final["objective"], infonce_direct(s, state.model.tau)) <= 1e-12
+    var = experiments.loss_variance(s)
+    assert final["loss_variance_image"] == var.image_mean
+    assert final["loss_variance_text"] == var.text_mean
+
+
+@pytest.mark.parametrize("method", ["drrho-clip", "fastclip", "openclip", "jest"])
 def test_eval_point_transient_memory(method):
     # The monitored-small-batch shape: a 640-pair pool, 128 test pairs, eval_subset=128.
     ds = data.generate_synthetic(640, 24, 20, 4, 0.3, 0.2, seed=0)
