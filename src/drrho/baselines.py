@@ -62,7 +62,6 @@ class SelectionOutcome:
     super_batch: np.ndarray
     selected: np.ndarray
     chunk_trace: list[ChunkTrace]
-    seed: int
 
 
 def selection_size(ratio: float, super_size: int) -> int:
@@ -146,12 +145,7 @@ def jest_select(
         sel = np.concatenate([sel, picked])
         taken[picked] = True
         remaining = np.flatnonzero(~taken)
-    return SelectionOutcome(
-        super_batch=super_batch,
-        selected=super_batch[sel],
-        chunk_trace=trace,
-        seed=seed,
-    )
+    return SelectionOutcome(super_batch=super_batch, selected=super_batch[sel], chunk_trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def _run_jobs(jobs: list, fn, workers: int | None = None) -> list:
         return [future.result() for future in futures]
 
 
+def _require_test_split(dataset: PairedDataset) -> None:
+    """Reject a pool whose test split cannot score retrieval, before any run trains."""
+    n_test = len(dataset.test_indices)
+    if n_test < 2:
+        raise ConfigError(f"dataset: test split holds {n_test} pairs, retrieval needs at least 2")
+
+
 def _recall_job(args) -> float:
     """Final test recall@1 of one run; the cache goes only to runs that use it."""
     config, dataset, cache = args
@@ -211,9 +218,7 @@ def data_efficiency_sweep(
             raise ConfigError(f"{name}: entries must be distinct, got {values}")
     if any(not 0 < f <= 1 for f in fractions):
         raise ConfigError("fractions: every fraction must lie in (0, 1]")
-    n_test = len(dataset.test_indices)
-    if n_test < 2:
-        raise ConfigError(f"dataset: test split holds {n_test} pairs, retrieval needs at least 2")
+    _require_test_split(dataset)
     for f in fractions:
         if len(_train_pool(dataset, f)) < 2 * config.batch_size:
             raise ConfigError(
@@ -312,6 +317,7 @@ def scaling_suite(dataset: PairedDataset, cache: EmbeddingCache) -> dict[str, di
     learnable temperature. The best error per compute value forms the
     points for the log-log fit (mirroring best-over-dataset-size selection).
     """
+    _require_test_split(dataset)
     base = TrainConfig(batch_size=32, lr=5e-3, eval_subset=32, tau_learnable=True)
     methods = ("drrho-clip", "openclip")
     configs = [

@@ -163,7 +163,6 @@ class TrainerState:
     config: TrainConfig
     step: int = 0
     moments: dict[str, np.ndarray] = field(default_factory=dict)
-    _u_token: tuple[int, bytes] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.u1 = np.asarray(self.u1, dtype=np.float64)
@@ -183,10 +182,6 @@ class TrainerState:
 
 def init_trainer_state(model: TwoTowerModel, n: int, config: TrainConfig) -> TrainerState:
     return TrainerState(model=model, u1=np.zeros(n), u2=np.zeros(n), config=config)
-
-
-def _batch_token(step: int, batch_indices: np.ndarray) -> tuple[int, bytes]:
-    return (step, batch_indices.tobytes())
 
 
 def shifted_gap_exponentials(
@@ -216,7 +211,8 @@ def update_u(
 
     Any index whose estimator is still at its cold-start value of 0 takes
     the full batch average (first touch), unless gamma is 0, which is a
-    no-op by definition. Batch indices must be distinct.
+    no-op by definition. Batch indices must be distinct. Returns the
+    batch's updated (u1, u2), the ``u`` the estimators below take.
     """
     batch_indices = np.asarray(batch_indices, dtype=np.int64)
     b = len(batch_indices)
@@ -232,28 +228,28 @@ def update_u(
         old = u[batch_indices]
         g_i = np.where((old == 0.0) & (g > 0.0), 1.0, g)
         u[batch_indices] = (1.0 - g_i) * old + g_i * (q.sum(axis=1) / (b - 1))
-    state._u_token = _batch_token(state.step, batch_indices)
     return state.u1[batch_indices].copy(), state.u2[batch_indices].copy()
 
 
-def _require_fresh_u(state: TrainerState, batch_indices: np.ndarray) -> None:
-    if state._u_token != _batch_token(state.step, batch_indices):
-        raise StateError("u estimators are stale: call update_u for this batch and step first")
+def _check_u(u: tuple[np.ndarray, np.ndarray], b: int) -> None:
+    if len(u) != 2 or any(np.shape(side) != (b,) for side in u):
+        raise ValueError(f"u: expected the batch's (u1, u2), each of shape ({b},)")
 
 
 def anchor_weight_coefficients(
     state: TrainerState,
-    batch_indices: np.ndarray,
+    u: tuple[np.ndarray, np.ndarray],
     s_target: np.ndarray,
     s_reference: np.ndarray | None = None,
 ) -> np.ndarray:
     """dObjectiveEstimate/dS for the batch: the coefficient on each
-    similarity entry, combining both anchor directions."""
-    batch_indices = np.asarray(batch_indices, dtype=np.int64)
-    b = len(batch_indices)
+    similarity entry, combining both anchor directions. ``u`` is the
+    batch's (u1, u2) as ``update_u`` returns it."""
+    b = len(s_target)
+    _check_u(u, b)
     _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau)
-    w1 = 1.0 / (state.config.epsilon + state.u1[batch_indices])
-    w2 = 1.0 / (state.config.epsilon + state.u2[batch_indices])
+    w1 = 1.0 / (state.config.epsilon + u[0])
+    w2 = 1.0 / (state.config.epsilon + u[1])
     scale = 1.0 / (b * (b - 1))
     coef = (w1[:, None] * q1) * scale
     coef += (w2[:, None] * q2).T * scale
@@ -265,28 +261,21 @@ def anchor_weight_coefficients(
 
 def gradient_estimator(
     state: TrainerState,
-    batch_indices: np.ndarray,
+    u: tuple[np.ndarray, np.ndarray],
+    fwd: BatchForward,
     xs_batch: np.ndarray,
     ys_batch: np.ndarray,
     s_reference: np.ndarray | None = None,
-    fwd: BatchForward | None = None,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradient G1 + G2 for the batch, through both towers.
-
-    Requires update_u to have run for this exact batch and step; the
-    weights 1/(epsilon + u) must be the freshly updated ones.
-    """
-    batch_indices = np.asarray(batch_indices, dtype=np.int64)
-    _require_fresh_u(state, batch_indices)
-    if fwd is None:
-        fwd = batch_forward(state.model, xs_batch, ys_batch)
-    coef = anchor_weight_coefficients(state, batch_indices, fwd.s, s_reference)
+    """Parameter gradient G1 + G2 for the batch, through both towers,
+    weighting anchors by 1/(epsilon + u) with the batch's fresh u."""
+    coef = anchor_weight_coefficients(state, u, fwd.s, s_reference)
     return similarity_backward(fwd, xs_batch, ys_batch, coef)
 
 
 def tau_gradient(
     state: TrainerState,
-    batch_indices: np.ndarray,
+    u: tuple[np.ndarray, np.ndarray],
     s_target: np.ndarray,
     s_reference: np.ndarray | None = None,
 ) -> float:
@@ -298,14 +287,13 @@ def tau_gradient(
     """
     if not state.config.learnable_tau:
         raise StateError("tau_gradient requires a learnable-temperature trainer")
-    batch_indices = np.asarray(batch_indices, dtype=np.int64)
-    _require_fresh_u(state, batch_indices)
-    b = len(batch_indices)
+    b = len(s_target)
+    _check_u(u, b)
     tau = state.model.tau
     gaps1, q1, gaps2, q2 = shifted_gap_exponentials(s_target, s_reference, tau)
     total = 0.0
-    for u, q, gaps in ((state.u1, q1, gaps1), (state.u2, q2, gaps2)):
-        denom = state.config.epsilon + u[batch_indices]
+    for u_side, q, gaps in ((u[0], q1, gaps1), (u[1], q2, gaps2)):
+        denom = state.config.epsilon + u_side
         inner = (q * gaps).sum(axis=1) / ((b - 1) * tau)
         total += float(np.mean(np.log(denom) - inner / denom))
     return total + 2.0 * state.config.rho_tau
@@ -397,6 +385,9 @@ def train(
     super_size = int(round(config.batch_size / config.jest_ratio)) if jest else config.batch_size
     if jest and len(pool) < super_size:
         raise ConfigError(f"jest_ratio: pool of {len(pool)} cannot fill super batches of {super_size}")
+    kept = baselines.selection_size(config.jest_ratio, super_size)
+    if jest and config.jest_chunks > kept:
+        raise ConfigError(f"jest_chunks: {config.jest_chunks} chunks exceed the {kept} pairs each step selects")
 
     tau0 = config.tau_init if config.learnable_tau else config.tau
     model = init_model(config.embed_dim, dataset.d_x, dataset.d_y, config.seed, tau=tau0)
@@ -442,9 +433,9 @@ def train(
         grads: dict[str, np.ndarray]
         if config.method in _U_METHODS:
             shift_ref = s_ref if config.method == "drrho-clip" else None
-            update_u(state, batch, fwd.s, shift_ref)
-            grads = gradient_estimator(state, batch, xs_b, ys_b, shift_ref, fwd=fwd)
-            tau_grad = tau_gradient(state, batch, fwd.s, shift_ref) if config.learnable_tau else None
+            u = update_u(state, batch, fwd.s, shift_ref)
+            grads = gradient_estimator(state, u, fwd, xs_b, ys_b, shift_ref)
+            tau_grad = tau_gradient(state, u, fwd.s, shift_ref) if config.learnable_tau else None
         else:
             coef = baselines.infonce_grad_s(fwd.s, model.tau)
             grads = similarity_backward(fwd, xs_b, ys_b, coef)

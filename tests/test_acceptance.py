@@ -102,8 +102,8 @@ def _fd_instance(seed: int, with_reference: bool) -> float:
     state = trainer.init_trainer_state(model, n, config)
     batch = np.arange(n)
     fwd = encoder.batch_forward(model, ds.xs, ds.ys)
-    trainer.update_u(state, batch, fwd.s, s_ref)
-    grads = trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_ref, fwd=fwd)
+    u = trainer.update_u(state, batch, fwd.s, s_ref)
+    grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_ref)
 
     def objective(w, which):
         m = (
@@ -133,8 +133,8 @@ def _fd_tau_instance(seed: int) -> float:
     state.model.tau = tau
     batch = np.arange(n)
     fwd = encoder.batch_forward(model, ds.xs, ds.ys)
-    trainer.update_u(state, batch, fwd.s, s_ref)
-    got = trainer.tau_gradient(state, batch, fwd.s, s_ref)
+    u = trainer.update_u(state, batch, fwd.s, s_ref)
+    got = trainer.tau_gradient(state, u, fwd.s, s_ref)
 
     def objective(t):
         return (

@@ -53,13 +53,13 @@ def test_gcl_step_equals_drrho_with_flat_reference():
     fwd = encoder.batch_forward(model, ds.xs, ds.ys)
 
     state_a = trainer.init_trainer_state(model.copy(), 8, config)
-    trainer.update_u(state_a, batch, fwd.s, None)
-    gcl = trainer.gradient_estimator(state_a, batch, ds.xs, ds.ys, s_reference=None, fwd=fwd)
+    u = trainer.update_u(state_a, batch, fwd.s, None)
+    gcl = trainer.gradient_estimator(state_a, u, fwd, ds.xs, ds.ys, None)
 
     flat_ref = np.full((8, 8), 0.42)  # all reference gaps vanish
     state_b = trainer.init_trainer_state(model.copy(), 8, config)
-    trainer.update_u(state_b, batch, fwd.s, flat_ref)
-    shifted = trainer.gradient_estimator(state_b, batch, ds.xs, ds.ys, flat_ref, fwd=fwd)
+    u = trainer.update_u(state_b, batch, fwd.s, flat_ref)
+    shifted = trainer.gradient_estimator(state_b, u, fwd, ds.xs, ds.ys, flat_ref)
     assert rel_err(gcl["w1"], shifted["w1"]) < 1e-12
     assert rel_err(gcl["w2"], shifted["w2"]) < 1e-12
 
@@ -74,8 +74,8 @@ def test_gcl_step_matches_finite_differences():
     state = trainer.init_trainer_state(model, 10, config)
     batch = np.arange(10)
     fwd = encoder.batch_forward(model, ds.xs, ds.ys)
-    trainer.update_u(state, batch, fwd.s, None)
-    grads = trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_reference=None, fwd=fwd)
+    u = trainer.update_u(state, batch, fwd.s, None)
+    grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, None)
 
     def objective(w):
         m = encoder.TwoTowerModel(w1=w, w2=model.w2, tau=0.5)

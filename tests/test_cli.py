@@ -173,6 +173,16 @@ def test_config_error_exits_1_naming_field(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_more_jest_chunks_than_selected_pairs_exits_1_naming_field(tmp_path, capsys):
+    data_path = _gen(tmp_path, n=160)  # a 120-pair pool fills the 80-pair super batches
+    cache_path = _make_cache(tmp_path, data_path)
+    argv = ["train", "--method", "jest", "--data", str(data_path), "--ref", str(cache_path), "--steps", "2"]
+    rc = cli.run(argv + ["--batch-size", "16", "--n-chunks", "17", "--output", str(tmp_path / "run")])
+    assert rc == 1
+    assert "jest_chunks:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_reference_exits_1(tmp_path, capsys):
     data_path = _gen(tmp_path)
     rc = cli.run(

@@ -204,6 +204,19 @@ def test_sweep_rejects_dataset_without_test_pairs():
         experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0])
 
 
+def test_scaling_suite_rejects_dataset_without_test_pairs_before_training(monkeypatch):
+    ds = data.generate_synthetic(80, 12, 10, 4, 0.25, 0.0, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=7))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train() ran before the test split was checked")
+
+    monkeypatch.setattr(experiments, "train", no_training)
+    monkeypatch.setenv("DRRHO_THREADS", "1")
+    with pytest.raises(ConfigError, match="dataset"):
+        experiments.scaling_suite(ds, cache)
+
+
 def test_sweep_parallel_matches_sequential(monkeypatch):
     ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
     config = trainer.TrainConfig(method="fastclip", steps=10, batch_size=16, embed_dim=4, lr=5e-3, seed=3)

@@ -2,12 +2,14 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drrho import container, contrastive, data, encoder, experiments, report, trainer
 from drrho.errors import ConfigError, FormatError, StateError, TrainingError
+from drrho.rng import CounterRng
 
 from oracles import finite_diff_matrix, infonce_direct, rel_err, similarity_grad, update_u_direct
 
@@ -126,39 +128,53 @@ def test_estimator_consistency_at_gamma_one_over_steps():
     for _ in range(3):
         fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
         s_r = cache.similarity(batch)
-        trainer.update_u(state, batch, fwd.s, s_r)
+        u = trainer.update_u(state, batch, fwd.s, s_r)
         m1, m2 = _batch_means(state, batch, fwd.s, s_r)
         assert np.max(np.abs(state.u1 - m1)) < 1e-12
         assert np.max(np.abs(state.u2 - m2)) < 1e-12
-        grads = trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_r, fwd=fwd)
+        grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_r)
         trainer.optimizer_step(state, grads)
 
 
-def test_gradient_estimator_requires_fresh_u():
-    ds, cache, state, _ = _setup()
-    batch = np.arange(ds.n)
-    with pytest.raises(StateError):
-        trainer.gradient_estimator(state, batch, ds.xs, ds.ys)
-    fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
-    s_r = cache.similarity(batch)
-    trainer.update_u(state, batch, fwd.s, s_r)
-    trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_r, fwd=fwd)
-    state.step += 1  # stale now
-    with pytest.raises(StateError):
-        trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_r, fwd=fwd)
-
-
-def test_stale_u_for_changed_batch_index_raises():
-    ds, cache, state, _ = _setup()
+def test_estimators_reject_u_of_wrong_shape():
+    ds, cache, state, _ = _setup(tau_learnable=True)
     batch = np.arange(8)
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     s_r = cache.similarity(batch)
-    trainer.update_u(state, batch, fwd.s, s_r)
-    changed = batch.copy()
-    changed[3] = 9  # same step, one index differs
-    with pytest.raises(StateError):
-        trainer.gradient_estimator(state, changed, ds.xs[changed], ds.ys[changed], cache.similarity(changed))
-    trainer.gradient_estimator(state, batch, ds.xs[batch], ds.ys[batch], s_r, fwd=fwd)
+    u1, u2 = trainer.update_u(state, batch, fwd.s, s_r)
+    full = (state.u1, state.u2)  # every pair's u, not the batch's
+    for u in ((np.ones(7), u2), (u1, np.ones((8, 1))), full, (u1,)):
+        with pytest.raises(ValueError, match="u:"):
+            trainer.gradient_estimator(state, u, fwd, ds.xs[batch], ds.ys[batch], s_r)
+        with pytest.raises(ValueError, match="u:"):
+            trainer.tau_gradient(state, u, fwd.s, s_r)
+
+
+@pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
+def test_first_step_hands_fresh_u_to_estimators(method):
+    ds = data.generate_synthetic(48, 12, 10, 4, 0.2, 0.25, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=77))
+    config = trainer.TrainConfig(method=method, steps=1, batch_size=12, embed_dim=6, lr=5e-3, tau_learnable=True)
+    got, _ = trainer.train(config, ds, cache)
+
+    pool = trainer._train_pool(ds, config.train_fraction)
+    rng = CounterRng(config.seed, trainer._STREAM_BATCHES)
+    batch = trainer._EpochSampler(pool, config.batch_size, rng).next_batch()
+    model = encoder.init_model(config.embed_dim, ds.d_x, ds.d_y, config.seed, tau=config.tau_init)
+    state = trainer.init_trainer_state(model, ds.n, config)
+    xs, ys = ds.xs[batch], ds.ys[batch]
+    fwd = encoder.batch_forward(model, xs, ys)
+    s_r = cache.similarity(batch) if method == "drrho-clip" else None
+    u = trainer.update_u(state, batch, fwd.s, s_r)
+    grads = trainer.gradient_estimator(state, u, fwd, xs, ys, s_r)
+    grads["tau"] = np.asarray([trainer.tau_gradient(state, u, fwd.s, s_r)])
+    trainer.optimizer_step(state, grads)
+
+    assert np.array_equal(got.model.w1, state.model.w1) and np.array_equal(got.model.w2, state.model.w2)
+    assert got.model.tau == state.model.tau
+    assert np.array_equal(got.u1, state.u1) and np.array_equal(got.u2, state.u2)
+    for key in state.moments:
+        assert np.array_equal(got.moments[key], state.moments[key])
 
 
 def _exact_objective_fn(ds, s_r, tau, which, other_w):
@@ -178,8 +194,8 @@ def test_gradient_matches_finite_differences_of_exact_objective():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    trainer.update_u(state, batch, fwd.s, s_r)
-    grads = trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_r, fwd=fwd)
+    u = trainer.update_u(state, batch, fwd.s, s_r)
+    grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_r)
     model = state.model
     fd1 = finite_diff_matrix(_exact_objective_fn(ds, s_r, 0.5, "w1", model.w2), model.w1)
     fd2 = finite_diff_matrix(_exact_objective_fn(ds, s_r, 0.5, "w2", model.w1), model.w2)
@@ -193,14 +209,14 @@ def test_gradient_reference_uniform_offdiag_shift_cancels():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    trainer.update_u(state, batch, fwd.s, s_r)
-    base = trainer.gradient_estimator(state, batch, ds.xs, ds.ys, s_r, fwd=fwd)
+    u = trainer.update_u(state, batch, fwd.s, s_r)
+    base = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_r)
 
     shifted = s_r + 0.31 * (1.0 - np.eye(ds.n))
     state2 = trainer.init_trainer_state(state.model.copy(), ds.n, _setup()[3])
     state2.config.gamma, state2.config.epsilon = 1.0, 0.0
-    trainer.update_u(state2, batch, fwd.s, shifted)
-    got = trainer.gradient_estimator(state2, batch, ds.xs, ds.ys, shifted, fwd=fwd)
+    u = trainer.update_u(state2, batch, fwd.s, shifted)
+    got = trainer.gradient_estimator(state2, u, fwd, ds.xs, ds.ys, shifted)
     assert rel_err(got["w1"], base["w1"]) < 1e-12
     assert rel_err(got["w2"], base["w2"]) < 1e-12
 
@@ -211,8 +227,8 @@ def test_gradient_self_reference_closed_form():
     ds, cache, state, _ = _setup(n=6, gamma=1.0, epsilon=0.0)
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
-    trainer.update_u(state, batch, fwd.s, fwd.s)
-    got = trainer.gradient_estimator(state, batch, ds.xs, ds.ys, fwd.s, fwd=fwd)
+    u = trainer.update_u(state, batch, fwd.s, fwd.s)
+    got = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, fwd.s)
     n = ds.n
     want1 = np.zeros_like(state.model.w1)
     want2 = np.zeros_like(state.model.w2)
@@ -235,11 +251,11 @@ def test_tau_gradient_zero_losses_and_mode_guard():
     ds, cache, state, _ = _setup(gamma=1.0, epsilon=0.0, tau_learnable=True, rho_tau=11.0)
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
-    trainer.update_u(state, batch, fwd.s, fwd.s)
-    assert trainer.tau_gradient(state, batch, fwd.s, fwd.s) == pytest.approx(22.0, abs=1e-12)
+    u = trainer.update_u(state, batch, fwd.s, fwd.s)
+    assert trainer.tau_gradient(state, u, fwd.s, fwd.s) == pytest.approx(22.0, abs=1e-12)
     state.config.tau_learnable = False
     with pytest.raises(StateError):
-        trainer.tau_gradient(state, batch, fwd.s, fwd.s)
+        trainer.tau_gradient(state, u, fwd.s, fwd.s)
 
 
 def test_tau_gradient_matches_finite_differences():
@@ -249,8 +265,8 @@ def test_tau_gradient_matches_finite_differences():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    trainer.update_u(state, batch, fwd.s, s_r)
-    got = trainer.tau_gradient(state, batch, fwd.s, s_r)
+    u = trainer.update_u(state, batch, fwd.s, s_r)
+    got = trainer.tau_gradient(state, u, fwd.s, s_r)
 
     def objective(tau):
         return (
@@ -361,6 +377,18 @@ def test_train_missing_cache_rejected():
     config = trainer.TrainConfig(method="drrho-clip", steps=5, batch_size=8, embed_dim=6)
     with pytest.raises(ConfigError):
         trainer.train(config, ds, None)
+
+
+@pytest.mark.parametrize("method", ["jest", "jest-topk"])
+def test_train_rejects_more_jest_chunks_than_selected_pairs(method):
+    # a 120-pair pool fills the 80-pair super batches; each step selects 16
+    ds = data.generate_synthetic(160, 12, 10, 4, 0.2, 0.25, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=77))
+    config = trainer.TrainConfig(method=method, steps=1, batch_size=16, embed_dim=6, jest_chunks=17)
+    with pytest.raises(ConfigError, match="jest_chunks"):
+        trainer.train(config, ds, cache)
+    state, _ = trainer.train(replace(config, jest_chunks=16), ds, cache)
+    assert state.step == config.effective_steps
 
 
 @pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
