@@ -18,33 +18,43 @@ from .risk import log_mean_exp
 from .rng import CounterRng
 
 
-def _log_softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    z = a - m
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def _softmax_into(a: np.ndarray, axis: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Softmax of ``a`` along ``axis``, as exp of the max-shifted log-softmax,
+    written into ``out``; ``work``, which may be ``a``, takes the
+    exponentials that the normalizer sums."""
+    np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=work)
+    out -= np.log(work.sum(axis=axis, keepdims=True))
+    return np.exp(out, out=out)
 
 
 # ---------------------------------------------------------------------------
 # mini-batch InfoNCE
 
 
-def infonce_grad_s(s, tau: float) -> np.ndarray:
+def infonce_grad_s(s, tau: float, out=None) -> np.ndarray:
     """dInfoNCE/dS in closed form: softmax probabilities minus the identity,
-    averaged over both directions."""
+    averaged over both directions. Given ``out``, three arrays shaped like
+    ``s``, the work is done in them and the gradient is ``out[1]``."""
     s = _check_square(s)
     if not tau > 0:
         raise ValueError("tau must be positive")
-    a = s / tau
-    p_row = np.exp(_log_softmax(a, axis=1))
-    p_col = np.exp(_log_softmax(a, axis=0))
-    eye = np.eye(len(s))
-    return ((p_row - eye) + (p_col - eye)) / (2.0 * len(s) * tau)
+    a, p_row, p_col = out if out is not None else (np.empty_like(s) for _ in range(3))
+    np.divide(s, tau, out=a)
+    _softmax_into(a, 1, p_row, work=p_col)
+    _softmax_into(a, 0, p_col, work=a)
+    # p - 0.0 == p, so subtracting the identity only touches the diagonal.
+    p_row.flat[:: len(s) + 1] -= 1.0
+    p_col.flat[:: len(s) + 1] -= 1.0
+    p_row += p_col
+    return np.divide(p_row, 2.0 * len(s) * tau, out=p_row)
 
 
-def infonce_tau_gradient(s, tau: float) -> float:
+def infonce_tau_gradient(s, tau: float, out=None) -> float:
     """dInfoNCE/dtau via the chain rule through the scaled similarities."""
     s = _check_square(s)
-    return float(-np.sum(infonce_grad_s(s, tau) * s) / tau)
+    coef = infonce_grad_s(s, tau, out=out)
+    return float(-np.sum(np.multiply(coef, s, out=coef)) / tau)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +175,8 @@ def distillation_grad_s(s_target, s_reference, tau: float, tau_ref: float) -> np
     b = len(s_t)
     grad = np.zeros_like(s_t)
     for axis in (1, 0):
-        p = np.exp(_log_softmax(s_t / tau, axis=axis))
-        p_hat = np.exp(_log_softmax(s_r / tau_ref, axis=axis))
-        grad += p - p_hat
+        a, a_hat = s_t / tau, s_r / tau_ref
+        p = _softmax_into(a, axis, np.empty_like(a), work=a)
+        grad += np.subtract(p, _softmax_into(a_hat, axis, np.empty_like(a_hat), work=a_hat), out=p)
     return grad / (b * b * tau)
 

@@ -45,23 +45,31 @@ def _check_same_shape(s_target, s_reference) -> tuple[np.ndarray, np.ndarray]:
     return s_t, s_r
 
 
-def shifted_gaps(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def shifted_gaps(
+    s_target: np.ndarray, s_reference: np.ndarray | None = None, out: tuple | None = None, scratch=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Every anchor's gaps in both directions, reference-shifted when a
     reference is given.
 
     Row a of gaps1 holds image anchor a's gaps against every text,
     s(a, j) - s(a, a); row a of gaps2 holds text anchor a's gaps against
     every image, s(j, a) - s(a, a). The diagonal (the anchor itself) is 0.
+    Given ``out``, a (gaps1, gaps2) pair of (b, b) arrays, the gaps are
+    written into it; the reference half is built in ``scratch`` if given.
     """
     s_t = _check_square(s_target, "s_target")
+    g1, g2 = (None, None) if out is None else out
     diag_t = np.diag(s_t)
-    gaps1 = s_t - diag_t[:, None]
-    gaps2 = s_t.T - diag_t[:, None]
+    gaps1 = np.subtract(s_t, diag_t[:, None], out=g1)
+    gaps2 = np.subtract(s_t.T, diag_t[:, None], out=g2)
     if s_reference is not None:
         _, s_r = _check_same_shape(s_t, s_reference)
         diag_r = np.diag(s_r)
-        gaps1 = gaps1 - (s_r - diag_r[:, None])
-        gaps2 = gaps2 - (s_r.T - diag_r[:, None])
+        # One buffer holds both reference halves: s_r - diag_r[None, :] viewed as .T is s_r.T - diag_r[:, None].
+        half = np.subtract(s_r, diag_r[:, None], out=scratch)
+        gaps1 -= half
+        np.subtract(s_r, diag_r, out=half)
+        gaps2 -= half.T
     return gaps1, gaps2
 
 

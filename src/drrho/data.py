@@ -19,7 +19,7 @@ import numpy as np
 
 from . import container
 from .errors import ConfigError, FormatError
-from .rng import CounterRng
+from .rng import SEED_LIMIT, CounterRng
 
 SPLIT_TRAIN = 0
 SPLIT_TEST = 1
@@ -120,9 +120,9 @@ class EmbeddingCache:
     def d(self) -> int:
         return self.e1.shape[1]
 
-    def similarity(self, rows: np.ndarray) -> np.ndarray:
-        """Reference cosine similarities e1[rows] @ e2[rows].T."""
-        return self.e1[rows] @ self.e2[rows].T
+    def similarity(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Reference cosine similarities e1[rows] @ e2[rows].T, into ``out`` if given."""
+        return np.matmul(self.e1[rows], self.e2[rows].T, out=out)
 
 
 def check_cache_matches(cache: EmbeddingCache, dataset: PairedDataset) -> None:
@@ -164,6 +164,8 @@ def generate_synthetic(
         raise ConfigError(f"noise_sigma: must be finite and nonnegative, got {noise_sigma!r}")
     if not 0.0 <= test_fraction <= 1.0:
         raise ConfigError("test_fraction must lie in [0, 1]")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"seed: must lie in [0, 2**63), got {seed!r}")
 
     a, b = synthetic_projections(d_x, d_y, d_latent, seed)
     latents = CounterRng(seed, _STREAM_LATENT).normals((n, d_latent))

@@ -118,12 +118,15 @@ class BatchForward:
     s: np.ndarray  # (b, b), s[i, j] = <e1_i, e2_j>
 
 
-def batch_forward(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> BatchForward:
+def batch_forward(
+    model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
+) -> BatchForward:
+    """The batch's forward pass; the similarity matrix goes into ``out`` if given."""
     if len(xs) != len(ys):
         raise ConfigError("image and text batches must have equal size")
     e1, r1 = _embed_batch_with_norms(model, "image", xs)
     e2, r2 = _embed_batch_with_norms(model, "text", ys)
-    return BatchForward(e1=e1, e2=e2, r1=r1, r2=r2, s=e1 @ e2.T)
+    return BatchForward(e1=e1, e2=e2, r1=r1, r2=r2, s=np.matmul(e1, e2.T, out=out))
 
 
 def similarity_backward(

@@ -22,6 +22,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0x5851F42D4C957F2D)
 
+SEED_LIMIT = 2**63  # bound on a run or dataset seed, so seed + step stays below 2**64
+
 _U53 = np.uint64(11)
 _INV_2_53 = float(2.0**-53)
 
@@ -34,8 +36,9 @@ def mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _stream_key(seed: int, stream: int) -> np.uint64:
-    s = mix64(np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN], dtype=np.uint64))
-    t = mix64(np.array([np.uint64(stream & 0xFFFFFFFFFFFFFFFF) + _STREAM_SALT], dtype=np.uint64))
+    # The carries wrap in Python ints; a numpy uint64 scalar add would warn.
+    s = mix64(np.array([(seed + int(_GOLDEN)) % 2**64], dtype=np.uint64))
+    t = mix64(np.array([(stream + int(_STREAM_SALT)) % 2**64], dtype=np.uint64))
     return mix64(s ^ t)[0]
 
 
@@ -43,11 +46,11 @@ class CounterRng:
     """A seekable deterministic generator over one (seed, stream) pair."""
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = int(seed)
         self.stream = int(stream)
-        self._key = _stream_key(seed, stream)
+        self._key = _stream_key(self.seed, self.stream)
         self._counter = 0
 
     def raw(self, n: int) -> np.ndarray:

@@ -17,7 +17,10 @@ Temperature can be fixed or learned; the learnable variant adds a
 
 Everything is deterministic given (config, seed): batches come from a
 counter-based shuffle, and the optimizer is a from-scratch decoupled
-weight-decay Adam with linear warmup and cosine decay.
+weight-decay Adam with linear warmup and cosine decay. A step's b x b
+arrays (and JEST's super-batch pair) are filled in place into buffers
+that ``train()`` holds for the run, so only a run's first step faults in
+fresh memory.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, sim
 from .errors import ConfigError, StateError, TrainingError
 from .report import ExperimentReport
 from .risk import log_mean_exp
-from .rng import CounterRng
+from .rng import SEED_LIMIT, CounterRng
 
 METHODS = ("openclip", "fastclip", "drrho-clip", "jest", "jest-topk")
 _U_METHODS = ("fastclip", "drrho-clip")
@@ -105,7 +108,7 @@ class TrainConfig:
             ("train_fraction", 0 < self.train_fraction <= 1),
             ("eval_every", self.eval_every is None or self.eval_every >= 1),
             ("eval_subset", self.eval_subset >= 4),
-            ("seed", self.seed >= 0),
+            ("seed", 0 <= self.seed < SEED_LIMIT),
         ]
         for name, ok in checks:
             if not ok:
@@ -185,20 +188,31 @@ def init_trainer_state(model: TwoTowerModel, n: int, config: TrainConfig) -> Tra
 
 
 def shifted_gap_exponentials(
-    s_target: np.ndarray, s_reference: np.ndarray | None, tau: float
+    s_target: np.ndarray, s_reference: np.ndarray | None, tau: float, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-batch shifted gaps and their exponentials, diagonal zeroed.
 
     Returns (gaps1, q1, gaps2, q2): gaps1 and gaps2 are the image-anchor and
     text-anchor gaps of ``contrastive.shifted_gaps``, and q = exp(gaps / tau)
-    with the diagonal (the anchor itself) zeroed out.
+    with the diagonal (the anchor itself) zeroed out. Given ``out``, the
+    ``gaps`` set of ``_step_buffers``, all are written into it.
     """
-    gaps1, gaps2 = shifted_gaps(s_target, s_reference)
-    q1 = np.exp(gaps1 / tau)
-    q2 = np.exp(gaps2 / tau)
-    np.fill_diagonal(q1, 0.0)
-    np.fill_diagonal(q2, 0.0)
+    g1, q1, g2, q2 = (None,) * 4 if out is None else out
+    gaps1, gaps2 = shifted_gaps(s_target, s_reference, out=(g1, g2), scratch=q1)
+    q1, q2 = np.divide(gaps1, tau, out=q1), np.divide(gaps2, tau, out=q2)
+    for q in (q1, q2):
+        np.exp(q, out=q)
+        np.fill_diagonal(q, 0.0)
     return gaps1, q1, gaps2, q2
+
+
+def _step_buffers(b: int) -> tuple[tuple, list, np.ndarray, np.ndarray]:
+    """A step's (b, b) buffers, held for a run: (gaps, infonce, sim, ref_sim).
+    ``gaps`` is the ``out`` of ``shifted_gap_exponentials``, with gaps2 and q2
+    transposed views as the allocating path returns them, since the order of
+    a row sum follows the layout; ``infonce`` reuses its first three arrays."""
+    w = [np.empty((b, b)) for _ in range(6)]
+    return (w[0], w[1], w[2].T, w[3].T), w[:3], w[4], w[5]
 
 
 def update_u(
@@ -206,6 +220,7 @@ def update_u(
     batch_indices: np.ndarray,
     s_target: np.ndarray,
     s_reference: np.ndarray | None = None,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moving-average update of u1/u2 for the batch members (others unchanged).
 
@@ -222,7 +237,7 @@ def update_u(
     seen[batch_indices] = True
     if np.count_nonzero(seen) != b:
         raise ValueError("batch_indices must not repeat an index")
-    _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau)
+    _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau, out=out)
     g = state.config.gamma
     for u, q in ((state.u1, q1), (state.u2, q2)):
         old = u[batch_indices]
@@ -241,22 +256,25 @@ def anchor_weight_coefficients(
     u: tuple[np.ndarray, np.ndarray],
     s_target: np.ndarray,
     s_reference: np.ndarray | None = None,
+    out: tuple | None = None,
 ) -> np.ndarray:
     """dObjectiveEstimate/dS for the batch: the coefficient on each
     similarity entry, combining both anchor directions. ``u`` is the
-    batch's (u1, u2) as ``update_u`` returns it."""
+    batch's (u1, u2) as ``update_u`` returns it. They are built in q1's
+    memory, which the next estimator call on the same ``out`` overwrites."""
     b = len(s_target)
     _check_u(u, b)
-    _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau)
+    _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau, out=out)
     w1 = 1.0 / (state.config.epsilon + u[0])
     w2 = 1.0 / (state.config.epsilon + u[1])
     scale = 1.0 / (b * (b - 1))
-    coef = (w1[:, None] * q1) * scale
-    coef += (w2[:, None] * q2).T * scale
     diag = -(w1 * q1.sum(axis=1) + w2 * q2.sum(axis=1)) * scale
-    idx = np.arange(b)
-    coef[idx, idx] += diag
-    return coef
+    for q, w in ((q1, w1), (q2, w2)):
+        q *= w[:, None]
+        q *= scale
+    q1 += q2.T
+    q1.flat[:: b + 1] += diag
+    return q1
 
 
 def gradient_estimator(
@@ -266,10 +284,11 @@ def gradient_estimator(
     xs_batch: np.ndarray,
     ys_batch: np.ndarray,
     s_reference: np.ndarray | None = None,
+    out: tuple | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradient G1 + G2 for the batch, through both towers,
     weighting anchors by 1/(epsilon + u) with the batch's fresh u."""
-    coef = anchor_weight_coefficients(state, u, fwd.s, s_reference)
+    coef = anchor_weight_coefficients(state, u, fwd.s, s_reference, out=out)
     return similarity_backward(fwd, xs_batch, ys_batch, coef)
 
 
@@ -278,6 +297,7 @@ def tau_gradient(
     u: tuple[np.ndarray, np.ndarray],
     s_target: np.ndarray,
     s_reference: np.ndarray | None = None,
+    out: tuple | None = None,
 ) -> float:
     """Gradient of the learnable-temperature objective in tau.
 
@@ -290,11 +310,11 @@ def tau_gradient(
     b = len(s_target)
     _check_u(u, b)
     tau = state.model.tau
-    gaps1, q1, gaps2, q2 = shifted_gap_exponentials(s_target, s_reference, tau)
+    gaps1, q1, gaps2, q2 = shifted_gap_exponentials(s_target, s_reference, tau, out=out)
     total = 0.0
     for u_side, q, gaps in ((u[0], q1, gaps1), (u[1], q2, gaps2)):
         denom = state.config.epsilon + u_side
-        inner = (q * gaps).sum(axis=1) / ((b - 1) * tau)
+        inner = np.multiply(q, gaps, out=q).sum(axis=1) / ((b - 1) * tau)
         total += float(np.mean(np.log(denom) - inner / denom))
     return total + 2.0 * state.config.rho_tau
 
@@ -304,12 +324,13 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
 
     Applies the warmup/cosine learning rate at the current step, then
     increments the step counter. The temperature uses its own moment pair,
-    a scaled learning rate, no weight decay, and a floor at TAU_MIN.
+    a scaled learning rate, no weight decay, and a floor at TAU_MIN. A
+    non-finite gradient raises a ``TrainingError`` naming the step (from 1).
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             bad = int(np.size(g) - np.isfinite(g).sum())
-            raise TrainingError(f"non-finite gradient for {name!r} ({bad} entries); training aborted")
+            raise TrainingError(f"step {state.step + 1}: non-finite gradient for {name!r} ({bad} entries)")
     lr = state.lr_at(state.step)
     t = state.step + 1
     bc1 = 1.0 - BETA1**t
@@ -405,6 +426,9 @@ def train(
         return state, report
 
     evaluator = _Evaluator(config, dataset, cache, pool)
+    # One array per matrix: glibc kept a single 26 MB block resident after a run.
+    gap_out, nce_out, sim_out, ref_out = _step_buffers(kept if jest else config.batch_size)
+    super_out = [np.empty((super_size, super_size)) for _ in range(2)] if jest else None
     rng = CounterRng(config.seed, _STREAM_BATCHES)
     sampler = _EpochSampler(pool, super_size, rng)
     eval_every = config.resolved_eval_every()
@@ -412,8 +436,8 @@ def train(
     for t in range(steps):
         batch = sampler.next_batch()
         if jest:
-            s_t_super = batch_forward(model, dataset.xs[batch], dataset.ys[batch]).s
-            s_r_super = cache.similarity(batch)
+            s_t_super = batch_forward(model, dataset.xs[batch], dataset.ys[batch], out=super_out[0]).s
+            s_r_super = cache.similarity(batch, out=super_out[1])
             outcome = baselines.jest_select(
                 s_t_super,
                 s_r_super,
@@ -426,20 +450,20 @@ def train(
             )
             batch = outcome.selected
         xs_b, ys_b = dataset.xs[batch], dataset.ys[batch]
-        fwd = batch_forward(model, xs_b, ys_b)
+        fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
         needs_ref_sims = config.method == "drrho-clip" or config.distill
-        s_ref = cache.similarity(batch) if needs_ref_sims else None
+        s_ref = cache.similarity(batch, out=ref_out) if needs_ref_sims else None
 
         grads: dict[str, np.ndarray]
         if config.method in _U_METHODS:
             shift_ref = s_ref if config.method == "drrho-clip" else None
-            u = update_u(state, batch, fwd.s, shift_ref)
-            grads = gradient_estimator(state, u, fwd, xs_b, ys_b, shift_ref)
-            tau_grad = tau_gradient(state, u, fwd.s, shift_ref) if config.learnable_tau else None
+            u = update_u(state, batch, fwd.s, shift_ref, out=gap_out)
+            grads = gradient_estimator(state, u, fwd, xs_b, ys_b, shift_ref, out=gap_out)
+            tau_grad = tau_gradient(state, u, fwd.s, shift_ref, out=gap_out) if config.learnable_tau else None
         else:
-            coef = baselines.infonce_grad_s(fwd.s, model.tau)
+            coef = baselines.infonce_grad_s(fwd.s, model.tau, out=nce_out)
             grads = similarity_backward(fwd, xs_b, ys_b, coef)
-            tau_grad = baselines.infonce_tau_gradient(fwd.s, model.tau) if config.learnable_tau else None
+            tau_grad = baselines.infonce_tau_gradient(fwd.s, model.tau, out=nce_out) if config.learnable_tau else None
 
         if config.distill:
             dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -171,6 +172,22 @@ def test_config_error_exits_1_naming_field(tmp_path, capsys):
     )
     assert rc == 1
     assert "gamma" in capsys.readouterr().err
+
+
+def test_gen_data_seed_that_could_wrap_exits_1_naming_field(tmp_path, capsys):
+    rc = cli.run(["gen-data", "--n", "16", "--seed", str(2**63), "--output", str(tmp_path / "d.dpd")])
+    assert rc == 1
+    assert "seed:" in capsys.readouterr().err
+    assert not (tmp_path / "d.dpd").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
+def test_non_finite_gradient_exits_1_naming_the_step(tmp_path, capsys):
+    data_path = _gen(tmp_path)
+    argv = ["train", "--method", "openclip", "--data", str(data_path), "--lr", "1e308"]
+    rc = cli.run(argv + ["--output", str(tmp_path / "run")])
+    assert rc == 1
+    assert re.search(r"error: step [1-9][0-9]*: non-finite gradient for 'w1'", capsys.readouterr().err)
 
 
 def test_more_jest_chunks_than_selected_pairs_exits_1_naming_field(tmp_path, capsys):

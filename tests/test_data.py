@@ -145,3 +145,11 @@ def test_manifest_n_disagreement_is_format_error(tmp_path):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(FormatError):
         data.load_dataset(path)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 3 + 2**64])
+def test_seed_outside_the_accepted_range_is_config_error(seed):
+    # 3 + 2**64 would give seed 3's arrays under another content hash.
+    with pytest.raises(ConfigError, match="seed"):
+        data.generate_synthetic(8, 4, 4, 2, 0.1, 0.0, seed=seed)
+    assert data.generate_synthetic(8, 4, 4, 2, 0.1, 0.0, seed=2**63 - 1).n == 8

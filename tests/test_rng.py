@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drrho.rng import CounterRng
+from drrho.rng import CounterRng, _stream_key
 
 from oracles import weighted_draws_direct
 
@@ -51,3 +51,44 @@ def test_weighted_draws_zero_total_raises(probs, k):
 def test_weighted_draws_reject_invalid_probs(probs):
     with pytest.raises(ValueError, match="probs"):
         CounterRng(0).weighted_draws(np.array(probs), 1)
+
+
+# Stream keys for streams 0 and 7, and the first three outputs of stream 3,
+# as every earlier release computed them.
+_KEYS = {
+    0: (
+        15932029459833205995,
+        9485314010938720504,
+        [12591354634578053435, 17031541613307595386, 2137840894891215887],
+    ),
+    1: (
+        5392216905881748495,
+        10611140529783058782,
+        [11359166426942485619, 13662400794389572742, 11334178811555132727],
+    ),
+    2**62: (
+        14879742781474839613,
+        3504701369214687115,
+        [13648051455192475591, 4603870469940349810, 1197266060027811802],
+    ),
+    2**63 - 1: (
+        6612882651605874561,
+        347979119537137596,
+        [16340057441945273296, 14098448995325807046, 9057108179763150916],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", sorted(_KEYS))
+def test_stream_keys_and_first_outputs_are_unchanged_and_quiet(seed):
+    key0, key7, outputs = _KEYS[seed]
+    assert int(_stream_key(seed, 0)) == key0 and int(_stream_key(seed, 7)) == key7
+    assert CounterRng(seed, 3).raw(3).tolist() == outputs
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+def test_seed_outside_64_bits_raises(seed):
+    with pytest.raises(ValueError, match="seed"):
+        CounterRng(seed)
+    assert CounterRng(2**64 - 1).raw(1).dtype == np.uint64

@@ -533,3 +533,22 @@ def test_config_validation_names_field():
     for field, value in cases:
         with pytest.raises(ConfigError, match=field):
             trainer.TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 5 + 2**64])
+def test_seed_whose_derived_seeds_could_wrap_is_config_error(seed):
+    # Seeds are masked to 64 bits inside the generator, so 5 + 2**64 would
+    # train exactly as 5 does while its report records another seed.
+    ds, cache, _, config = _setup()
+    with pytest.raises(ConfigError, match="seed"):
+        trainer.train(replace(config, seed=seed, steps=1), ds, cache)
+    trainer.TrainConfig(seed=2**63 - 1).validate()
+
+
+def test_non_finite_gradient_names_the_step():
+    ds, cache, state, config = _setup()
+    fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
+    grads = encoder.similarity_backward(fwd, ds.xs, ds.ys, np.full(fwd.s.shape, np.nan))
+    state.step = 6
+    with pytest.raises(TrainingError, match=r"^step 7: non-finite gradient for 'w1'"):
+        trainer.optimizer_step(state, grads)
