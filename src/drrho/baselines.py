@@ -79,22 +79,15 @@ def selection_size(ratio: float, super_size: int) -> int:
     return int(np.ceil(ratio * super_size))
 
 
-def _anchor_scores(
-    s_t: np.ndarray, s_r: np.ndarray, candidates: np.ndarray, sel: np.ndarray, tau: float
-) -> np.ndarray:
-    """Shifted soft-maximum loss of each candidate against the selected set,
-    summed over both anchor directions."""
+def _anchor_scores(s: np.ndarray, candidates: np.ndarray, sel: np.ndarray, tau: float) -> np.ndarray:
+    """Soft-maximum loss of each candidate against the selected set, summed
+    over both anchor directions, from the gaps of s = s_target - s_reference."""
     # Two ``take`` gathers are exact and cheaper than one ``np.ix_`` index.
-    # The text-anchor blocks stay transposed views: the row sums' order
+    # The text-anchor block stays a transposed view: the row sums' order
     # follows the memory layout.
-    diag_t = s_t.diagonal().take(candidates)
-    diag_r = s_r.diagonal().take(candidates)
-    gaps1 = (s_t.take(sel, axis=1).take(candidates, axis=0) - diag_t[:, None]) - (
-        s_r.take(sel, axis=1).take(candidates, axis=0) - diag_r[:, None]
-    )
-    gaps2 = (s_t.take(sel, axis=0).take(candidates, axis=1).T - diag_t[:, None]) - (
-        s_r.take(sel, axis=0).take(candidates, axis=1).T - diag_r[:, None]
-    )
+    diag = s.diagonal().take(candidates)[:, None]
+    gaps1 = s.take(sel, axis=1).take(candidates, axis=0) - diag
+    gaps2 = s.take(sel, axis=0).take(candidates, axis=1).T - diag
     return log_mean_exp(gaps1, tau) + log_mean_exp(gaps2, tau)
 
 
@@ -133,6 +126,7 @@ def jest_select(
     if k < n_chunks:
         raise ValueError(f"selection of {k} cannot be split into {n_chunks} chunks")
 
+    s_shift = s_t - s_r  # the shifted gaps are the plain gaps of this one matrix
     base = k // n_chunks
     sizes = [base] * (n_chunks - 1) + [k - base * (n_chunks - 1)]
     rng = CounterRng(seed, stream=0)
@@ -144,7 +138,7 @@ def jest_select(
         if c == 0:
             scores = s_t.diagonal().take(remaining)
         else:
-            scores = _anchor_scores(s_t, s_r, remaining, sel, score_tau)
+            scores = _anchor_scores(s_shift, remaining, sel, score_tau)
         if mode == "topk":
             order = np.argsort(-scores, kind="stable")[:size]
         else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,4 +177,6 @@ def require_meta(path: str | Path, meta: dict, spec: dict[str, tuple[type, ...]]
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             expected = " or ".join(t.__name__ for t in types)
             raise FormatError(f"{path}: manifest meta {key!r} is {type(value).__name__}, expected {expected}")
+        if float in types and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise FormatError(f"{path}: manifest meta {key!r} is an int too large for a float")
     return {key: meta[key] for key in spec}

@@ -97,14 +97,18 @@ def _embed_batch_with_norms(model: TwoTowerModel, modality: str, raws: np.ndarra
     raws = np.asarray(raws, dtype=np.float64)
     if raws.ndim != 2 or raws.shape[1] != w.shape[1]:
         raise ConfigError(f"{modality} batch has shape {raws.shape}, expected (*, {w.shape[1]})")
-    h = raws @ w.T
-    r = np.linalg.norm(h, axis=1)
-    bad = r < DEGENERACY_THRESHOLD
-    if bad.any():
-        raise DegenerateEmbeddingError(
-            f"{modality} embedding norm below threshold at rows {np.flatnonzero(bad)[:5].tolist()}"
-        )
-    return h / r[:, None], r
+    # Overflow shows as inf or nan, which the trainer's checks name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = raws @ w.T
+        r = np.linalg.norm(h, axis=1)
+        if np.isinf(r).any():  # hypot does not square, so a finite row's norm fits again
+            r = np.hypot.reduce(h, axis=1)
+        bad = r < DEGENERACY_THRESHOLD
+        if bad.any():
+            raise DegenerateEmbeddingError(
+                f"{modality} embedding norm below threshold at rows {np.flatnonzero(bad)[:5].tolist()}"
+            )
+        return h / r[:, None], r
 
 
 @dataclass

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contrastive import negative_gaps
+from .contrastive import negative_gaps, shifted_similarity
 from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate_synthetic
 from .encoder import batch_forward
 from .errors import ConfigError
@@ -71,7 +71,7 @@ class VarianceSummary:
 def loss_variance(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> VarianceSummary:
     """Variance over negatives of each anchor's pairwise loss (shifted by
     the reference when one is given), per direction."""
-    rows = negative_gaps(s_target, s_reference)
+    rows = negative_gaps(shifted_similarity(s_target, s_reference))
     if len(rows) // 2 < 3:
         raise ValueError("need at least 2 negatives per anchor (3 pairs)")
     return VarianceSummary.of_rows(rows)

@@ -3,9 +3,11 @@
 The global contrastive objective averages a soft maximum of (optionally
 reference-shifted) similarity gaps per anchor; its inner mean over an
 anchor's negatives cannot be estimated unbiasedly from a mini batch alone.
-Following the moving-average estimator approach, each pair i carries two
-scalars u1[i], u2[i] tracking the inner mean of exponentiated gaps for its
-image-side and text-side anchor losses:
+The shifted gaps are the plain gaps of s = s_target - s_reference, which a
+drrho-clip step forms once; every estimator takes that ``s`` (fastclip's is
+s_target). Following the moving-average estimator approach, each pair i
+carries two scalars u1[i], u2[i] tracking the inner mean of exponentiated
+gaps for its image-side and text-side anchor losses:
 
     u[i] <- (1 - gamma) * u[i] + gamma * mean_over_batch_negatives exp(gap / tau)
 
@@ -188,9 +190,9 @@ def init_trainer_state(model: TwoTowerModel, n: int, config: TrainConfig) -> Tra
 
 
 def shifted_gap_exponentials(
-    s_target: np.ndarray, s_reference: np.ndarray | None, tau: float, out: tuple | None = None
+    s: np.ndarray, tau: float, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-batch shifted gaps and their exponentials, diagonal zeroed.
+    """Per-batch gaps of ``s`` and their exponentials, diagonal zeroed.
 
     Returns (gaps1, q1, gaps2, q2): gaps1 and gaps2 are the image-anchor and
     text-anchor gaps of ``contrastive.shifted_gaps``, and q = exp(gaps / tau)
@@ -198,7 +200,7 @@ def shifted_gap_exponentials(
     ``gaps`` set of ``_step_buffers``, all are written into it.
     """
     g1, q1, g2, q2 = (None,) * 4 if out is None else out
-    gaps1, gaps2 = shifted_gaps(s_target, s_reference, out=(g1, g2), scratch=q1)
+    gaps1, gaps2 = shifted_gaps(s, out=(g1, g2))
     q1, q2 = np.divide(gaps1, tau, out=q1), np.divide(gaps2, tau, out=q2)
     for q in (q1, q2):
         np.exp(q, out=q)
@@ -210,7 +212,8 @@ def _step_buffers(b: int) -> tuple[tuple, list, np.ndarray, np.ndarray]:
     """A step's (b, b) buffers, held for a run: (gaps, infonce, sim, ref_sim).
     ``gaps`` is the ``out`` of ``shifted_gap_exponentials``, with gaps2 and q2
     transposed views as the allocating path returns them, since the order of
-    a row sum follows the layout; ``infonce`` reuses its first three arrays."""
+    a row sum follows the layout; ``infonce`` reuses its first three arrays.
+    A drrho-clip step overwrites ``ref_sim`` with s_target - s_reference."""
     w = [np.empty((b, b)) for _ in range(6)]
     return (w[0], w[1], w[2].T, w[3].T), w[:3], w[4], w[5]
 
@@ -218,8 +221,7 @@ def _step_buffers(b: int) -> tuple[tuple, list, np.ndarray, np.ndarray]:
 def update_u(
     state: TrainerState,
     batch_indices: np.ndarray,
-    s_target: np.ndarray,
-    s_reference: np.ndarray | None = None,
+    s: np.ndarray,
     out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moving-average update of u1/u2 for the batch members (others unchanged).
@@ -237,7 +239,7 @@ def update_u(
     seen[batch_indices] = True
     if np.count_nonzero(seen) != b:
         raise ValueError("batch_indices must not repeat an index")
-    _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau, out=out)
+    _, q1, _, q2 = shifted_gap_exponentials(s, state.model.tau, out=out)
     g = state.config.gamma
     for u, q in ((state.u1, q1), (state.u2, q2)):
         old = u[batch_indices]
@@ -254,17 +256,16 @@ def _check_u(u: tuple[np.ndarray, np.ndarray], b: int) -> None:
 def anchor_weight_coefficients(
     state: TrainerState,
     u: tuple[np.ndarray, np.ndarray],
-    s_target: np.ndarray,
-    s_reference: np.ndarray | None = None,
+    s: np.ndarray,
     out: tuple | None = None,
 ) -> np.ndarray:
     """dObjectiveEstimate/dS for the batch: the coefficient on each
     similarity entry, combining both anchor directions. ``u`` is the
     batch's (u1, u2) as ``update_u`` returns it. They are built in q1's
     memory, which the next estimator call on the same ``out`` overwrites."""
-    b = len(s_target)
+    b = len(s)
     _check_u(u, b)
-    _, q1, _, q2 = shifted_gap_exponentials(s_target, s_reference, state.model.tau, out=out)
+    _, q1, _, q2 = shifted_gap_exponentials(s, state.model.tau, out=out)
     w1 = 1.0 / (state.config.epsilon + u[0])
     w2 = 1.0 / (state.config.epsilon + u[1])
     scale = 1.0 / (b * (b - 1))
@@ -283,20 +284,19 @@ def gradient_estimator(
     fwd: BatchForward,
     xs_batch: np.ndarray,
     ys_batch: np.ndarray,
-    s_reference: np.ndarray | None = None,
+    s: np.ndarray,
     out: tuple | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradient G1 + G2 for the batch, through both towers,
     weighting anchors by 1/(epsilon + u) with the batch's fresh u."""
-    coef = anchor_weight_coefficients(state, u, fwd.s, s_reference, out=out)
+    coef = anchor_weight_coefficients(state, u, s, out=out)
     return similarity_backward(fwd, xs_batch, ys_batch, coef)
 
 
 def tau_gradient(
     state: TrainerState,
     u: tuple[np.ndarray, np.ndarray],
-    s_target: np.ndarray,
-    s_reference: np.ndarray | None = None,
+    s: np.ndarray,
     out: tuple | None = None,
 ) -> float:
     """Gradient of the learnable-temperature objective in tau.
@@ -307,10 +307,10 @@ def tau_gradient(
     """
     if not state.config.learnable_tau:
         raise StateError("tau_gradient requires a learnable-temperature trainer")
-    b = len(s_target)
+    b = len(s)
     _check_u(u, b)
     tau = state.model.tau
-    gaps1, q1, gaps2, q2 = shifted_gap_exponentials(s_target, s_reference, tau, out=out)
+    gaps1, q1, gaps2, q2 = shifted_gap_exponentials(s, tau, out=out)
     total = 0.0
     for u_side, q, gaps in ((u[0], q1, gaps1), (u[1], q2, gaps2)):
         denom = state.config.epsilon + u_side
@@ -325,7 +325,8 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
     Applies the warmup/cosine learning rate at the current step, then
     increments the step counter. The temperature uses its own moment pair,
     a scaled learning rate, no weight decay, and a floor at TAU_MIN. A
-    non-finite gradient raises a ``TrainingError`` naming the step (from 1).
+    non-finite gradient, or an update that leaves a parameter non-finite,
+    raises a ``TrainingError`` naming the step (from 1) and the parameter.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -342,18 +343,23 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
         return (m / bc1) / (np.sqrt(v / bc2) + OPT_EPS)
 
     model = state.model
-    for name, w in (("w1", model.w1), ("w2", model.w2)):
-        if name not in grads:
-            continue
-        direction = adam(state.moments[f"m_{name}"], state.moments[f"v_{name}"], grads[name])
-        w *= 1.0 - lr * WEIGHT_DECAY
-        w -= lr * direction
-    if "tau" in grads:
-        if not state.config.learnable_tau:
-            raise StateError("tau gradient supplied but temperature is fixed")
-        g = np.asarray(grads["tau"], dtype=np.float64).reshape(1)
-        direction = adam(state.moments["m_tau"], state.moments["v_tau"], g)
-        model.tau = max(TAU_MIN, model.tau - lr * TAU_LR_SCALE * float(direction[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        for name, w in (("w1", model.w1), ("w2", model.w2)):
+            if name not in grads:
+                continue
+            direction = adam(state.moments[f"m_{name}"], state.moments[f"v_{name}"], grads[name])
+            w *= 1.0 - lr * WEIGHT_DECAY
+            w -= lr * direction
+            if not np.isfinite(w).all():
+                raise TrainingError(f"step {t}: non-finite {name!r} after the update")
+        if "tau" in grads:
+            if not state.config.learnable_tau:
+                raise StateError("tau gradient supplied but temperature is fixed")
+            g = np.asarray(grads["tau"], dtype=np.float64).reshape(1)
+            direction = adam(state.moments["m_tau"], state.moments["v_tau"], g)
+            model.tau = max(TAU_MIN, model.tau - lr * TAU_LR_SCALE * float(direction[0]))
+            if not math.isfinite(model.tau):
+                raise TrainingError(f"step {t}: non-finite 'tau' after the update")
     state.step += 1
     return model
 
@@ -451,23 +457,24 @@ def train(
             batch = outcome.selected
         xs_b, ys_b = dataset.xs[batch], dataset.ys[batch]
         fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
-        needs_ref_sims = config.method == "drrho-clip" or config.distill
-        s_ref = cache.similarity(batch, out=ref_out) if needs_ref_sims else None
+        s_ref = cache.similarity(batch, out=ref_out) if config.method == "drrho-clip" or config.distill else None
+        # Distillation reads s_ref before a drrho-clip step overwrites it.
+        if config.distill:
+            dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau)
+            dist_grads = similarity_backward(fwd, xs_b, ys_b, dist_coef)
 
         grads: dict[str, np.ndarray]
         if config.method in _U_METHODS:
-            shift_ref = s_ref if config.method == "drrho-clip" else None
-            u = update_u(state, batch, fwd.s, shift_ref, out=gap_out)
-            grads = gradient_estimator(state, u, fwd, xs_b, ys_b, shift_ref, out=gap_out)
-            tau_grad = tau_gradient(state, u, fwd.s, shift_ref, out=gap_out) if config.learnable_tau else None
+            s = np.subtract(fwd.s, s_ref, out=s_ref) if config.method == "drrho-clip" else fwd.s
+            u = update_u(state, batch, s, out=gap_out)
+            grads = gradient_estimator(state, u, fwd, xs_b, ys_b, s, out=gap_out)
+            tau_grad = tau_gradient(state, u, s, out=gap_out) if config.learnable_tau else None
         else:
             coef = baselines.infonce_grad_s(fwd.s, model.tau, out=nce_out)
             grads = similarity_backward(fwd, xs_b, ys_b, coef)
             tau_grad = baselines.infonce_tau_gradient(fwd.s, model.tau, out=nce_out) if config.learnable_tau else None
 
         if config.distill:
-            dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau)
-            dist_grads = similarity_backward(fwd, xs_b, ys_b, dist_coef)
             lam = config.lam
             for name in grads:
                 grads[name] = (1.0 - lam) * grads[name] + lam * dist_grads[name]
@@ -488,10 +495,11 @@ class _Evaluator:
     """The eval points of one run, over inputs gathered when the run starts.
 
     It holds the features of the eval subset (the head of the training
-    pool) and of the test split, the reference half of the drrho-clip gaps,
-    which is fixed for the run, and one buffer of ``negative_gaps`` rows.
-    Each eval point does one forward pass and fills that buffer in place;
-    every method's objective and both loss variances read it.
+    pool) and of the test split, the eval subset's reference similarity for
+    drrho-clip, which is fixed for the run, and one buffer of
+    ``negative_gaps`` rows. Each eval point does one forward pass, subtracts
+    the reference similarity from it in place and fills that buffer; every
+    method's objective and both loss variances read it.
     """
 
     def __init__(
@@ -503,16 +511,16 @@ class _Evaluator:
         test = dataset.test_indices
         self.test = (dataset.xs[test], dataset.ys[test]) if len(test) >= 2 else None
         self.rows = np.empty((2 * len(subset), len(subset) - 1))
-        self.ref_rows = negative_gaps(cache.similarity(subset)) if config.method == "drrho-clip" else None
+        self.ref_sim = cache.similarity(subset) if config.method == "drrho-clip" else None
 
     def record(self, report: ExperimentReport, model: TwoTowerModel, step: int) -> None:
         from . import experiments  # local import; experiments drives trainer for sweeps
 
         s = batch_forward(model, self.xs, self.ys).s
+        if self.ref_sim is not None:
+            s -= self.ref_sim
         n = len(s)
         rows = negative_gaps(s, out=self.rows)
-        if self.ref_rows is not None:
-            rows -= self.ref_rows
         lme = log_mean_exp(rows, model.tau)
         if self.config.method in _U_METHODS:
             objective = float(lme.sum() / n)

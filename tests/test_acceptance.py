@@ -102,8 +102,9 @@ def _fd_instance(seed: int, with_reference: bool) -> float:
     state = trainer.init_trainer_state(model, n, config)
     batch = np.arange(n)
     fwd = encoder.batch_forward(model, ds.xs, ds.ys)
-    u = trainer.update_u(state, batch, fwd.s, s_ref)
-    grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_ref)
+    s = contrastive.shifted_similarity(fwd.s, s_ref)
+    u = trainer.update_u(state, batch, s)
+    grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s)
 
     def objective(w, which):
         m = (
@@ -133,8 +134,9 @@ def _fd_tau_instance(seed: int) -> float:
     state.model.tau = tau
     batch = np.arange(n)
     fwd = encoder.batch_forward(model, ds.xs, ds.ys)
-    u = trainer.update_u(state, batch, fwd.s, s_ref)
-    got = trainer.tau_gradient(state, u, fwd.s, s_ref)
+    s = fwd.s - s_ref
+    u = trainer.update_u(state, batch, s)
+    got = trainer.tau_gradient(state, u, s)
 
     def objective(t):
         return (

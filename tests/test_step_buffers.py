@@ -41,7 +41,7 @@ def _gap_buffers(b):
 
 def test_step_buffers_lay_out_gaps_as_the_allocating_path():
     s = np.arange(9.0).reshape(3, 3)
-    for held, alloc in zip(trainer._step_buffers(3)[0], trainer.shifted_gap_exponentials(s, s, 0.1)):
+    for held, alloc in zip(trainer._step_buffers(3)[0], trainer.shifted_gap_exponentials(s, 0.1)):
         assert held.shape == alloc.shape and held.strides == alloc.strides
 
 
@@ -65,18 +65,19 @@ def test_similarity_out_matches_allocating(b, with_ref):
 def test_gap_kernels_out_match_allocating(b, with_ref):
     ds, cache, model, batch = _batch(b)
     s = encoder.batch_forward(model, ds.xs[batch], ds.ys[batch]).s
-    s_r = cache.similarity(batch) if with_ref else None
+    if with_ref:
+        s -= cache.similarity(batch)
 
-    g1, q1, g2, _ = _gap_buffers(b)
-    got = contrastive.shifted_gaps(s, s_r, out=(g1, g2), scratch=q1)
+    g1, _, g2, _ = _gap_buffers(b)
+    got = contrastive.shifted_gaps(s, out=(g1, g2))
     assert got[0] is g1 and got[1] is g2
-    for x, y in zip(got, contrastive.shifted_gaps(s, s_r)):
+    for x, y in zip(got, contrastive.shifted_gaps(s)):
         _same(x, y)
 
     out = _gap_buffers(b)
-    got = trainer.shifted_gap_exponentials(s, s_r, model.tau, out=out)
+    got = trainer.shifted_gap_exponentials(s, model.tau, out=out)
     assert all(x is y for x, y in zip(got, out))
-    for x, y in zip(got, trainer.shifted_gap_exponentials(s, s_r, model.tau)):
+    for x, y in zip(got, trainer.shifted_gap_exponentials(s, model.tau)):
         _same(x, y)
 
 
@@ -102,24 +103,24 @@ def test_estimators_share_one_buffer_set_in_trainer_order(b, method):
     config = trainer.TrainConfig(method=method, batch_size=b, embed_dim=4, tau_learnable=True, gamma=0.8)
     xs, ys = ds.xs[batch], ds.ys[batch]
     fwd = encoder.batch_forward(model, xs, ys)
-    s_r = cache.similarity(batch) if method == "drrho-clip" else None
+    s = fwd.s - cache.similarity(batch) if method == "drrho-clip" else fwd.s
     alloc = trainer.init_trainer_state(model.copy(), ds.n, config)
     held = trainer.init_trainer_state(model.copy(), ds.n, config)
     out = _gap_buffers(b)
     for _ in range(2):  # the second round starts from warm u
-        u_a = trainer.update_u(alloc, batch, fwd.s, s_r)
-        u_h = trainer.update_u(held, batch, fwd.s, s_r, out=out)
+        u_a = trainer.update_u(alloc, batch, s)
+        u_h = trainer.update_u(held, batch, s, out=out)
         for x, y in zip(u_h, u_a):
             _same(x, y)
-        coef = trainer.anchor_weight_coefficients(held, u_h, fwd.s, s_r, out=out)
+        coef = trainer.anchor_weight_coefficients(held, u_h, s, out=out)
         assert coef is out[1]
-        _same(coef, trainer.anchor_weight_coefficients(alloc, u_a, fwd.s, s_r))
-        g_a = trainer.gradient_estimator(alloc, u_a, fwd, xs, ys, s_r)
-        g_h = trainer.gradient_estimator(held, u_h, fwd, xs, ys, s_r, out=out)
+        _same(coef, trainer.anchor_weight_coefficients(alloc, u_a, s))
+        g_a = trainer.gradient_estimator(alloc, u_a, fwd, xs, ys, s)
+        g_h = trainer.gradient_estimator(held, u_h, fwd, xs, ys, s, out=out)
         for name in g_a:
             _same(g_h[name], g_a[name])
-        tau_h = trainer.tau_gradient(held, u_h, fwd.s, s_r, out=out)
-        assert tau_h == trainer.tau_gradient(alloc, u_a, fwd.s, s_r)
+        tau_h = trainer.tau_gradient(held, u_h, s, out=out)
+        assert tau_h == trainer.tau_gradient(alloc, u_a, s)
     _same(held.u1, alloc.u1)
     _same(held.u2, alloc.u2)
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drrho import container, contrastive, data, encoder, experiments, report, trainer
+from drrho import baselines, container, contrastive, data, encoder, experiments, report, trainer
 from drrho.errors import ConfigError, FormatError, StateError, TrainingError
 from drrho.rng import CounterRng
 
@@ -26,9 +26,9 @@ def _setup(n=10, d=4, dx=6, dy=5, tau=0.5, seed=0, **cfg_overrides):
     return ds, cache, state, config
 
 
-def _batch_means(state, batch, s_t, s_r):
+def _batch_means(state, batch, s):
     b = len(batch)
-    _, q1, _, q2 = trainer.shifted_gap_exponentials(s_t, s_r, state.model.tau)
+    _, q1, _, q2 = trainer.shifted_gap_exponentials(s, state.model.tau)
     return q1.sum(axis=1) / (b - 1), q2.sum(axis=1) / (b - 1)
 
 
@@ -37,8 +37,8 @@ def test_update_u_gamma_one_equals_batch_average():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    u1, u2 = trainer.update_u(state, batch, fwd.s, s_r)
-    m1, m2 = _batch_means(state, batch, fwd.s, s_r)
+    u1, u2 = trainer.update_u(state, batch, fwd.s - s_r)
+    m1, m2 = _batch_means(state, batch, fwd.s - s_r)
     assert np.allclose(u1, m1, atol=0) and np.allclose(u2, m2, atol=0)
 
 
@@ -49,7 +49,7 @@ def test_update_u_gamma_zero_is_noop():
     state.u2[:] = 0.4
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
-    trainer.update_u(state, batch, fwd.s, cache.similarity(batch))
+    trainer.update_u(state, batch, fwd.s - cache.similarity(batch))
     assert (state.u1 == 0.7).all() and (state.u2 == 0.4).all()
 
 
@@ -61,9 +61,9 @@ def test_update_u_two_step_hand_recurrence():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    m1, m2 = _batch_means(state, batch, fwd.s, s_r)
-    trainer.update_u(state, batch, fwd.s, s_r)
-    trainer.update_u(state, batch, fwd.s, s_r)  # same step, same losses
+    m1, m2 = _batch_means(state, batch, fwd.s - s_r)
+    trainer.update_u(state, batch, fwd.s - s_r)
+    trainer.update_u(state, batch, fwd.s - s_r)  # same step, same losses
     assert np.allclose(state.u1[batch], 0.25 * u0 + 0.75 * m1, atol=1e-15)
     assert np.allclose(state.u2[batch], 0.25 * u0 + 0.75 * m2, atol=1e-15)
 
@@ -73,8 +73,8 @@ def test_update_u_first_touch_and_untouched_entries():
     batch = np.arange(4)  # partial batch
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     s_r = cache.similarity(batch)
-    m1, _ = _batch_means(state, batch, fwd.s, s_r)
-    trainer.update_u(state, batch, fwd.s, s_r)
+    m1, _ = _batch_means(state, batch, fwd.s - s_r)
+    trainer.update_u(state, batch, fwd.s - s_r)
     # cold indices take the full average despite gamma=0.5
     assert np.allclose(state.u1[batch], m1, atol=0)
     assert (state.u1[4:] == 0).all() and (state.u2[4:] == 0).all()
@@ -88,15 +88,15 @@ def test_update_u_matches_per_index_loop():
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     s_r = cache.similarity(batch)
     u1, u2 = state.u1.copy(), state.u2.copy()
-    update_u_direct(u1, u2, batch, *_batch_means(state, batch, fwd.s, s_r), state.config.gamma)
-    trainer.update_u(state, batch, fwd.s, s_r)
+    update_u_direct(u1, u2, batch, *_batch_means(state, batch, fwd.s - s_r), state.config.gamma)
+    trainer.update_u(state, batch, fwd.s - s_r)
     assert np.array_equal(state.u1, u1) and np.array_equal(state.u2, u2)
 
 
 def test_update_u_rejects_singleton_batch():
     ds, cache, state, _ = _setup()
     with pytest.raises(ValueError):
-        trainer.update_u(state, np.array([3]), np.array([[1.0]]), None)
+        trainer.update_u(state, np.array([3]), np.array([[1.0]]))
 
 
 def test_update_u_rejects_repeated_index():
@@ -104,7 +104,7 @@ def test_update_u_rejects_repeated_index():
     batch = np.array([0, 1, 2, 1])
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     with pytest.raises(ValueError, match="repeat"):
-        trainer.update_u(state, batch, fwd.s, cache.similarity(batch))
+        trainer.update_u(state, batch, fwd.s - cache.similarity(batch))
     assert not state.u1.any() and not state.u2.any()
 
 
@@ -113,8 +113,8 @@ def test_u_positivity_and_bound():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    gaps1, _, gaps2, _ = trainer.shifted_gap_exponentials(fwd.s, s_r, state.model.tau)
-    trainer.update_u(state, batch, fwd.s, s_r)
+    gaps1, _, gaps2, _ = trainer.shifted_gap_exponentials(fwd.s - s_r, state.model.tau)
+    trainer.update_u(state, batch, fwd.s - s_r)
     bound = np.exp(max(gaps1.max(), gaps2.max()) / state.model.tau)
     assert (state.u1[batch] > 0).all() and (state.u2[batch] > 0).all()
     assert (state.u1[batch] <= bound + 1e-12).all()
@@ -128,11 +128,11 @@ def test_estimator_consistency_at_gamma_one_over_steps():
     for _ in range(3):
         fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
         s_r = cache.similarity(batch)
-        u = trainer.update_u(state, batch, fwd.s, s_r)
-        m1, m2 = _batch_means(state, batch, fwd.s, s_r)
+        u = trainer.update_u(state, batch, fwd.s - s_r)
+        m1, m2 = _batch_means(state, batch, fwd.s - s_r)
         assert np.max(np.abs(state.u1 - m1)) < 1e-12
         assert np.max(np.abs(state.u2 - m2)) < 1e-12
-        grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_r)
+        grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, fwd.s - s_r)
         trainer.optimizer_step(state, grads)
 
 
@@ -141,20 +141,23 @@ def test_estimators_reject_u_of_wrong_shape():
     batch = np.arange(8)
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     s_r = cache.similarity(batch)
-    u1, u2 = trainer.update_u(state, batch, fwd.s, s_r)
+    u1, u2 = trainer.update_u(state, batch, fwd.s - s_r)
     full = (state.u1, state.u2)  # every pair's u, not the batch's
     for u in ((np.ones(7), u2), (u1, np.ones((8, 1))), full, (u1,)):
         with pytest.raises(ValueError, match="u:"):
-            trainer.gradient_estimator(state, u, fwd, ds.xs[batch], ds.ys[batch], s_r)
+            trainer.gradient_estimator(state, u, fwd, ds.xs[batch], ds.ys[batch], fwd.s - s_r)
         with pytest.raises(ValueError, match="u:"):
-            trainer.tau_gradient(state, u, fwd.s, s_r)
+            trainer.tau_gradient(state, u, fwd.s - s_r)
 
 
+@pytest.mark.parametrize("distill", [False, True], ids=["plain", "distill"])
 @pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
-def test_first_step_hands_fresh_u_to_estimators(method):
+def test_first_step_hands_fresh_u_to_estimators(method, distill):
     ds = data.generate_synthetic(48, 12, 10, 4, 0.2, 0.25, seed=2)
     cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=77))
-    config = trainer.TrainConfig(method=method, steps=1, batch_size=12, embed_dim=6, lr=5e-3, tau_learnable=True)
+    config = trainer.TrainConfig(
+        method=method, steps=1, batch_size=12, embed_dim=6, lr=5e-3, tau_learnable=True, distill=distill
+    )
     got, _ = trainer.train(config, ds, cache)
 
     pool = trainer._train_pool(ds, config.train_fraction)
@@ -164,10 +167,17 @@ def test_first_step_hands_fresh_u_to_estimators(method):
     state = trainer.init_trainer_state(model, ds.n, config)
     xs, ys = ds.xs[batch], ds.ys[batch]
     fwd = encoder.batch_forward(model, xs, ys)
-    s_r = cache.similarity(batch) if method == "drrho-clip" else None
-    u = trainer.update_u(state, batch, fwd.s, s_r)
-    grads = trainer.gradient_estimator(state, u, fwd, xs, ys, s_r)
-    grads["tau"] = np.asarray([trainer.tau_gradient(state, u, fwd.s, s_r)])
+    s = fwd.s - cache.similarity(batch) if method == "drrho-clip" else fwd.s
+    u = trainer.update_u(state, batch, s)
+    grads = trainer.gradient_estimator(state, u, fwd, xs, ys, s)
+    grads["tau"] = np.asarray([trainer.tau_gradient(state, u, s)])
+    if distill:
+        # Distillation reads the reference similarity itself, not s.
+        coef = baselines.distillation_grad_s(fwd.s, cache.similarity(batch), model.tau, cache.source_tau)
+        dist = encoder.similarity_backward(fwd, xs, ys, coef)
+        for name in ("w1", "w2"):
+            grads[name] = (1.0 - config.lam) * grads[name] + config.lam * dist[name]
+        grads["tau"] = (1.0 - config.lam) * grads["tau"]
     trainer.optimizer_step(state, grads)
 
     assert np.array_equal(got.model.w1, state.model.w1) and np.array_equal(got.model.w2, state.model.w2)
@@ -194,8 +204,8 @@ def test_gradient_matches_finite_differences_of_exact_objective():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    u = trainer.update_u(state, batch, fwd.s, s_r)
-    grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_r)
+    u = trainer.update_u(state, batch, fwd.s - s_r)
+    grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, fwd.s - s_r)
     model = state.model
     fd1 = finite_diff_matrix(_exact_objective_fn(ds, s_r, 0.5, "w1", model.w2), model.w1)
     fd2 = finite_diff_matrix(_exact_objective_fn(ds, s_r, 0.5, "w2", model.w1), model.w2)
@@ -209,14 +219,14 @@ def test_gradient_reference_uniform_offdiag_shift_cancels():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    u = trainer.update_u(state, batch, fwd.s, s_r)
-    base = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, s_r)
+    u = trainer.update_u(state, batch, fwd.s - s_r)
+    base = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, fwd.s - s_r)
 
     shifted = s_r + 0.31 * (1.0 - np.eye(ds.n))
     state2 = trainer.init_trainer_state(state.model.copy(), ds.n, _setup()[3])
     state2.config.gamma, state2.config.epsilon = 1.0, 0.0
-    u = trainer.update_u(state2, batch, fwd.s, shifted)
-    got = trainer.gradient_estimator(state2, u, fwd, ds.xs, ds.ys, shifted)
+    u = trainer.update_u(state2, batch, fwd.s - shifted)
+    got = trainer.gradient_estimator(state2, u, fwd, ds.xs, ds.ys, fwd.s - shifted)
     assert rel_err(got["w1"], base["w1"]) < 1e-12
     assert rel_err(got["w2"], base["w2"]) < 1e-12
 
@@ -227,8 +237,8 @@ def test_gradient_self_reference_closed_form():
     ds, cache, state, _ = _setup(n=6, gamma=1.0, epsilon=0.0)
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
-    u = trainer.update_u(state, batch, fwd.s, fwd.s)
-    got = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, fwd.s)
+    u = trainer.update_u(state, batch, fwd.s - fwd.s)
+    got = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, fwd.s - fwd.s)
     n = ds.n
     want1 = np.zeros_like(state.model.w1)
     want2 = np.zeros_like(state.model.w2)
@@ -251,11 +261,11 @@ def test_tau_gradient_zero_losses_and_mode_guard():
     ds, cache, state, _ = _setup(gamma=1.0, epsilon=0.0, tau_learnable=True, rho_tau=11.0)
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
-    u = trainer.update_u(state, batch, fwd.s, fwd.s)
-    assert trainer.tau_gradient(state, u, fwd.s, fwd.s) == pytest.approx(22.0, abs=1e-12)
+    u = trainer.update_u(state, batch, fwd.s - fwd.s)
+    assert trainer.tau_gradient(state, u, fwd.s - fwd.s) == pytest.approx(22.0, abs=1e-12)
     state.config.tau_learnable = False
     with pytest.raises(StateError):
-        trainer.tau_gradient(state, u, fwd.s, fwd.s)
+        trainer.tau_gradient(state, u, fwd.s - fwd.s)
 
 
 def test_tau_gradient_matches_finite_differences():
@@ -265,8 +275,8 @@ def test_tau_gradient_matches_finite_differences():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    u = trainer.update_u(state, batch, fwd.s, s_r)
-    got = trainer.tau_gradient(state, u, fwd.s, s_r)
+    u = trainer.update_u(state, batch, fwd.s - s_r)
+    got = trainer.tau_gradient(state, u, fwd.s - s_r)
 
     def objective(tau):
         return (
@@ -310,6 +320,14 @@ def test_optimizer_rejects_non_finite():
     bad = np.full_like(state.model.w1, np.nan)
     with pytest.raises(TrainingError):
         trainer.optimizer_step(state, {"w1": bad})
+
+
+def test_overflowing_update_names_step_and_parameter():
+    # Step 1 leaves the weights finite but huge; step 2's update overflows.
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.125, seed=0)
+    config = trainer.TrainConfig(method="openclip", batch_size=16, lr=1e308)
+    with pytest.raises(TrainingError, match=r"^step 2: non-finite 'w1' after the update"):
+        trainer.train(config, ds)
 
 
 def test_lr_schedule_warmup_then_cosine_to_zero():
