@@ -156,21 +156,22 @@ def jest_select(
 # soft-target distillation
 
 
-def distillation_grad_s(s_target, s_reference, tau: float, tau_ref: float) -> np.ndarray:
+def distillation_grad_s(s_target, s_reference, tau: float, tau_ref: float, out=None) -> np.ndarray:
     """dDistillation/dS_target, where the distillation loss is the
     cross-entropy from the reference's row and column softmax distributions
     (at tau_ref) to the target's (at tau), summed over both directions and
     divided by b^2. That is (target softmax - reference softmax) per
     direction, scaled by 1/(b^2 tau); exactly zero at matched
-    distributions."""
+    distributions. Given ``out``, four arrays shaped like ``s_target``, the
+    work is done in them and the gradient is ``out[0]``."""
     s_t, s_r = _check_same_shape(s_target, s_reference)
     if not (tau > 0 and tau_ref > 0):
         raise ValueError("temperatures must be positive")
     b = len(s_t)
-    grad = np.zeros_like(s_t)
+    grad, a, p, p_hat = out if out is not None else (np.empty_like(s_t) for _ in range(4))
+    grad.fill(0.0)
     for axis in (1, 0):
-        a, a_hat = s_t / tau, s_r / tau_ref
-        p = _softmax_into(a, axis, np.empty_like(a), work=a)
-        grad += np.subtract(p, _softmax_into(a_hat, axis, np.empty_like(a_hat), work=a_hat), out=p)
-    return grad / (b * b * tau)
-
+        _softmax_into(np.divide(s_t, tau, out=a), axis, p, work=a)
+        _softmax_into(np.divide(s_r, tau_ref, out=a), axis, p_hat, work=a)
+        grad += np.subtract(p, p_hat, out=p)
+    return np.divide(grad, b * b * tau, out=grad)

@@ -12,6 +12,7 @@ larger ones.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -223,22 +224,42 @@ def _read_pairs(path: str | Path, kind: int, names: tuple[str, ...]) -> tuple[di
     many as its manifest's ``n``."""
     arrays, meta = container.read_container(path, expect_kind=kind)
     container.require_arrays(path, arrays, names)
-    if meta.get("n") != len(arrays[names[0]]):
-        raise FormatError(f"{path}: manifest n disagrees with payload length")
+    rows = len(arrays[names[0]])
+    if meta.get("n") != rows:
+        raise FormatError(f"{path}: manifest meta 'n' is {meta.get('n')!r}, but {names[0]} has {rows} rows")
     return arrays, meta
 
 
+_DATASET_META_TYPES = {
+    "d_x": (int,), "d_y": (int,), "seed": (int,), "noise_sigma": (float,), "d_latent": (int,), "content_hash": (str,)
+}
+
+
 def load_dataset(path: str | Path) -> PairedDataset:
+    """A saved dataset; FormatError naming the first manifest entry that is
+    out of range or disagrees with the arrays or with their content hash."""
     arrays, meta = _read_pairs(path, container.KIND_DATASET, ("xs", "ys", "split"))
-    meta = container.require_meta(path, meta, {"seed": (int,), "noise_sigma": (float,), "d_latent": (int,)})
-    return PairedDataset(
+    meta = container.require_meta(path, meta, _DATASET_META_TYPES)
+    dataset = PairedDataset(
         xs=arrays["xs"],
         ys=arrays["ys"],
         split=arrays["split"].astype(np.int64),
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
         noise_sigma=float(meta["noise_sigma"]),
-        d_latent=int(meta["d_latent"]),
+        d_latent=meta["d_latent"],
     )
+    checks = [
+        ("d_x", meta["d_x"] == dataset.d_x, f"but xs has {dataset.d_x} columns"),
+        ("d_y", meta["d_y"] == dataset.d_y, f"but ys has {dataset.d_y} columns"),
+        ("seed", 0 <= dataset.seed < SEED_LIMIT, "outside [0, 2**63)"),
+        ("noise_sigma", math.isfinite(dataset.noise_sigma) and dataset.noise_sigma >= 0, "not finite and >= 0"),
+        ("d_latent", dataset.d_latent >= 1, "below 1"),
+        ("content_hash", meta["content_hash"] == dataset.content_hash(), "but the arrays hash otherwise"),
+    ]
+    for name, ok, why in checks:
+        if not ok:
+            raise FormatError(f"{path}: manifest meta {name!r} is {meta[name]!r}, {why}")
+    return dataset
 
 
 def save_cache(cache: EmbeddingCache, path: str | Path) -> None:

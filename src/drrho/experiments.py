@@ -7,6 +7,12 @@ a seed, and ``scaling_suite`` runs one grid on the pool and reference cache
 it is given. ``train_reference`` defaults to the reference recipe (fastclip,
 d=16, b=64, 800 steps). Every grid trains through one job function.
 
+A training whose report is discarded (each sweep and grid job, the
+trials' runs and ``train_reference``) records only its final eval point,
+since eval points read the model and never change it. Each point is two
+forward passes, the gap rows, the variances and recall: the CLI sweep's
+50-step jobs skip 49 of their 50 points, a reference 49 of its 50.
+
 Compute is counted in abstract units of trainable-parameter count times
 samples seen. Any consistent unit works: rescaling compute by a constant
 shifts the fitted log-intercept but leaves the exponent untouched, and the
@@ -189,11 +195,18 @@ def _require_test_split(dataset: PairedDataset) -> None:
         raise ConfigError(f"dataset: test split holds {n_test} pairs, retrieval needs at least 2")
 
 
+def _trained_model(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None):
+    """The final model of a run whose report nobody reads. It records only
+    the final eval point: eval points read the model and never change it,
+    so the model is the one every cadence gives."""
+    state, _ = train(replace(config, eval_every=max(1, config.effective_steps)), dataset, cache)
+    return state.model
+
+
 def _recall_job(args) -> float:
     """Final test recall@1 of one run; the cache goes only to runs that use it."""
     config, dataset, cache = args
-    state, _ = train(config, dataset, cache if config.needs_reference else None)
-    return evaluate_recall(state.model, dataset)
+    return evaluate_recall(_trained_model(config, dataset, cache if config.needs_reference else None), dataset)
 
 
 def data_efficiency_sweep(
@@ -265,15 +278,15 @@ def variance_reduction_trial(seed: int) -> dict[str, float]:
         n=864, d_x=24, d_y=20, d_latent=6, noise_sigma=0.25, test_fraction=96 / 864, seed=seed
     )
     ref_config = TrainConfig(method="fastclip", steps=300, batch_size=48, embed_dim=8, lr=5e-3, seed=seed + 1)
-    ref_state, _ = train(ref_config, dataset)
+    ref_model = _trained_model(ref_config, dataset)
     target_config = TrainConfig(
         method="fastclip", steps=150, batch_size=48, embed_dim=8, lr=5e-3, train_fraction=0.25, seed=seed + 2
     )
-    target_state, _ = train(target_config, dataset)
+    target_model = _trained_model(target_config, dataset)
 
     anchors = dataset.train_indices[:96]
-    s_target = batch_forward(target_state.model, dataset.xs[anchors], dataset.ys[anchors]).s
-    s_reference = batch_forward(ref_state.model, dataset.xs[anchors], dataset.ys[anchors]).s
+    s_target = batch_forward(target_model, dataset.xs[anchors], dataset.ys[anchors]).s
+    s_reference = batch_forward(ref_model, dataset.xs[anchors], dataset.ys[anchors]).s
     plain = loss_variance(s_target)
     shifted = loss_variance(s_target, s_reference)
     return {
@@ -355,5 +368,5 @@ def train_reference(
     config = TrainConfig(
         method="fastclip", steps=steps, batch_size=batch_size, embed_dim=embed_dim, lr=lr, seed=seed
     )
-    state, _ = train(config, dataset)
-    return state.model, build_reference_cache(dataset, state.model)
+    model = _trained_model(config, dataset)
+    return model, build_reference_cache(dataset, model)

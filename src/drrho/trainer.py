@@ -40,7 +40,7 @@ from . import baselines, container
 from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
 from .data import EmbeddingCache, PairedDataset, check_cache_matches
 from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, similarity_backward
-from .errors import ConfigError, StateError, TrainingError
+from .errors import ConfigError, FormatError, StateError, TrainingError
 from .report import ExperimentReport
 from .risk import log_mean_exp
 from .rng import SEED_LIMIT, CounterRng
@@ -208,14 +208,15 @@ def shifted_gap_exponentials(
     return gaps1, q1, gaps2, q2
 
 
-def _step_buffers(b: int) -> tuple[tuple, list, np.ndarray, np.ndarray]:
-    """A step's (b, b) buffers, held for a run: (gaps, infonce, sim, ref_sim).
-    ``gaps`` is the ``out`` of ``shifted_gap_exponentials``, with gaps2 and q2
-    transposed views as the allocating path returns them, since the order of
-    a row sum follows the layout; ``infonce`` reuses its first three arrays.
+def _step_buffers(b: int) -> tuple[tuple, list, list, np.ndarray, np.ndarray]:
+    """A step's (b, b) buffers, held for a run: (gaps, infonce, distill, sim,
+    ref_sim). ``gaps`` is the ``out`` of ``shifted_gap_exponentials``, with
+    gaps2 and q2 transposed views as the allocating path returns them, since
+    the order of a row sum follows the layout; ``infonce`` and ``distill``
+    reuse its arrays, C-ordered, as distillation runs before either kernel.
     A drrho-clip step overwrites ``ref_sim`` with s_target - s_reference."""
     w = [np.empty((b, b)) for _ in range(6)]
-    return (w[0], w[1], w[2].T, w[3].T), w[:3], w[4], w[5]
+    return (w[0], w[1], w[2].T, w[3].T), w[:3], w[:4], w[4], w[5]
 
 
 def update_u(
@@ -433,7 +434,7 @@ def train(
 
     evaluator = _Evaluator(config, dataset, cache, pool)
     # One array per matrix: glibc kept a single 26 MB block resident after a run.
-    gap_out, nce_out, sim_out, ref_out = _step_buffers(kept if jest else config.batch_size)
+    gap_out, nce_out, dist_out, sim_out, ref_out = _step_buffers(kept if jest else config.batch_size)
     super_out = [np.empty((super_size, super_size)) for _ in range(2)] if jest else None
     rng = CounterRng(config.seed, _STREAM_BATCHES)
     sampler = _EpochSampler(pool, super_size, rng)
@@ -460,7 +461,7 @@ def train(
         s_ref = cache.similarity(batch, out=ref_out) if config.method == "drrho-clip" or config.distill else None
         # Distillation reads s_ref before a drrho-clip step overwrites it.
         if config.distill:
-            dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau)
+            dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau, out=dist_out)
             dist_grads = similarity_backward(fwd, xs_b, ys_b, dist_coef)
 
         grads: dict[str, np.ndarray]
@@ -555,14 +556,27 @@ def save_checkpoint(state: TrainerState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainerState:
+    """A saved trainer state; FormatError naming the first manifest entry
+    that is out of range, disagrees with the weights, or differs from what
+    the run config resolves it to."""
     arrays, meta = container.read_container(path, expect_kind=container.KIND_TRAINER)
     container.require_arrays(path, arrays, ("w1", "w2", "tau", "u1", "u2", *_MOMENTS))
-    values = container.require_meta(path, meta, {**_CONFIG_META_TYPES, "step": (int,)})
-    step = int(values.pop("step"))
+    spec = {**_CONFIG_META_TYPES, "step": (int,), "effective_steps": (int,), "warmup_steps": (int,)}
+    values = container.require_meta(path, meta, spec)
+    step = values.pop("step")
+    del values["effective_steps"], values["warmup_steps"]
     config = TrainConfig(**values)
     config.validate()
+    if step < 0:
+        raise FormatError(f"{path}: manifest meta 'step' is {step}, below 0")
+    for key, value in config.resolved().items():
+        if (type(meta[key]), meta[key]) != (type(value), value):
+            raise FormatError(f"{path}: manifest meta {key!r} is {meta[key]!r}, but the config resolves {value!r}")
+    model = TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
+    if config.embed_dim != model.d:
+        raise FormatError(f"{path}: manifest meta 'embed_dim' is {config.embed_dim}, but w1 has {model.d} rows")
     return TrainerState(
-        model=TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0])),
+        model=model,
         u1=arrays["u1"],
         u2=arrays["u2"],
         config=config,

@@ -455,6 +455,10 @@ def test_corrupt_artifact_reported_as_error(tmp_path, capsys):
     assert rc == 1
 
 
+def _set_meta(key, value):
+    return lambda manifest: {**manifest, "meta": {**manifest["meta"], key: value}}
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -476,6 +480,21 @@ def test_corrupt_artifact_reported_as_error(tmp_path, capsys):
             lambda manifest: {**manifest, "arrays": [*manifest["arrays"][:2], {"name": "split", "shape": 96}]},
             "arrays[2]",
             id="entry-shape-int",
+        ),
+        # meta that is out of range or contradicts the arrays
+        *(
+            pytest.param(_set_meta(key, value), f"'{key}'", id=f"{key}={value}")
+            for key, value in [
+                ("noise_sigma", float("nan")),
+                ("noise_sigma", -3.0),
+                ("d_latent", -7),
+                ("seed", -1),
+                ("seed", 2**63),
+                ("content_hash", "zz"),
+                ("n", 95),
+                ("d_x", 11),
+                ("d_y", 9),
+            ]
         ),
     ],
 )

@@ -1,7 +1,7 @@
 """Hostile edits to every container kind: a flipped byte in either file, a
-truncated binary, or a manifest key deleted, retyped or re-valued. The
-matching loader either returns or raises a ``DrrhoError``; nothing else
-may escape."""
+truncated binary, or a manifest key deleted, retyped or re-valued, drawn at
+random and, per key, enumerated. The matching loader either returns or
+raises a ``DrrhoError``; nothing else may escape."""
 
 import functools
 import json
@@ -134,3 +134,38 @@ def test_meta_int_beyond_float_range_is_format_error(kind, key):
         container.manifest_path(path).write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=f"{key}.*too large for a float"):
             KINDS[kind][1](path)
+
+
+# Every key is deleted, and set to each of these: other JSON types,
+# out-of-range numbers and strings, and ints that no float holds. A random
+# draw over all keys and values reaches one such edit about once in a
+# thousand examples; this enumeration reaches each of them every run.
+_DELETE = object()
+_EDIT_VALUES = [
+    _DELETE, None, True, "", "x", [0], {"k": 0}, -1, 0, 2**64, float("nan"), float("inf"), -1e308, _BIG, -_BIG
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_manifest_key_edit_loads_or_raises_drrho_error(kind, tmp_path):
+    blob, manifest = _pristine(kind)
+    path = tmp_path / kind
+    path.write_bytes(blob)
+    escaped = []
+    for group in _key_paths(json.loads(manifest)):
+        for *parents, key in group:
+            for value in _EDIT_VALUES:
+                doc = json.loads(manifest)
+                parent = functools.reduce(lambda node, step: node[step], parents, doc)
+                if value is _DELETE:
+                    del parent[key]
+                else:
+                    parent[key] = value
+                container.manifest_path(path).write_text(json.dumps(doc))
+                try:
+                    KINDS[kind][1](path)
+                except DrrhoError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - collected, then reported together
+                    escaped.append(f"{[*parents, key]} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not escaped, "\n".join(escaped)

@@ -182,6 +182,23 @@ def test_sweep_seed_values_match_direct_runs_and_rows_hold_their_mean():
         assert (index, key, row["recall_at_1"]) in report.series
 
 
+def test_sweep_recall_is_the_recall_of_a_default_cadence_run():
+    # The sweep's runs record only their final eval point; a run at the
+    # default cadence (every step here) must end on the same model.
+    ds = data.generate_synthetic(160, 12, 10, 4, 0.25, 0.25, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=7))
+    config = trainer.TrainConfig(steps=30, batch_size=8, embed_dim=6, lr=5e-3, tau_learnable=True, eval_subset=16)
+    methods, seeds = ["drrho-clip", "fastclip", "jest"], [4, 5]
+    report = experiments.data_efficiency_sweep(config, ds, cache, fractions=[1.0], methods=methods, seeds=seeds)
+    assert config.resolved_eval_every() == 1
+    for row, method in enumerate(methods):
+        for seed in seeds:
+            run = replace(config, method=method, seed=seed)
+            state, _ = trainer.train(run, ds, cache)
+            key = f"recall_at_1/{method}/frac=1.0/seed={seed}"
+            assert (row, key, experiments.evaluate_recall(state.model, ds)) in report.series
+
+
 def test_sweep_rejects_too_small_fraction():
     ds = data.generate_synthetic(64, 12, 10, 4, 0.25, 0.25, seed=2)
     config = trainer.TrainConfig(method="fastclip", steps=5, batch_size=16, embed_dim=4)

@@ -93,6 +93,17 @@ def test_infonce_out_matches_allocating(b):
     assert baselines.infonce_tau_gradient(s, model.tau, out=out) == baselines.infonce_tau_gradient(s, model.tau)
 
 
+@pytest.mark.parametrize("b", SIZES)
+def test_distillation_out_matches_allocating(b):
+    ds, cache, model, batch = _batch(b)
+    s = encoder.batch_forward(model, ds.xs[batch], ds.ys[batch]).s
+    s_ref = cache.similarity(batch)
+    out = np.full((4, b, b), np.nan)
+    coef = baselines.distillation_grad_s(s, s_ref, model.tau, 0.03, out=out)
+    assert np.shares_memory(coef, out[0])
+    _same(coef, baselines.distillation_grad_s(s, s_ref, model.tau, 0.03))
+
+
 @pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
 @pytest.mark.parametrize("b", SIZES)
 def test_estimators_share_one_buffer_set_in_trainer_order(b, method):
@@ -151,7 +162,7 @@ def test_train_with_step_buffers_matches_allocating_path(monkeypatch, method, b,
         jest_ratio=ratio, distill=True, eval_subset=32, eval_every=2,
     )
     held = _run_digest(*trainer.train(config, ds, cache))
-    monkeypatch.setattr(trainer, "_step_buffers", lambda b: (None,) * 4)
+    monkeypatch.setattr(trainer, "_step_buffers", lambda b: (None,) * 5)
     assert held == _run_digest(*trainer.train(config, ds, cache))
 
 
@@ -164,7 +175,8 @@ _CHURN = textwrap.dedent(
     import resource, sys
     from drrho import data, encoder, trainer
 
-    method, b, short, long = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+    method, _, distill = sys.argv[1].partition("+")  # "openclip+distill" adds distillation
+    b, short, long = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
     jest = method == "jest"
     # JEST runs at the monitored small-batch shape, with its eval cadence.
     n, test_fraction = (640, 0.2) if jest else (b + 76, 0.0)
@@ -173,7 +185,7 @@ _CHURN = textwrap.dedent(
 
     def faults(steps):
         config = trainer.TrainConfig(
-            method=method, steps=steps, batch_size=b, embed_dim=8, lr=5e-3, tau_learnable=True,
+            method=method, steps=steps, batch_size=b, embed_dim=8, lr=5e-3, tau_learnable=True, distill=bool(distill),
             eval_subset=128, eval_every=None if jest else 10**6,
         )
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -195,6 +207,8 @@ _CHURN = textwrap.dedent(
         ("drrho-clip", 1024, 2, 8, 256),
         ("fastclip", 1024, 2, 8, 256),
         ("openclip", 1024, 2, 8, 256),
+        ("drrho-clip+distill", 1024, 2, 8, 256),
+        ("openclip+distill", 1024, 2, 8, 256),
         ("jest", 48, 20, 80, 10),
     ],
 )

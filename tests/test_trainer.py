@@ -409,6 +409,27 @@ def test_train_rejects_more_jest_chunks_than_selected_pairs(method):
     assert state.step == config.effective_steps
 
 
+@pytest.mark.parametrize("distill", [False, True], ids=["plain", "distill"])
+@pytest.mark.parametrize("learnable", [True, False], ids=["learned-tau", "fixed-tau"])
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_eval_cadence_leaves_the_trained_state_unchanged(method, learnable, distill):
+    # Runs whose report is discarded record only their final eval point;
+    # that is safe only while an eval point reads the model and writes nothing.
+    ds = data.generate_synthetic(64, 12, 10, 4, 0.2, 0.25, seed=6)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=44))
+    config = trainer.TrainConfig(
+        method=method, steps=6, batch_size=8, embed_dim=6, lr=5e-3, tau_learnable=learnable, distill=distill,
+        eval_subset=16, seed=2,
+    )
+    every, final = (trainer.train(replace(config, eval_every=k), ds, cache)[0] for k in (1, config.effective_steps))
+    assert every.model.w1.tobytes() == final.model.w1.tobytes()
+    assert every.model.w2.tobytes() == final.model.w2.tobytes()
+    assert every.model.tau == final.model.tau
+    assert every.u1.tobytes() == final.u1.tobytes() and every.u2.tobytes() == final.u2.tobytes()
+    for key in every.moments:
+        assert every.moments[key].tobytes() == final.moments[key].tobytes()
+
+
 @pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
 def test_eval_point_matches_exact_objective_and_loss_variance(method):
     ds = data.generate_synthetic(96, 12, 10, 4, 0.2, 0.25, seed=5)
@@ -531,6 +552,24 @@ def test_checkpoint_invalid_config_names_field(tmp_path):
 def test_checkpoint_mistyped_meta_names_field(tmp_path, field, value):
     path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update({field: value}))
     with pytest.raises(FormatError, match=field):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("embed_dim", 7),
+        ("step", -5),
+        ("effective_steps", 999),
+        ("warmup_steps", 3),
+        ("eval_every", None),
+        ("tau_learnable", None),
+    ],
+)
+def test_checkpoint_meta_contradicting_the_file_names_field(tmp_path, field, value):
+    # weights are 6 rows; the config resolves 4 steps, 1 warmup step, eval every step and a learned tau
+    path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update({field: value}))
+    with pytest.raises(FormatError, match=f"'{field}' is {value}"):
         trainer.load_checkpoint(path)
 
 
