@@ -70,7 +70,8 @@ class ChunkTrace:
 @dataclass
 class SelectionOutcome:
     super_batch: np.ndarray
-    selected: np.ndarray
+    selected: np.ndarray  # dataset indices, in selection order
+    positions: np.ndarray  # their positions in the super batch
     chunk_trace: list[ChunkTrace]
 
 
@@ -79,21 +80,37 @@ def selection_size(ratio: float, super_size: int) -> int:
     return int(np.ceil(ratio * super_size))
 
 
-def _anchor_scores(s: np.ndarray, candidates: np.ndarray, sel: np.ndarray, tau: float) -> np.ndarray:
+def _embedding_pair(pair, name: str, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (e1, e2) rows of a super batch of ``m`` pairs; ValueError naming
+    ``name`` unless both are (m, d) with one d."""
+    if len(pair) != 2:
+        raise ValueError(f"{name}: expected an (e1, e2) pair of embeddings")
+    e1, e2 = (np.asarray(e, dtype=np.float64) for e in pair)
+    if e1.ndim != 2 or e1.shape[0] != m or e2.shape != e1.shape:
+        raise ValueError(f"{name}: e1 {e1.shape} and e2 {e2.shape} must both be ({m}, d) for this super batch")
+    return e1, e2
+
+
+def _anchor_scores(
+    a: np.ndarray, b: np.ndarray, diag: np.ndarray, candidates: np.ndarray, sel: np.ndarray, tau: float
+) -> np.ndarray:
     """Soft-maximum loss of each candidate against the selected set, summed
-    over both anchor directions, from the gaps of s = s_target - s_reference."""
-    # Two ``take`` gathers are exact and cheaper than one ``np.ix_`` index.
-    # The text-anchor block stays a transposed view: the row sums' order
-    # follows the memory layout.
-    diag = s.diagonal().take(candidates)[:, None]
-    gaps1 = s.take(sel, axis=1).take(candidates, axis=0) - diag
-    gaps2 = s.take(sel, axis=0).take(candidates, axis=1).T - diag
-    return log_mean_exp(gaps1, tau) + log_mean_exp(gaps2, tau)
+    over both anchor directions, from the gaps of s = a @ b.T. Only the
+    (candidates x selected) and (selected x candidates) blocks are formed,
+    as products of gathered rows. Both are laid out selected x candidates,
+    so the soft maximum reduces over the outer axis: numpy reduces a short
+    inner axis several times slower."""
+    a_sel, b_sel = a.take(sel, axis=0), b.take(sel, axis=0)
+    gaps = np.empty((2, len(sel), len(candidates)))
+    np.matmul(b_sel, a.take(candidates, axis=0).T, out=gaps[0])  # s[candidate, selected]
+    np.matmul(a_sel, b.take(candidates, axis=0).T, out=gaps[1])  # s[selected, candidate]
+    gaps -= diag.take(candidates)
+    return log_mean_exp(gaps, tau, axis=1).sum(axis=0)
 
 
 def jest_select(
-    s_target,
-    s_reference,
+    target,
+    reference,
     super_batch,
     ratio: float,
     n_chunks: int,
@@ -103,19 +120,20 @@ def jest_select(
 ) -> SelectionOutcome:
     """Select ceil(ratio * |super|) pairs from a super batch in chunks.
 
-    The first chunk scores candidates by their own target similarity
-    s(x_i, y_i); later chunks score each remaining candidate by its shifted
-    soft-maximum loss against everything already selected, so picks stay
-    informative relative to each other. ``sample`` draws without
-    replacement with probability proportional to softmax(score); ``topk``
-    takes the largest scores (ties to the lower position). Deterministic
-    given seed.
+    ``target`` and ``reference`` are each the (e1, e2) embeddings of the
+    super batch's pairs, so s_target = e1 @ e2.T and likewise s_reference;
+    neither |super| x |super| matrix is formed. The first chunk scores
+    candidates by their own target similarity s(x_i, y_i); later chunks
+    score each remaining candidate by its shifted soft-maximum loss against
+    everything already selected, so picks stay informative relative to each
+    other. ``sample`` draws without replacement with probability
+    proportional to softmax(score); ``topk`` takes the largest scores (ties
+    to the lower position). Deterministic given seed.
     """
-    s_t, s_r = _check_same_shape(s_target, s_reference)
     super_batch = np.asarray(super_batch, dtype=np.int64)
     m = len(super_batch)
-    if s_t.shape != (m, m):
-        raise ValueError(f"similarity matrices must be {m}x{m} for this super batch")
+    t1, t2 = _embedding_pair(target, "target", m)
+    r1, r2 = _embedding_pair(reference, "reference", m)
     if not 0 < ratio <= 1:
         raise ValueError("ratio must lie in (0, 1]")
     if n_chunks < 1:
@@ -126,7 +144,9 @@ def jest_select(
     if k < n_chunks:
         raise ValueError(f"selection of {k} cannot be split into {n_chunks} chunks")
 
-    s_shift = s_t - s_r  # the shifted gaps are the plain gaps of this one matrix
+    # s_target - s_reference = a @ b.T: the shifted gaps come from one product.
+    a, b = np.concatenate([t1, r1], axis=1), np.concatenate([t2, -r2], axis=1)
+    diag = np.einsum("ij,ij->i", a, b)
     base = k // n_chunks
     sizes = [base] * (n_chunks - 1) + [k - base * (n_chunks - 1)]
     rng = CounterRng(seed, stream=0)
@@ -136,20 +156,20 @@ def jest_select(
     trace: list[ChunkTrace] = []
     for c, size in enumerate(sizes):
         if c == 0:
-            scores = s_t.diagonal().take(remaining)
+            scores = np.einsum("ij,ij->i", t1, t2)
         else:
-            scores = _anchor_scores(s_shift, remaining, sel, score_tau)
+            scores = _anchor_scores(a, b, diag, remaining, sel, score_tau)
         if mode == "topk":
             order = np.argsort(-scores, kind="stable")[:size]
         else:
             probs = np.exp(scores - scores.max())
             order = rng.weighted_draws(probs, size)
         picked = remaining[order]
-        trace.append(ChunkTrace(indices=super_batch[picked], scores=scores[order].copy()))
+        trace.append(ChunkTrace(indices=super_batch[picked], scores=scores[order]))
         sel = np.concatenate([sel, picked])
         taken[picked] = True
         remaining = np.flatnonzero(~taken)
-    return SelectionOutcome(super_batch=super_batch, selected=super_batch[sel], chunk_trace=trace)
+    return SelectionOutcome(super_batch=super_batch, selected=super_batch[sel], positions=sel, chunk_trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,14 @@ def save_cache(cache: EmbeddingCache, path: str | Path) -> None:
 
 
 def load_cache(path: str | Path) -> EmbeddingCache:
+    """A saved cache; FormatError naming the first manifest entry that is
+    mistyped or disagrees with the arrays."""
     arrays, meta = _read_pairs(path, container.KIND_CACHE, ("e1", "e2"))
-    meta = container.require_meta(path, meta, {"source_id": (str,), "dataset_id": (str,), "source_tau": (float,)})
+    meta = container.require_meta(
+        path, meta, {"d": (int,), "source_id": (str,), "dataset_id": (str,), "source_tau": (float,)}
+    )
+    if arrays["e1"].shape[1:2] != (meta["d"],):
+        raise FormatError(f"{path}: manifest meta 'd' is {meta['d']!r}, but e1 has shape {arrays['e1'].shape}")
     return EmbeddingCache(
         e1=arrays["e1"],
         e2=arrays["e2"],

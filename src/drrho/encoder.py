@@ -121,16 +121,28 @@ class BatchForward:
     r2: np.ndarray  # (b,)
     s: np.ndarray  # (b, b), s[i, j] = <e1_i, e2_j>
 
+    @classmethod
+    def of(cls, e1, e2, r1, r2, out: np.ndarray | None = None) -> "BatchForward":
+        """The forward pass of these embedding rows; the similarity matrix
+        goes into ``out`` if given."""
+        return cls(e1=e1, e2=e2, r1=r1, r2=r2, s=np.matmul(e1, e2.T, out=out))
+
+
+def pair_embeddings(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A batch's (e1, e2, r1, r2): both sides' unit embeddings and their
+    pre-normalization norms, the forward pass short of the similarity."""
+    if len(xs) != len(ys):
+        raise ConfigError("image and text batches must have equal size")
+    e1, r1 = _embed_batch_with_norms(model, "image", xs)
+    e2, r2 = _embed_batch_with_norms(model, "text", ys)
+    return e1, e2, r1, r2
+
 
 def batch_forward(
     model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
 ) -> BatchForward:
     """The batch's forward pass; the similarity matrix goes into ``out`` if given."""
-    if len(xs) != len(ys):
-        raise ConfigError("image and text batches must have equal size")
-    e1, r1 = _embed_batch_with_norms(model, "image", xs)
-    e2, r2 = _embed_batch_with_norms(model, "text", ys)
-    return BatchForward(e1=e1, e2=e2, r1=r1, r2=r2, s=np.matmul(e1, e2.T, out=out))
+    return BatchForward.of(*pair_embeddings(model, xs, ys), out=out)
 
 
 def similarity_backward(

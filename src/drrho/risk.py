@@ -81,14 +81,14 @@ def softmax_weights(losses, tau: float) -> np.ndarray:
     return p
 
 
-def log_mean_exp(v: np.ndarray, tau: float) -> np.ndarray:
-    """tau * log((1/m) sum exp(v_i / tau)) along the last axis, stabilized
-    by subtracting each row's max. A 1-d vector gives a scalar."""
-    m = v.max(axis=-1, keepdims=True)
+def log_mean_exp(v: np.ndarray, tau: float, axis: int = -1) -> np.ndarray:
+    """tau * log((1/m) sum exp(v_i / tau)) along ``axis``, stabilized by
+    subtracting each lane's max. A 1-d vector gives a scalar."""
+    m = v.max(axis=axis, keepdims=True)
     t = v - m  # the one temporary; scaled and exponentiated in place
     t /= tau
-    mean = np.exp(t, out=t).sum(axis=-1) / v.shape[-1]
-    return m[..., 0] + tau * np.log(mean)
+    mean = np.exp(t, out=t).sum(axis=axis) / v.shape[axis]
+    return m.squeeze(axis) + tau * np.log(mean)
 
 
 def kl_regularized_risk(losses, tau: float) -> float:

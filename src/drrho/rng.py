@@ -82,34 +82,30 @@ class CounterRng:
         return np.argsort(self.raw(n), kind="stable")
 
     def weighted_draws(self, probs: np.ndarray, k: int) -> np.ndarray:
-        """``k`` sequential draws without replacement, renormalizing after
-        each pick. Probabilities must be finite and nonnegative, with at least
-        ``k`` of them positive.
+        """``k`` draws without replacement, each in proportion to the
+        probabilities of the candidates not yet drawn. Probabilities must be
+        finite and nonnegative, with at least ``k`` of them positive.
 
-        Draw t consumes uniform t of the stream, so all ``k`` uniforms are
-        taken in one call; the counter ends ``k`` past where it started.
+        One pass (Efraimidis and Spirakis, 2006): candidate i arrives at an
+        exponential time -log(u_i) / p_i, and the draws are the ``k`` earliest
+        arrivals in arrival order, ties to the lower index. By the race's
+        memorylessness this is the law of sequential draws that renormalize
+        after each pick. Candidate i consumes uniform i of the stream, so the
+        counter ends ``len(probs)`` past where it started.
         """
-        p = np.asarray(probs, dtype=np.float64).copy()
-        if not np.isfinite(p).all() or (p < 0.0).any():
-            raise ValueError("probs must be finite and nonnegative")
+        p = np.asarray(probs, dtype=np.float64)
+        if p.ndim != 1 or not np.isfinite(p).all() or (p < 0.0).any():
+            raise ValueError("probs must be a vector, finite and nonnegative")
         if k > p.size:
             raise ValueError("cannot draw more items than candidates")
-        # Each pick zeroes one positive entry, so the total stays positive
-        # for exactly as many draws as there are positive entries.
         if np.count_nonzero(p) < k:
             raise ValueError("probabilities sum to zero before all draws done")
-        us = self.uniforms(k)
-        cum = np.empty_like(p)
-        out = np.empty(k, dtype=np.int64)
-        last = p.size - 1
-        for t in range(k):
-            u = us[t] * p.sum()
-            p.cumsum(out=cum)
-            j = min(int(cum.searchsorted(u, side="left")), last)
-            while p[j] == 0.0 and j < last:  # u landed on a spent index's boundary
-                j += 1
-            if p[j] == 0.0:
-                j = int(p.argmax())
-            out[t] = j
-            p[j] = 0.0
-        return out
+        # Arrival times are compared as logs, log(-log u) - log p, so a
+        # denormal p cannot overflow; u = 1 (arrival at 0) and p = 0 give
+        # infinities, and a zero p never arrives.
+        keys = -np.log(self.uniforms(p.size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(keys, out=keys)
+            keys -= np.log(p)
+        keys[p == 0.0] = np.inf
+        return np.argsort(keys, kind="stable")[:k]

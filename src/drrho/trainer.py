@@ -20,9 +20,10 @@ Temperature can be fixed or learned; the learnable variant adds a
 Everything is deterministic given (config, seed): batches come from a
 counter-based shuffle, and the optimizer is a from-scratch decoupled
 weight-decay Adam with linear warmup and cosine decay. A step's b x b
-arrays (and JEST's super-batch pair) are filled in place into buffers
-that ``train()`` holds for the run, so only a run's first step faults in
-fresh memory.
+arrays are filled in place into buffers that ``train()`` holds for the
+run, so only a run's first step faults in fresh memory. A JEST step embeds
+its super batch once and selects from the embeddings; the selected batch's
+forward pass is their selected rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import baselines, container
 # tracer wraps it through this module's binding.
 from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
 from .data import EmbeddingCache, PairedDataset, check_cache_matches
-from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, similarity_backward
+from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, pair_embeddings, similarity_backward
 from .errors import ConfigError, FormatError, StateError, TrainingError
 from .report import ExperimentReport
 from .risk import log_mean_exp
@@ -160,6 +161,12 @@ _CONFIG_META_TYPES = {
 _MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2", "m_tau", "v_tau")
 
 
+def _moment_shapes(model: TwoTowerModel) -> dict[str, tuple[int, ...]]:
+    """Each Adam moment's shape: that of w1, w2 or tau, as its name ends."""
+    shapes = {"w1": model.w1.shape, "w2": model.w2.shape, "tau": (1,)}
+    return {name: shapes[name[2:]] for name in _MOMENTS}
+
+
 @dataclass
 class TrainerState:
     model: TwoTowerModel
@@ -173,8 +180,7 @@ class TrainerState:
         self.u1 = np.asarray(self.u1, dtype=np.float64)
         self.u2 = np.asarray(self.u2, dtype=np.float64)
         if not self.moments:
-            shapes = {"w1": self.model.w1.shape, "w2": self.model.w2.shape, "tau": (1,)}
-            self.moments = {name: np.zeros(shapes[name[2:]]) for name in _MOMENTS}
+            self.moments = {name: np.zeros(shape) for name, shape in _moment_shapes(self.model).items()}
 
     def lr_at(self, step: int) -> float:
         base_lr, warmup = self.config.lr, self.config.resolved_warmup()
@@ -435,19 +441,18 @@ def train(
     evaluator = _Evaluator(config, dataset, cache, pool)
     # One array per matrix: glibc kept a single 26 MB block resident after a run.
     gap_out, nce_out, dist_out, sim_out, ref_out = _step_buffers(kept if jest else config.batch_size)
-    super_out = [np.empty((super_size, super_size)) for _ in range(2)] if jest else None
     rng = CounterRng(config.seed, _STREAM_BATCHES)
     sampler = _EpochSampler(pool, super_size, rng)
     eval_every = config.resolved_eval_every()
 
     for t in range(steps):
         batch = sampler.next_batch()
+        xs_b, ys_b = dataset.xs[batch], dataset.ys[batch]
         if jest:
-            s_t_super = batch_forward(model, dataset.xs[batch], dataset.ys[batch], out=super_out[0]).s
-            s_r_super = cache.similarity(batch, out=super_out[1])
+            e1, e2, r1, r2 = pair_embeddings(model, xs_b, ys_b)
             outcome = baselines.jest_select(
-                s_t_super,
-                s_r_super,
+                (e1, e2),
+                (cache.e1[batch], cache.e2[batch]),
                 batch,
                 ratio=config.jest_ratio,
                 n_chunks=config.jest_chunks,
@@ -455,9 +460,11 @@ def train(
                 seed=config.seed + t,
                 score_tau=model.tau,
             )
-            batch = outcome.selected
-        xs_b, ys_b = dataset.xs[batch], dataset.ys[batch]
-        fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
+            batch, pos = outcome.selected, outcome.positions
+            xs_b, ys_b = xs_b[pos], ys_b[pos]
+            fwd = BatchForward.of(e1[pos], e2[pos], r1[pos], r2[pos], out=sim_out)
+        else:
+            fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
         s_ref = cache.similarity(batch, out=ref_out) if config.method == "drrho-clip" or config.distill else None
         # Distillation reads s_ref before a drrho-clip step overwrites it.
         if config.distill:
@@ -497,10 +504,12 @@ class _Evaluator:
 
     It holds the features of the eval subset (the head of the training
     pool) and of the test split, the eval subset's reference similarity for
-    drrho-clip, which is fixed for the run, and one buffer of
-    ``negative_gaps`` rows. Each eval point does one forward pass, subtracts
-    the reference similarity from it in place and fills that buffer; every
-    method's objective and both loss variances read it.
+    drrho-clip, which is fixed for the run, one buffer of ``negative_gaps``
+    rows, and the similarity matrices of both forward passes. Each eval
+    point does one forward pass, subtracts the reference similarity from it
+    in place and fills the rows; every method's objective and both loss
+    variances read them. At eval_subset=128 a similarity matrix is 128 KiB,
+    which glibc may map fresh, and fault in, on every call.
     """
 
     def __init__(
@@ -512,12 +521,14 @@ class _Evaluator:
         test = dataset.test_indices
         self.test = (dataset.xs[test], dataset.ys[test]) if len(test) >= 2 else None
         self.rows = np.empty((2 * len(subset), len(subset) - 1))
+        self.sim = np.empty((len(subset), len(subset)))
+        self.test_sim = np.empty((len(test), len(test))) if self.test is not None else None
         self.ref_sim = cache.similarity(subset) if config.method == "drrho-clip" else None
 
     def record(self, report: ExperimentReport, model: TwoTowerModel, step: int) -> None:
         from . import experiments  # local import; experiments drives trainer for sweeps
 
-        s = batch_forward(model, self.xs, self.ys).s
+        s = batch_forward(model, self.xs, self.ys, out=self.sim).s
         if self.ref_sim is not None:
             s -= self.ref_sim
         n = len(s)
@@ -535,7 +546,7 @@ class _Evaluator:
             report.add(step, "loss_variance_image", var.image_mean)
             report.add(step, "loss_variance_text", var.text_mean)
         if self.test is not None:
-            s_test = batch_forward(model, *self.test).s
+            s_test = batch_forward(model, *self.test, out=self.test_sim).s
             report.add(step, "recall_at_1", experiments.recall_at_1(s_test))
         if self.config.learnable_tau:
             report.add(step, "tau", model.tau)
@@ -561,9 +572,15 @@ def load_checkpoint(path: str | Path) -> TrainerState:
     the run config resolves it to."""
     arrays, meta = container.read_container(path, expect_kind=container.KIND_TRAINER)
     container.require_arrays(path, arrays, ("w1", "w2", "tau", "u1", "u2", *_MOMENTS))
-    spec = {**_CONFIG_META_TYPES, "step": (int,), "effective_steps": (int,), "warmup_steps": (int,)}
+    spec = {
+        **_CONFIG_META_TYPES,
+        "step": (int,),
+        "effective_steps": (int,),
+        "warmup_steps": (int,),
+        "model_id_hash": (str,),
+    }
     values = container.require_meta(path, meta, spec)
-    step = values.pop("step")
+    step, id_hash = values.pop("step"), values.pop("model_id_hash")
     del values["effective_steps"], values["warmup_steps"]
     config = TrainConfig(**values)
     config.validate()
@@ -575,10 +592,18 @@ def load_checkpoint(path: str | Path) -> TrainerState:
     model = TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
     if config.embed_dim != model.d:
         raise FormatError(f"{path}: manifest meta 'embed_dim' is {config.embed_dim}, but w1 has {model.d} rows")
+    if id_hash != model.id_hash:
+        raise FormatError(f"{path}: manifest meta 'model_id_hash' is {id_hash!r}, but the weights hash otherwise")
+    u1, u2 = arrays["u1"], arrays["u2"]
+    if u1.ndim != 1 or u2.shape != u1.shape:
+        raise FormatError(f"{path}: arrays 'u1' {u1.shape} and 'u2' {u2.shape} must be vectors of one length")
+    for name, shape in _moment_shapes(model).items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
     return TrainerState(
         model=model,
-        u1=arrays["u1"],
-        u2=arrays["u2"],
+        u1=u1,
+        u2=u2,
         config=config,
         step=step,
         moments={k: arrays[k] for k in _MOMENTS},

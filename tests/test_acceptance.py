@@ -264,18 +264,18 @@ def test_criterion_7_baseline_contracts():
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         s_t = a @ b.T
-        s_r = (a + 0.1 * rng.normals((m, 5))) @ b.T
-        s_r /= np.abs(s_r).max()
+        a_r = a + 0.1 * rng.normals((m, 5))
+        b_r = b / np.abs(a_r @ b.T).max()  # s_r = a_r @ b_r.T, scaled to max |s_r| = 1
         super_batch = np.arange(m)
         ratio = 0.2 + 0.3 * rng.uniforms(1)[0]
         chunks = 1 + trial % 3
         mode = "topk" if trial % 2 else "sample"
-        out = baselines.jest_select(s_t, s_r, super_batch, ratio, chunks, mode=mode, seed=trial)
+        out = baselines.jest_select((a, b), (a_r, b_r), super_batch, ratio, chunks, mode=mode, seed=trial)
         k = baselines.selection_size(ratio, m)
         assert len(out.selected) == k
         assert len(set(out.selected.tolist())) == k
         assert set(out.selected) <= set(super_batch)
-        again = baselines.jest_select(s_t, s_r, super_batch, ratio, chunks, mode=mode, seed=trial)
+        again = baselines.jest_select((a, b), (a_r, b_r), super_batch, ratio, chunks, mode=mode, seed=trial)
         assert np.array_equal(out.selected, again.selected)
         if mode == "topk" and chunks == 1:
             want = np.argsort(-np.diag(s_t), kind="stable")[:k]

@@ -11,12 +11,18 @@ from drrho.rng import CounterRng
 from oracles import distillation_direct, finite_diff_scalar, infonce_direct, rel_err
 
 
-def _random_sim(seed, n, d=5):
+def _random_pair(seed, n, d=5):
+    """Unit embedding rows (e1, e2), the factors of ``_random_sim``."""
     rng = CounterRng(seed)
     e1 = rng.normals((n, d))
     e2 = rng.normals((n, d))
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    return e1, e2
+
+
+def _random_sim(seed, n, d=5):
+    e1, e2 = _random_pair(seed, n, d)
     return e1 @ e2.T
 
 
@@ -95,26 +101,26 @@ def test_jest_select_sizes_partition_and_determinism():
     rng = CounterRng(70)
     for trial in range(20):
         m = 15 + int(rng.uniforms(1)[0] * 30)
-        s_t = _random_sim(trial, m)
-        s_r = _random_sim(100 + trial, m)
+        t = _random_pair(trial, m)
+        r = _random_pair(100 + trial, m)
         super_batch = np.arange(1000, 1000 + m)
         mode = "sample" if trial % 2 == 0 else "topk"
-        out = baselines.jest_select(s_t, s_r, super_batch, 0.3, 2, mode=mode, seed=trial)
+        out = baselines.jest_select(t, r, super_batch, 0.3, 2, mode=mode, seed=trial)
         k = baselines.selection_size(0.3, m)
         assert len(out.selected) == k
         assert set(out.selected) <= set(super_batch)
         assert len(set(out.selected.tolist())) == k
         chunk_union = np.concatenate([c.indices for c in out.chunk_trace])
         assert sorted(chunk_union.tolist()) == sorted(out.selected.tolist())
-        again = baselines.jest_select(s_t, s_r, super_batch, 0.3, 2, mode=mode, seed=trial)
+        again = baselines.jest_select(t, r, super_batch, 0.3, 2, mode=mode, seed=trial)
         assert np.array_equal(out.selected, again.selected)
 
 
 def test_jest_topk_matches_sort_oracle_single_chunk():
+    t, r = _random_pair(11, 20), _random_pair(12, 20)
     s_t = _random_sim(11, 20)
-    s_r = _random_sim(12, 20)
     super_batch = np.arange(20)
-    out = baselines.jest_select(s_t, s_r, super_batch, 0.25, 1, mode="topk", seed=0)
+    out = baselines.jest_select(t, r, super_batch, 0.25, 1, mode="topk", seed=0)
     want = np.argsort(-np.diag(s_t), kind="stable")[:5]
     assert np.array_equal(out.selected, want)
 
@@ -124,7 +130,9 @@ def test_jest_second_chunk_scores_against_first():
     s_r = _random_sim(14, 12)
     super_batch = np.arange(12)
     tau = 0.2
-    out = baselines.jest_select(s_t, s_r, super_batch, 0.5, 2, mode="topk", seed=0, score_tau=tau)
+    out = baselines.jest_select(
+        _random_pair(13, 12), _random_pair(14, 12), super_batch, 0.5, 2, mode="topk", seed=0, score_tau=tau
+    )
     first = out.chunk_trace[0].indices
     # recompute a remaining candidate's score by hand
     cand = [i for i in range(12) if i not in set(first.tolist())]
@@ -147,21 +155,40 @@ def test_jest_second_chunk_scores_against_first():
         assert want <= np.min(out.chunk_trace[1].scores) + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["sample", "topk"])
+def test_jest_chunk_scores_match_full_matrix_oracle(mode):
+    # Every recorded score of a later chunk is the candidate's shifted soft
+    # maximum against all earlier picks, from the full m x m matrices.
+    tau = 0.1
+    for trial in range(5):
+        t, r = _random_pair(40 + trial, 30, d=4), _random_pair(50 + trial, 30, d=6)
+        s = t[0] @ t[1].T - r[0] @ r[1].T
+        out = baselines.jest_select(t, r, np.arange(30), 0.4, 3, mode=mode, seed=trial, score_tau=tau)
+        chosen = list(out.chunk_trace[0].indices)
+        for chunk in out.chunk_trace[1:]:
+            for c, score in zip(chunk.indices, chunk.scores):
+                g1 = [s[c, j] - s[c, c] for j in chosen]
+                g2 = [s[j, c] - s[c, c] for j in chosen]
+                want = sum(tau * np.log(np.mean(np.exp(np.array(g) / tau))) for g in (g1, g2))
+                assert score == pytest.approx(want, abs=1e-12)
+            chosen += list(chunk.indices)
+
+
 def test_jest_topk_invariant_under_candidate_permutation():
     # with all-distinct scores the picked items do not depend on ordering
-    s_t = _random_sim(23, 16)
-    s_r = _random_sim(24, 16)
+    t = _random_pair(23, 16)
+    r = _random_pair(24, 16)
     super_batch = np.arange(200, 216)
-    base = baselines.jest_select(s_t, s_r, super_batch, 0.25, 2, mode="topk", seed=0)
+    base = baselines.jest_select(t, r, super_batch, 0.25, 2, mode="topk", seed=0)
     perm = CounterRng(9).permutation(16)
     out = baselines.jest_select(
-        s_t[np.ix_(perm, perm)], s_r[np.ix_(perm, perm)], super_batch[perm], 0.25, 2, mode="topk", seed=0
+        [e[perm] for e in t], [e[perm] for e in r], super_batch[perm], 0.25, 2, mode="topk", seed=0
     )
     assert sorted(out.selected.tolist()) == sorted(base.selected.tolist())
 
 
 def test_jest_argument_errors():
-    s = _random_sim(15, 10)
+    s = _random_pair(15, 10)
     with pytest.raises(ValueError):
         baselines.jest_select(s, s, np.arange(10), 0.1, 3, seed=0)  # 1 pick, 3 chunks
     with pytest.raises(ValueError):

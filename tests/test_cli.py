@@ -47,16 +47,22 @@ def test_gen_data_round_trip(tmp_path):
     assert ds.content_hash() == again.content_hash()
 
 
-def test_train_repeat_is_bit_identical(tmp_path):
+# A JEST step draws a super batch of batch / 0.2 pairs from the 72-pair pool.
+@pytest.mark.parametrize(
+    "method, batch",
+    [pytest.param("drrho-clip", 16, id="drrho-clip"), pytest.param("jest", 12, id="jest"),
+     pytest.param("jest-topk", 12, id="jest-topk")],
+)
+def test_train_repeat_is_bit_identical(tmp_path, method, batch):
     data_path = _gen(tmp_path)
     cache_path = _make_cache(tmp_path, data_path)
     args = [
         "train",
-        "--method", "drrho-clip",
+        "--method", method,
         "--data", str(data_path),
         "--ref", str(cache_path),
         "--steps", "15",
-        "--batch-size", "16",
+        "--batch-size", str(batch),
         "--embed-dim", "6",
         "--seed", "7",
     ]
@@ -406,6 +412,18 @@ def test_blank_cache_dataset_id_exits_1_naming_field(tmp_path, capsys):
     argv = ["train", "--method", "drrho-clip", "--data", str(other_data), "--ref", str(cache_path), "--steps", "4"]
     assert cli.run(argv + ["--output", str(tmp_path / "run")]) == 1
     assert "dataset_id" in capsys.readouterr().err
+
+
+def test_cache_dimension_contradicting_its_arrays_exits_1_naming_field(tmp_path, capsys):
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    mpath = container.manifest_path(cache_path)
+    manifest = json.loads(mpath.read_text())
+    manifest["meta"]["d"] = 7  # e1 has 6 columns
+    mpath.write_text(json.dumps(manifest))
+    argv = ["train", "--method", "drrho-clip", "--data", str(data_path), "--ref", str(cache_path), "--steps", "4"]
+    assert cli.run(argv + ["--output", str(tmp_path / "run")]) == 1
+    assert "'d'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source_tau", [0.0, -3.0])

@@ -1,5 +1,10 @@
-"""Counter-based generator: weighted draws against the per-draw oracle."""
+"""Counter-based generator: weighted draws against the sequential law and
+the per-draw oracle."""
 
+import collections
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,25 +17,102 @@ from oracles import weighted_draws_direct
 _PROB = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e100, allow_nan=False, allow_infinity=False))
 
 
+def _chi_square_sf(stat: float, df: int) -> float:
+    """P(X >= stat) for a chi-square variable X with ``df`` degrees of freedom."""
+    return float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
+
+
+def _chi_square_p(observed, expected) -> float:
+    """Upper-tail p-value of Pearson's chi-square over the cells; cells
+    expecting fewer than 5 draws are pooled into one."""
+    observed, expected = np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
+    small = expected < 5.0
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return _chi_square_sf(float(((observed - expected) ** 2 / expected).sum()), len(expected) - 1)
+
+
+def _sequential_law(probs, k) -> dict[tuple, float]:
+    """Exact probability of every ordered draw of ``k`` under sequential
+    draws that renormalize after each pick."""
+    p = np.asarray(probs, dtype=float)
+    law = {}
+    for seq in itertools.permutations(range(len(p)), k):
+        prob, left = 1.0, p.copy()
+        for j in seq:
+            total = left.sum()  # summed afresh, so a denormal left last keeps its mass
+            prob *= p[j] / total if total > 0 else 0.0
+            left[j] = 0.0
+        law[seq] = prob
+    return law
+
+
+def _ordered_counts(draw, n: int) -> collections.Counter:
+    return collections.Counter(tuple(draw().tolist()) for _ in range(n))
+
+
+_LAW_CASES = [
+    ([0.5, 0.25, 0.125, 0.125], 2),
+    ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3),
+    ([0.0, 3.0, 1.0, 0.0, 2.0], 3),
+    ([5e-324, 1.0, 2.0], 3),  # a denormal candidate is drawn last
+    ([1e100, 3e100, 2e100, 1e100], 4),
+    ([1.0] * 6, 6),
+]
+
+
+def test_weighted_draws_match_per_draw_oracle():
+    """The one-pass draw and the per-draw oracle both follow the exact
+    sequential law: ordered-draw frequencies over 12,000 draws per case,
+    against exact enumeration."""
+    n = 12_000
+    for case, (probs, k) in enumerate(_LAW_CASES):
+        probs = np.array(probs)
+        law = _sequential_law(probs, k)
+        lib, ref = CounterRng(case, 3), CounterRng(case, 4)
+        for counts in (
+            _ordered_counts(lambda: lib.weighted_draws(probs, k), n),
+            _ordered_counts(lambda: weighted_draws_direct(ref, probs, k), n),
+        ):
+            assert all(law.get(seq, 0.0) > 0.0 for seq in counts), (probs, k)
+            cells = [seq for seq, prob in law.items() if prob > 0.0]
+            assert _chi_square_p([counts[c] for c in cells], [n * law[c] for c in cells]) > 1e-4, (probs, k)
+        assert lib._counter == n * len(probs)
+
+
+def test_weighted_draws_chi_square_at_240():
+    """At JEST's shape, 24 of 240 on softmax scores: the first draw follows
+    p / sum(p) exactly, and every candidate's inclusion count agrees with the
+    per-draw oracle's (a two-sample chi-square), over fixed seeds."""
+    scores = CounterRng(11, 0).normals(240)
+    probs = np.exp(scores - scores.max())
+    n, k = 3000, 24
+    lib = [CounterRng(seed, 0).weighted_draws(probs, k) for seed in range(n)]
+    ref = [weighted_draws_direct(CounterRng(seed, 1), probs, k) for seed in range(n)]
+    first = np.bincount([d[0] for d in lib], minlength=240)
+    assert _chi_square_p(first, n * probs / probs.sum()) > 1e-4
+    inc_lib = np.bincount(np.concatenate(lib), minlength=240).astype(float)
+    inc_ref = np.bincount(np.concatenate(ref), minlength=240).astype(float)
+    pooled = (inc_lib + inc_ref) / 2
+    stat = float((((inc_lib - pooled) ** 2 + (inc_ref - pooled) ** 2) / pooled).sum())
+    assert _chi_square_sf(stat, 239) > 1e-4
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     probs=st.lists(_PROB, min_size=1, max_size=40),
     seed=st.integers(0, 2**32),
     stream=st.integers(0, 9),
-    start=st.integers(0, 5),
     data=st.data(),
 )
-def test_weighted_draws_match_per_draw_oracle(probs, seed, stream, start, data):
+def test_weighted_draws_are_distinct_positive_and_advance_by_candidates(probs, seed, stream, data):
     probs = np.array(probs)
     k = data.draw(st.integers(0, int(np.count_nonzero(probs))), label="k")
-    lib, ref = CounterRng(seed, stream), CounterRng(seed, stream)
-    lib.uniforms(start)
-    ref.uniforms(start)
-    got = lib.weighted_draws(probs, k)
-    want = weighted_draws_direct(ref, probs, k)
-    assert np.array_equal(got, want)
-    assert lib._counter == ref._counter == start + k
-    assert np.array_equal(lib.raw(3), ref.raw(3))
+    rng = CounterRng(seed, stream)
+    got = rng.weighted_draws(probs, k)
+    assert len(set(got.tolist())) == k and (probs[got] > 0).all()
+    assert rng._counter == len(probs)
 
 
 def test_weighted_draws_more_than_candidates_raises():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,36 @@ def test_train_with_step_buffers_matches_allocating_path(monkeypatch, method, b,
     held = _run_digest(*trainer.train(config, ds, cache))
     monkeypatch.setattr(trainer, "_step_buffers", lambda b: (None,) * 5)
     assert held == _run_digest(*trainer.train(config, ds, cache))
+
+
+@pytest.mark.parametrize("method", ["jest", "jest-topk"])
+def test_jest_step_allocates_no_super_by_super_array(monkeypatch, method):
+    """A JEST step at the large-batch shape (256 of a 1280-pair super batch)
+    allocates less, at its peak, than one 1280 x 1280 matrix: selection
+    forms only the blocks it compares."""
+    ds = data.generate_synthetic(1600, 24, 20, 4, 0.3, 0.2, seed=0)
+    cache = data.build_reference_cache(ds, encoder.init_model(16, 24, 20, seed=1))
+    config = trainer.TrainConfig(
+        method=method, steps=2, batch_size=256, embed_dim=8, lr=5e-3, tau_learnable=True, eval_every=10**6
+    )
+    peaks, step = [], trainer.optimizer_step
+
+    def traced_step(state, grads):
+        # The second step runs from the end of the first to the end of its own update.
+        out = step(state, grads)
+        if state.step == 2:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        elif state.step == 1:
+            tracemalloc.start()
+        return out
+
+    monkeypatch.setattr(trainer, "optimizer_step", traced_step)
+    try:
+        trainer.train(config, ds, cache)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 1280 * 1280 * 8, f"peak {peaks} B"
 
 
 # Minor page faults per extra training step, read by a fresh process from

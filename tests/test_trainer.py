@@ -573,6 +573,40 @@ def test_checkpoint_meta_contradicting_the_file_names_field(tmp_path, field, val
         trainer.load_checkpoint(path)
 
 
+def _save_edited_state(tmp_path, edit):
+    ds = data.generate_synthetic(32, 12, 10, 4, 0.2, 0.25, seed=2)
+    config = trainer.TrainConfig(method="fastclip", steps=4, batch_size=8, embed_dim=6, seed=5)
+    state, _ = trainer.train(config, ds)
+    edit(state)
+    path = tmp_path / "t.ckpt"
+    trainer.save_checkpoint(state, path)
+    return path
+
+
+def test_checkpoint_model_id_hash_contradicting_the_weights_names_field(tmp_path):
+    path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update(model_id_hash="zz"))
+    with pytest.raises(FormatError, match="'model_id_hash' is 'zz'"):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("u1", np.zeros((4, 8))), ("u2", np.zeros(31)), ("u2", np.zeros((32, 1)))],
+    ids=["u1-matrix", "u2-short", "u2-column"],
+)
+def test_checkpoint_u_of_wrong_shape_names_field(tmp_path, field, value):
+    path = _save_edited_state(tmp_path, lambda state: setattr(state, field, value))
+    with pytest.raises(FormatError, match=f"'{field}'"):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, shape", [("m_w1", (6, 10)), ("v_w2", (10, 6)), ("m_tau", (2,)), ("v_tau", (1, 1))])
+def test_checkpoint_moment_of_wrong_shape_names_field(tmp_path, name, shape):
+    path = _save_edited_state(tmp_path, lambda state: state.moments.update({name: np.zeros(shape)}))
+    with pytest.raises(FormatError, match=f"'{name}' has shape"):
+        trainer.load_checkpoint(path)
+
+
 def test_config_validation_names_field():
     cases = [
         ("gamma", 0.0),
