@@ -32,7 +32,7 @@ from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate
 from .encoder import batch_forward
 from .errors import ConfigError
 from .report import ExperimentReport
-from .trainer import TrainConfig, _train_pool, train
+from .trainer import TrainConfig, _train_pool, run_provenance, train
 
 ERROR_CLIP = 1e-6  # keeps error rates inside the open unit interval for log fits
 
@@ -248,11 +248,7 @@ def data_efficiency_sweep(
 
     report = ExperimentReport(
         config_snapshot={**config.resolved(), "fractions": fractions, "methods": methods, "seeds": seeds},
-        provenance={
-            "dataset_hash": dataset.content_hash(),
-            "cache_source_id": cache.source_id if cache is not None else "",
-            "seed": config.seed,
-        },
+        provenance=run_provenance(config, dataset, cache),
     )
     rows = []
     for row, (method, fraction) in enumerate(cells):

@@ -17,18 +17,20 @@ batches is exactly the gradient of the exclude-anchor global objective.
 Temperature can be fixed or learned; the learnable variant adds a
 2 * tau * rho penalty and its own closed-form gradient.
 
-Everything is deterministic given (config, seed): batches come from a
-counter-based shuffle, and the optimizer is a from-scratch decoupled
-weight-decay Adam with linear warmup and cosine decay. A step's b x b
-arrays are filled in place into buffers that ``train()`` holds for the
-run, so only a run's first step faults in fresh memory. A JEST step embeds
-its super batch once and selects from the embeddings; the selected batch's
-forward pass is their selected rows.
+``start_run`` checks a config, initialises the model and holds in a ``Run``
+what every step reuses; ``step`` advances a run by one step, and ``train``
+is the two in a loop. Everything is deterministic given (config, seed):
+each epoch's order is the next counter-based permutation of the pool, and
+the optimizer is a from-scratch decoupled weight-decay Adam with linear
+warmup and cosine decay. A step fills its b x b arrays in place into the
+run's buffers, so only a run's first step faults in fresh memory. A JEST
+step embeds its super batch once and selects from the embeddings.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -47,7 +49,6 @@ from .risk import log_mean_exp
 from .rng import SEED_LIMIT, CounterRng
 
 METHODS = ("openclip", "fastclip", "drrho-clip", "jest", "jest-topk")
-_U_METHODS = ("fastclip", "drrho-clip")
 
 _STREAM_BATCHES = 10
 
@@ -92,10 +93,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}, expected one of {METHODS}")
-        # Every float setting must be finite, then lie in its range.
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        checks = [(name, math.isfinite(v)) for name, v in values.items() if isinstance(v, float)]
-        checks += [
+        # Each field is of its annotated type (an int also where a float is), a number finite, then in range.
+        for name, types in _CONFIG_META_TYPES.items():
+            value, real = getattr(self, name), float in types
+            ok = isinstance(value, (*types, int) if real else types) and (bool in types or not isinstance(value, bool))
+            if not ok or (real and not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{name}: invalid {type(value).__name__} {value!r}")
+        checks = [
             ("steps", self.steps >= 0),
             ("batch_size", self.batch_size >= 2),
             ("embed_dim", self.embed_dim >= 1),
@@ -371,39 +375,40 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
     return model
 
 
-class _EpochSampler:
-    """Without-replacement batches from a seeded shuffle; drops remainders."""
-
-    def __init__(self, pool: np.ndarray, batch: int, rng: CounterRng):
-        if batch > len(pool):
-            raise ConfigError(f"batch_size: batch {batch} exceeds training pool {len(pool)}")
-        self.pool = np.asarray(pool, dtype=np.int64)
-        self.batch = batch
-        self.rng = rng
-        self._order = None
-        self._pos = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self._order is None or self._pos + self.batch > len(self.pool):
-            self._order = self.pool[self.rng.permutation(len(self.pool))]
-            self._pos = 0
-        out = self._order[self._pos : self._pos + self.batch]
-        self._pos += self.batch
-        return out
-
-
 def _train_pool(dataset: PairedDataset, fraction: float) -> np.ndarray:
     pool = dataset.train_indices
     keep = int(np.floor(fraction * len(pool)))
     return pool[:keep]
 
 
-def train(
-    config: TrainConfig,
-    dataset: PairedDataset,
-    cache: EmbeddingCache | None = None,
-) -> tuple[TrainerState, ExperimentReport]:
-    """Run the full training loop; pure function of (config, dataset, cache)."""
+def run_provenance(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None) -> dict:
+    """What a run's report is a function of, besides its config."""
+    source = cache.source_id if cache is not None else ""
+    return {"dataset_hash": dataset.content_hash(), "cache_source_id": source, "seed": config.seed}
+
+
+@dataclass
+class Run:
+    """A training run between steps: its state, its report so far, and what ``start_run`` holds for every step."""
+
+    state: TrainerState
+    report: ExperimentReport
+    dataset: PairedDataset
+    cache: EmbeddingCache | None
+    pool: np.ndarray
+    size: int  # pairs drawn per step: the super batch under JEST
+    select: str | None  # the JEST selection mode, or None
+    shift: bool  # estimators take s_target - s_reference (drrho-clip)
+    u: bool  # the moving-average estimator, else InfoNCE
+    buffers: tuple  # the ``_step_buffers`` of the batch a step trains on
+    evaluator: _Evaluator
+    rng: CounterRng  # the next permutation is the next epoch's order
+    order: np.ndarray | None = None  # this epoch's order of the pool
+
+
+def start_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None) -> Run:
+    """A run at step 0: the inputs checked, the model initialised, and the
+    step buffers and eval inputs gathered."""
     config.validate()
     if config.needs_reference:
         if cache is None:
@@ -412,91 +417,89 @@ def train(
 
     pool = _train_pool(dataset, config.train_fraction)
     if len(pool) < config.batch_size:
-        raise ConfigError(
-            f"train_fraction: pool of {len(pool)} samples cannot fill batches of {config.batch_size}"
-        )
-    jest = config.method in ("jest", "jest-topk")
-    super_size = int(round(config.batch_size / config.jest_ratio)) if jest else config.batch_size
-    if jest and len(pool) < super_size:
-        raise ConfigError(f"jest_ratio: pool of {len(pool)} cannot fill super batches of {super_size}")
-    kept = baselines.selection_size(config.jest_ratio, super_size)
-    if jest and config.jest_chunks > kept:
+        raise ConfigError(f"train_fraction: pool of {len(pool)} samples cannot fill batches of {config.batch_size}")
+    select = {"jest": "sample", "jest-topk": "topk"}.get(config.method)
+    size = int(round(config.batch_size / config.jest_ratio)) if select else config.batch_size
+    if select and len(pool) < size:
+        raise ConfigError(f"jest_ratio: pool of {len(pool)} cannot fill super batches of {size}")
+    kept = baselines.selection_size(config.jest_ratio, size)
+    if select and config.jest_chunks > kept:
         raise ConfigError(f"jest_chunks: {config.jest_chunks} chunks exceed the {kept} pairs each step selects")
 
     tau0 = config.tau_init if config.learnable_tau else config.tau
     model = init_model(config.embed_dim, dataset.d_x, dataset.d_y, config.seed, tau=tau0)
+    shift = config.method == "drrho-clip"
+    u = shift or config.method == "fastclip"
     state = init_trainer_state(model, dataset.n, config)
-    report = ExperimentReport(
-        config_snapshot=config.resolved(),
-        provenance={
-            "dataset_hash": dataset.content_hash(),
-            "cache_source_id": cache.source_id if cache is not None else "",
-            "seed": config.seed,
-        },
-    )
-    steps = config.effective_steps
-    if steps == 0:
-        return state, report
-
-    evaluator = _Evaluator(config, dataset, cache, pool)
+    report = ExperimentReport(config_snapshot=config.resolved(), provenance=run_provenance(config, dataset, cache))
     # One array per matrix: glibc kept a single 26 MB block resident after a run.
-    gap_out, nce_out, dist_out, sim_out, ref_out = _step_buffers(kept if jest else config.batch_size)
+    buffers = _step_buffers(kept if select else config.batch_size)
+    evaluator = _Evaluator(config, dataset, cache, pool, shift, u)
     rng = CounterRng(config.seed, _STREAM_BATCHES)
-    sampler = _EpochSampler(pool, super_size, rng)
-    eval_every = config.resolved_eval_every()
+    return Run(state, report, dataset, cache, pool, size, select, shift, u, buffers, evaluator, rng)
 
-    for t in range(steps):
-        batch = sampler.next_batch()
-        xs_b, ys_b = dataset.xs[batch], dataset.ys[batch]
-        if jest:
-            e1, e2, r1, r2 = pair_embeddings(model, xs_b, ys_b)
-            outcome = baselines.jest_select(
-                (e1, e2),
-                (cache.e1[batch], cache.e2[batch]),
-                batch,
-                ratio=config.jest_ratio,
-                n_chunks=config.jest_chunks,
-                mode="topk" if config.method == "jest-topk" else "sample",
-                seed=config.seed + t,
-                score_tau=model.tau,
-            )
-            batch, pos = outcome.selected, outcome.positions
-            xs_b, ys_b = xs_b[pos], ys_b[pos]
-            fwd = BatchForward.of(e1[pos], e2[pos], r1[pos], r2[pos], out=sim_out)
-        else:
-            fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
-        s_ref = cache.similarity(batch, out=ref_out) if config.method == "drrho-clip" or config.distill else None
-        # Distillation reads s_ref before a drrho-clip step overwrites it.
-        if config.distill:
-            dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau, out=dist_out)
-            dist_grads = similarity_backward(fwd, xs_b, ys_b, dist_coef)
 
-        grads: dict[str, np.ndarray]
-        if config.method in _U_METHODS:
-            s = np.subtract(fwd.s, s_ref, out=s_ref) if config.method == "drrho-clip" else fwd.s
-            u = update_u(state, batch, s, out=gap_out)
-            grads = gradient_estimator(state, u, fwd, xs_b, ys_b, s, out=gap_out)
-            tau_grad = tau_gradient(state, u, s, out=gap_out) if config.learnable_tau else None
-        else:
-            coef = baselines.infonce_grad_s(fwd.s, model.tau, out=nce_out)
-            grads = similarity_backward(fwd, xs_b, ys_b, coef)
-            tau_grad = baselines.infonce_tau_gradient(fwd.s, model.tau, out=nce_out) if config.learnable_tau else None
+def step(run: Run) -> None:
+    """Advance the run one step, and record an eval point when one is due.
 
-        if config.distill:
-            lam = config.lam
-            for name in grads:
-                grads[name] = (1.0 - lam) * grads[name] + lam * dist_grads[name]
-            if tau_grad is not None:
-                # distillation's temperature pull is intentionally excluded
-                tau_grad = (1.0 - lam) * tau_grad
-        if tau_grad is not None:
-            grads["tau"] = np.asarray([tau_grad])
+    The batch is the next ``size`` pairs of the epoch's order; an epoch
+    drops the pool's remainder, and the next one draws a fresh order.
+    """
+    state, cache, t = run.state, run.cache, run.state.step
+    config, model = state.config, state.model
+    gap_out, nce_out, dist_out, sim_out, ref_out = run.buffers
+    per_epoch = len(run.pool) // run.size
+    if t % per_epoch == 0:
+        run.order = run.pool[run.rng.permutation(len(run.pool))]
+    first = t % per_epoch * run.size
+    batch = run.order[first : first + run.size]
+    xs_b, ys_b = run.dataset.xs[batch], run.dataset.ys[batch]
+    if run.select:
+        e1, e2, r1, r2 = pair_embeddings(model, xs_b, ys_b)
+        outcome = baselines.jest_select(
+            (e1, e2), (cache.e1[batch], cache.e2[batch]), batch, ratio=config.jest_ratio,
+            n_chunks=config.jest_chunks, mode=run.select, seed=config.seed + t, score_tau=model.tau,
+        )
+        batch, pos = outcome.selected, outcome.positions
+        xs_b, ys_b = xs_b[pos], ys_b[pos]
+        fwd = BatchForward.of(e1[pos], e2[pos], r1[pos], r2[pos], out=sim_out)
+    else:
+        fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
+    s_ref = cache.similarity(batch, out=ref_out) if run.shift or config.distill else None
+    # Distillation reads s_ref before a drrho-clip step overwrites it.
+    if config.distill:
+        dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau, out=dist_out)
+        dist = similarity_backward(fwd, xs_b, ys_b, dist_coef)
 
-        optimizer_step(state, grads)
+    if run.u:
+        s = np.subtract(fwd.s, s_ref, out=s_ref) if run.shift else fwd.s
+        u = update_u(state, batch, s, out=gap_out)
+        grads = gradient_estimator(state, u, fwd, xs_b, ys_b, s, out=gap_out)
+        if config.learnable_tau:
+            grads["tau"] = np.asarray([tau_gradient(state, u, s, out=gap_out)])
+    else:
+        coef = baselines.infonce_grad_s(fwd.s, model.tau, out=nce_out)
+        grads = similarity_backward(fwd, xs_b, ys_b, coef)
+        if config.learnable_tau:
+            grads["tau"] = np.asarray([baselines.infonce_tau_gradient(fwd.s, model.tau, out=nce_out)])
+    if config.distill:
+        # Distillation has no temperature pull, so tau's blend adds 0.
+        for k in grads:
+            grads[k] = (1.0 - config.lam) * grads[k] + config.lam * dist.get(k, 0.0)
 
-        if (t + 1) % eval_every == 0 or t == steps - 1:
-            evaluator.record(report, model, t + 1)
-    return state, report
+    optimizer_step(state, grads)
+    if state.step % config.resolved_eval_every() == 0 or state.step == config.effective_steps:
+        run.evaluator.record(run.report, model, state.step)
+
+
+def train(
+    config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None
+) -> tuple[TrainerState, ExperimentReport]:
+    """Run the full training loop; pure function of (config, dataset, cache)."""
+    run = start_run(config, dataset, cache)
+    for _ in range(config.effective_steps):
+        step(run)
+    return run.state, run.report
 
 
 class _Evaluator:
@@ -504,7 +507,7 @@ class _Evaluator:
 
     It holds the features of the eval subset (the head of the training
     pool) and of the test split, the eval subset's reference similarity for
-    drrho-clip, which is fixed for the run, one buffer of ``negative_gaps``
+    a shifted run, which is fixed for the run, one buffer of ``negative_gaps``
     rows, and the similarity matrices of both forward passes. Each eval
     point does one forward pass, subtracts the reference similarity from it
     in place and fills the rows; every method's objective and both loss
@@ -513,9 +516,10 @@ class _Evaluator:
     """
 
     def __init__(
-        self, config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None, pool: np.ndarray
+        self, config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None, pool: np.ndarray,
+        shift: bool, u: bool,
     ):
-        self.config = config
+        self.config, self.u = config, u
         subset = pool[: config.eval_subset]
         self.xs, self.ys = dataset.xs[subset], dataset.ys[subset]
         test = dataset.test_indices
@@ -523,7 +527,7 @@ class _Evaluator:
         self.rows = np.empty((2 * len(subset), len(subset) - 1))
         self.sim = np.empty((len(subset), len(subset)))
         self.test_sim = np.empty((len(test), len(test))) if self.test is not None else None
-        self.ref_sim = cache.similarity(subset) if config.method == "drrho-clip" else None
+        self.ref_sim = cache.similarity(subset) if shift else None
 
     def record(self, report: ExperimentReport, model: TwoTowerModel, step: int) -> None:
         from . import experiments  # local import; experiments drives trainer for sweeps
@@ -534,7 +538,7 @@ class _Evaluator:
         n = len(s)
         rows = negative_gaps(s, out=self.rows)
         lme = log_mean_exp(rows, model.tau)
-        if self.config.method in _U_METHODS:
+        if self.u:
             objective = float(lme.sum() / n)
         else:
             # InfoNCE: each anchor's log(1 + sum_{j != i} exp(gap_ij / tau)),

@@ -161,8 +161,7 @@ def test_first_step_hands_fresh_u_to_estimators(method, distill):
     got, _ = trainer.train(config, ds, cache)
 
     pool = trainer._train_pool(ds, config.train_fraction)
-    rng = CounterRng(config.seed, trainer._STREAM_BATCHES)
-    batch = trainer._EpochSampler(pool, config.batch_size, rng).next_batch()
+    batch = pool[CounterRng(config.seed, trainer._STREAM_BATCHES).permutation(len(pool))][: config.batch_size]
     model = encoder.init_model(config.embed_dim, ds.d_x, ds.d_y, config.seed, tau=config.tau_init)
     state = trainer.init_trainer_state(model, ds.n, config)
     xs, ys = ds.xs[batch], ds.ys[batch]
@@ -359,6 +358,87 @@ def test_train_deterministic_and_t0():
     assert np.array_equal(s0.model.w1, init.w1)
 
 
+def _outputs(state, rep):
+    arrays = [state.model.w1, state.model.w2, state.u1, state.u2, *state.moments.values()]
+    return [a.tobytes() for a in arrays], state.model.tau, state.step, rep.to_json_dict()
+
+
+def _pool_of_120():
+    ds = data.generate_synthetic(160, 12, 10, 4, 0.2, 0.25, seed=6)
+    return ds, data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=60))
+
+
+@pytest.mark.parametrize("tau_learnable", [True, False], ids=["learned-tau", "fixed-tau"])
+@pytest.mark.parametrize("distill", [False, True], ids=["plain", "distill"])
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_stepped_run_equals_train(method, distill, tau_learnable):
+    # 12 steps cross an epoch of 10 batches; JEST's 22 steps cross ten of 2.
+    ds, cache = _pool_of_120()
+    config = trainer.TrainConfig(
+        method=method, steps=12, batch_size=12, embed_dim=6, lr=5e-3, tau_learnable=tau_learnable,
+        distill=distill, eval_every=3, eval_subset=32,
+    )
+    run = trainer.start_run(config, ds, cache)
+    assert run.state.step == 0 and run.report.series == []
+    for _ in range(config.effective_steps):
+        trainer.step(run)
+    assert _outputs(run.state, run.report) == _outputs(*trainer.train(config, ds, cache))
+
+
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_zero_steps_return_the_initial_state_and_no_points(method):
+    ds, cache = _pool_of_120()
+    config = trainer.TrainConfig(method=method, steps=0, batch_size=12, embed_dim=6, seed=4)
+    state, rep = trainer.train(config, ds, cache)
+    init = encoder.init_model(6, 12, 10, seed=4, tau=config.tau_init if config.learnable_tau else config.tau)
+    assert state.step == 0 and rep.series == []
+    assert state.model.w1.tobytes() == init.w1.tobytes() and state.model.w2.tobytes() == init.w2.tobytes()
+    assert state.model.tau == init.tau
+    assert not state.u1.any() and not state.u2.any() and not any(m.any() for m in state.moments.values())
+    assert rep.provenance == {"dataset_hash": ds.content_hash(), "cache_source_id": cache.source_id, "seed": 4}
+
+
+@pytest.mark.parametrize("method, b, size", [("fastclip", 12, 12), ("drrho-clip", 7, 7), ("jest", 6, 12)])
+def test_batches_are_a_function_of_the_step(monkeypatch, method, b, size):
+    """Epoch e's order is the pool under the e-th permutation of the batch
+    stream; its k = len(pool) // size batches are disjoint slices of it in
+    turn, and the remainder is dropped. Under JEST the draw is the super
+    batch that selection reads."""
+    ds, cache = _pool_of_120()
+    drawn = []
+    if method == "jest":
+        select = baselines.jest_select
+
+        def spy(current, reference, candidates, **kwargs):
+            drawn.append(np.array(candidates))
+            return select(current, reference, candidates, **kwargs)
+
+        monkeypatch.setattr(baselines, "jest_select", spy)
+    else:
+        update = trainer.update_u
+
+        def spy(state, batch, s, out=None):
+            drawn.append(np.array(batch))
+            return update(state, batch, s, out=out)
+
+        monkeypatch.setattr(trainer, "update_u", spy)
+    config = trainer.TrainConfig(
+        method=method, steps=60, batch_size=b, embed_dim=6, jest_ratio=0.5, train_fraction=0.95, eval_every=10**6
+    )
+    run = trainer.start_run(config, ds, cache)
+    pool, k = run.pool, len(run.pool) // size
+    assert run.size == size and len(pool) % size  # every epoch has a remainder to drop
+    for _ in range(3 * k):
+        trainer.step(run)
+    assert len(drawn) == 3 * k and all(len(batch) == size for batch in drawn)
+    rng = CounterRng(config.seed, trainer._STREAM_BATCHES)
+    for e in range(3):
+        order = pool[rng.permutation(len(pool))]
+        epoch = np.concatenate(drawn[e * k : (e + 1) * k])
+        assert len(np.unique(epoch)) == k * size
+        assert np.array_equal(epoch, order[: k * size])
+
+
 def test_train_monitored_descent():
     ds = data.generate_synthetic(64, 16, 14, 5, 0.2, 0.0, seed=4)
     ref = encoder.init_model(8, 16, 14, seed=88)
@@ -473,7 +553,7 @@ def test_eval_point_transient_memory(method):
     cache = data.build_reference_cache(ds, encoder.init_model(16, 24, 20, seed=5))
     config = trainer.TrainConfig(method=method, steps=150, batch_size=48, embed_dim=8, eval_subset=128)
     model = encoder.init_model(8, 24, 20, seed=1, tau=0.07)
-    evaluator = trainer._Evaluator(config, ds, cache, trainer._train_pool(ds, 1.0))
+    evaluator = trainer.start_run(config, ds, cache).evaluator
     rep = report.ExperimentReport(config_snapshot={})
     evaluator.record(rep, model, 1)  # the first point; later ones are the steady state
     tracemalloc.start()
@@ -624,6 +704,36 @@ def test_config_validation_names_field():
     for field, value in cases:
         with pytest.raises(ConfigError, match=field):
             trainer.TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("steps", 2.5),
+        ("batch_size", 8.0),
+        ("embed_dim", 4.0),
+        ("eval_subset", 16.5),
+        ("jest_chunks", 2.0),
+        ("seed", 1.5),
+        ("eval_every", 1.5),
+        ("steps", True),
+        ("tau_learnable", "yes"),
+        ("distill", "no"),
+        ("tau", True),
+        pytest.param("lr", 10**400, id="lr-10**400"),
+    ],
+)
+def test_train_rejects_a_field_of_the_wrong_type_naming_it(field, value):
+    ds, cache = _pool_of_120()
+    method = "jest" if field == "jest_chunks" else "drrho-clip"
+    config = trainer.TrainConfig(method=method, steps=3, batch_size=12, embed_dim=6, eval_subset=32)
+    with pytest.raises(ConfigError, match=f"^{field}: invalid {type(value).__name__} "):
+        trainer.train(replace(config, **{field: value}), ds, cache)
+
+
+def test_config_takes_an_int_where_a_float_is_annotated():
+    trainer.TrainConfig(lr=1, tau=1, tau_init=1, gamma=1, epsilon=0, lam=0, jest_ratio=1, train_fraction=1).validate()
+    trainer.TrainConfig(tau_learnable=None, eval_every=None).validate()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 5 + 2**64])
