@@ -10,9 +10,9 @@ Layout of the binary file:
     payloads: float64 LE, C order, concatenated in array order
 
 The sidecar ``<path>.json`` repeats the structural facts (kind, shapes),
-carries arbitrary metadata (seeds, dims, source ids), and a SHA-256
-checksum of the binary file. Round trips are bit-exact: payloads are raw
-float64 bytes and metadata floats survive JSON via repr.
+carries what the stored object writes as meta (seeds, dims, source ids)
+and a SHA-256 checksum of the binary file. Round trips are bit-exact:
+payloads are raw float64 bytes and metadata floats survive JSON via repr.
 """
 
 from __future__ import annotations
@@ -164,19 +164,32 @@ def require_arrays(path: str | Path, arrays: dict[str, np.ndarray], names) -> No
             raise FormatError(f"{path}: container missing array {name!r}")
 
 
+def json_type_error(value, types: tuple[type, ...]) -> str | None:
+    """Why ``value`` is not of one of the JSON ``types`` (``bool`` only where
+    listed, an ``int`` within float range wherever ``float`` is), or None."""
+    types = (*types, int) if float in types else types
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        return f"is {type(value).__name__}, expected {' or '.join(t.__name__ for t in types)}"
+    if float in types and isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "is an int too large for a float"
+
+
 def require_meta(path: str | Path, meta: dict, spec: dict[str, tuple[type, ...]]) -> dict:
     """The named entries of a manifest's meta, each of one of its listed JSON
-    types (``bool`` only where listed, ``int`` wherever ``float`` is);
-    FormatError naming the first missing or mistyped one."""
+    types by ``json_type_error``; FormatError naming the first missing or
+    mistyped one."""
     for key, types in spec.items():
         if key not in meta:
             raise FormatError(f"{path}: manifest meta missing {key!r}")
-        value = meta[key]
-        if float in types:
-            types = (*types, int)
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            expected = " or ".join(t.__name__ for t in types)
-            raise FormatError(f"{path}: manifest meta {key!r} is {type(value).__name__}, expected {expected}")
-        if float in types and isinstance(value, int) and abs(value) > sys.float_info.max:
-            raise FormatError(f"{path}: manifest meta {key!r} is an int too large for a float")
+        if why := json_type_error(meta[key], types):
+            raise FormatError(f"{path}: manifest meta {key!r} {why}")
     return {key: meta[key] for key in spec}
+
+
+def require_derived(path: str | Path, meta: dict, derived: dict) -> None:
+    """FormatError naming the first entry of ``derived`` (what the loaded object
+    writes) that ``meta`` lacks, types otherwise by ``require_meta`` or differs in."""
+    require_meta(path, meta, {key: (type(value),) for key, value in derived.items()})
+    for key, value in derived.items():
+        if meta[key] != value:
+            raise FormatError(f"{path}: manifest meta {key!r} is {meta[key]!r}, but the file gives {value!r}")

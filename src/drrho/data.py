@@ -56,6 +56,13 @@ class PairedDataset:
             raise ConfigError("xs, ys, split must have identical length")
         if not np.isin(self.split, [SPLIT_TRAIN, SPLIT_TEST]).all():
             raise ConfigError("split labels must be train(0) or test(1)")
+        # held as the JSON type a manifest gives back, which the content hash covers
+        for name, kind in (("seed", int), ("noise_sigma", float), ("d_latent", int)):
+            value = getattr(self, name)
+            value = value.item() if isinstance(value, np.generic) else value  # a numpy scalar's number
+            if why := container.json_type_error(value, (kind,)):
+                raise ConfigError(f"{name}: {why}")
+            setattr(self, name, kind(value))
 
     @property
     def n(self) -> int:
@@ -202,94 +209,58 @@ def build_reference_cache(dataset: PairedDataset, reference) -> EmbeddingCache:
     )
 
 
+# The manifest entries each loader builds from; the rest of the meta is derived.
+_DATASET_META_TYPES = {"seed": (int,), "noise_sigma": (float,), "d_latent": (int,)}
+_CACHE_META_TYPES = {"source_id": (str,), "dataset_id": (str,), "source_tau": (float,)}
+
+
+def _dataset_meta(dataset: PairedDataset) -> dict:
+    """What a dataset file's manifest says of its dataset."""
+    return {"n": dataset.n, "d_x": dataset.d_x, "d_y": dataset.d_y, "d_latent": dataset.d_latent,
+            "noise_sigma": dataset.noise_sigma, "seed": dataset.seed, "content_hash": dataset.content_hash()}
+
+
 def save_dataset(dataset: PairedDataset, path: str | Path) -> None:
-    container.write_container(
-        path,
-        container.KIND_DATASET,
-        {"xs": dataset.xs, "ys": dataset.ys, "split": dataset.split.astype(np.float64)},
-        meta={
-            "n": dataset.n,
-            "d_x": dataset.d_x,
-            "d_y": dataset.d_y,
-            "d_latent": dataset.d_latent,
-            "noise_sigma": dataset.noise_sigma,
-            "seed": dataset.seed,
-            "content_hash": dataset.content_hash(),
-        },
-    )
-
-
-def _read_pairs(path: str | Path, kind: int, names: tuple[str, ...]) -> tuple[dict, dict]:
-    """A dataset or cache container holding ``names``, one row per pair, as
-    many as its manifest's ``n``."""
-    arrays, meta = container.read_container(path, expect_kind=kind)
-    container.require_arrays(path, arrays, names)
-    rows = len(arrays[names[0]])
-    if meta.get("n") != rows:
-        raise FormatError(f"{path}: manifest meta 'n' is {meta.get('n')!r}, but {names[0]} has {rows} rows")
-    return arrays, meta
-
-
-_DATASET_META_TYPES = {
-    "d_x": (int,), "d_y": (int,), "seed": (int,), "noise_sigma": (float,), "d_latent": (int,), "content_hash": (str,)
-}
+    arrays = {"xs": dataset.xs, "ys": dataset.ys, "split": dataset.split.astype(np.float64)}
+    container.write_container(path, container.KIND_DATASET, arrays, meta=_dataset_meta(dataset))
 
 
 def load_dataset(path: str | Path) -> PairedDataset:
     """A saved dataset; FormatError naming the first manifest entry that is
-    out of range or disagrees with the arrays or with their content hash."""
-    arrays, meta = _read_pairs(path, container.KIND_DATASET, ("xs", "ys", "split"))
-    meta = container.require_meta(path, meta, _DATASET_META_TYPES)
-    dataset = PairedDataset(
-        xs=arrays["xs"],
-        ys=arrays["ys"],
-        split=arrays["split"].astype(np.int64),
-        seed=meta["seed"],
-        noise_sigma=float(meta["noise_sigma"]),
-        d_latent=meta["d_latent"],
-    )
+    out of range or differs from what the dataset writes."""
+    arrays, meta = container.read_container(path, expect_kind=container.KIND_DATASET)
+    container.require_arrays(path, arrays, ("xs", "ys", "split"))
+    inputs = container.require_meta(path, meta, _DATASET_META_TYPES)
     checks = [
-        ("d_x", meta["d_x"] == dataset.d_x, f"but xs has {dataset.d_x} columns"),
-        ("d_y", meta["d_y"] == dataset.d_y, f"but ys has {dataset.d_y} columns"),
-        ("seed", 0 <= dataset.seed < SEED_LIMIT, "outside [0, 2**63)"),
-        ("noise_sigma", math.isfinite(dataset.noise_sigma) and dataset.noise_sigma >= 0, "not finite and >= 0"),
-        ("d_latent", dataset.d_latent >= 1, "below 1"),
-        ("content_hash", meta["content_hash"] == dataset.content_hash(), "but the arrays hash otherwise"),
+        ("seed", 0 <= inputs["seed"] < SEED_LIMIT, "outside [0, 2**63)"),
+        ("noise_sigma", math.isfinite(inputs["noise_sigma"]) and inputs["noise_sigma"] >= 0, "not finite and >= 0"),
+        ("d_latent", inputs["d_latent"] >= 1, "below 1"),
     ]
     for name, ok, why in checks:
         if not ok:
             raise FormatError(f"{path}: manifest meta {name!r} is {meta[name]!r}, {why}")
+    dataset = PairedDataset(xs=arrays["xs"], ys=arrays["ys"], split=arrays["split"].astype(np.int64), **inputs)
+    container.require_derived(path, meta, _dataset_meta(dataset))
     return dataset
 
 
+def _cache_meta(cache: EmbeddingCache) -> dict:
+    """What a cache file's manifest says of its cache."""
+    return {"n": cache.n, "d": cache.d, "source_id": cache.source_id, "dataset_id": cache.dataset_id,
+            "source_tau": cache.source_tau}
+
+
 def save_cache(cache: EmbeddingCache, path: str | Path) -> None:
-    container.write_container(
-        path,
-        container.KIND_CACHE,
-        {"e1": cache.e1, "e2": cache.e2},
-        meta={
-            "n": cache.n,
-            "d": cache.d,
-            "source_id": cache.source_id,
-            "dataset_id": cache.dataset_id,
-            "source_tau": cache.source_tau,
-        },
-    )
+    container.write_container(path, container.KIND_CACHE, {"e1": cache.e1, "e2": cache.e2}, meta=_cache_meta(cache))
 
 
 def load_cache(path: str | Path) -> EmbeddingCache:
     """A saved cache; FormatError naming the first manifest entry that is
-    mistyped or disagrees with the arrays."""
-    arrays, meta = _read_pairs(path, container.KIND_CACHE, ("e1", "e2"))
-    meta = container.require_meta(
-        path, meta, {"d": (int,), "source_id": (str,), "dataset_id": (str,), "source_tau": (float,)}
-    )
-    if arrays["e1"].shape[1:2] != (meta["d"],):
-        raise FormatError(f"{path}: manifest meta 'd' is {meta['d']!r}, but e1 has shape {arrays['e1'].shape}")
-    return EmbeddingCache(
-        e1=arrays["e1"],
-        e2=arrays["e2"],
-        source_id=meta["source_id"],
-        dataset_id=meta["dataset_id"],
-        source_tau=float(meta["source_tau"]),
-    )
+    mistyped or differs from what the cache writes."""
+    arrays, meta = container.read_container(path, expect_kind=container.KIND_CACHE)
+    container.require_arrays(path, arrays, ("e1", "e2"))
+    inputs = container.require_meta(path, meta, _CACHE_META_TYPES)
+    inputs["source_tau"] = float(inputs["source_tau"])
+    cache = EmbeddingCache(e1=arrays["e1"], e2=arrays["e2"], **inputs)
+    container.require_derived(path, meta, _cache_meta(cache))
+    return cache

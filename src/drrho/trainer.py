@@ -30,14 +30,13 @@ step embeds its super batch once and selects from the embeddings.
 from __future__ import annotations
 
 import math
-import sys
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, container
+from . import baselines, container, encoder
 # global_objective is not called here; bench/test_bench.py checks that the
 # tracer wraps it through this module's binding.
 from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
@@ -93,11 +92,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}, expected one of {METHODS}")
-        # Each field is of its annotated type (an int also where a float is), a number finite, then in range.
+        # Each field is of its annotated JSON type, a number finite, then in range.
         for name, types in _CONFIG_META_TYPES.items():
-            value, real = getattr(self, name), float in types
-            ok = isinstance(value, (*types, int) if real else types) and (bool in types or not isinstance(value, bool))
-            if not ok or (real and not abs(value) <= sys.float_info.max):
+            value = getattr(self, name)
+            if container.json_type_error(value, types) or (float in types and not math.isfinite(value)):
                 raise ConfigError(f"{name}: invalid {type(value).__name__} {value!r}")
         checks = [
             ("steps", self.steps >= 0),
@@ -157,10 +155,11 @@ class TrainConfig:
 
 
 # Each config field's accepted JSON types, read from its annotation; a
-# checkpoint's metadata is checked against these before it is rebuilt.
+# checkpoint's state is rebuilt from these manifest entries and its step.
 _CONFIG_META_TYPES = {
     name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(TrainConfig).items()
 }
+_CHECKPOINT_META_TYPES = {**_CONFIG_META_TYPES, "step": (int,)}
 
 _MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2", "m_tau", "v_tau")
 
@@ -556,59 +555,39 @@ class _Evaluator:
             report.add(step, "tau", model.tau)
 
 
+def _checkpoint_meta(state: TrainerState) -> dict:
+    """What a trainer checkpoint's manifest says of its state: the resolved run config, the step, the model id."""
+    return {**state.config.resolved(), "step": state.step, "model_id_hash": state.model.id_hash}
+
+
 def save_checkpoint(state: TrainerState, path: str | Path) -> None:
     """Write weights, u, moments and the resolved run config that produced them."""
-    arrays = {
-        "w1": state.model.w1,
-        "w2": state.model.w2,
-        "tau": np.asarray([state.model.tau]),
-        "u1": state.u1,
-        "u2": state.u2,
-    }
+    arrays = {**encoder.model_arrays(state.model), "u1": state.u1, "u2": state.u2}
     arrays.update((k, state.moments[k]) for k in _MOMENTS)
-    meta = {**state.config.resolved(), "step": state.step, "model_id_hash": state.model.id_hash}
-    container.write_container(path, container.KIND_TRAINER, arrays, meta=meta)
+    container.write_container(path, container.KIND_TRAINER, arrays, meta=_checkpoint_meta(state))
 
 
 def load_checkpoint(path: str | Path) -> TrainerState:
     """A saved trainer state; FormatError naming the first manifest entry
     that is out of range, disagrees with the weights, or differs from what
-    the run config resolves it to."""
+    the state writes."""
     arrays, meta = container.read_container(path, expect_kind=container.KIND_TRAINER)
-    container.require_arrays(path, arrays, ("w1", "w2", "tau", "u1", "u2", *_MOMENTS))
-    spec = {
-        **_CONFIG_META_TYPES,
-        "step": (int,),
-        "effective_steps": (int,),
-        "warmup_steps": (int,),
-        "model_id_hash": (str,),
-    }
-    values = container.require_meta(path, meta, spec)
-    step, id_hash = values.pop("step"), values.pop("model_id_hash")
-    del values["effective_steps"], values["warmup_steps"]
+    container.require_arrays(path, arrays, ("u1", "u2", *_MOMENTS))
+    values = container.require_meta(path, meta, _CHECKPOINT_META_TYPES)
+    step = values.pop("step")
     config = TrainConfig(**values)
     config.validate()
     if step < 0:
         raise FormatError(f"{path}: manifest meta 'step' is {step}, below 0")
-    for key, value in config.resolved().items():
-        if (type(meta[key]), meta[key]) != (type(value), value):
-            raise FormatError(f"{path}: manifest meta {key!r} is {meta[key]!r}, but the config resolves {value!r}")
-    model = TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
+    model = encoder.model_from_arrays(path, arrays)
     if config.embed_dim != model.d:
         raise FormatError(f"{path}: manifest meta 'embed_dim' is {config.embed_dim}, but w1 has {model.d} rows")
-    if id_hash != model.id_hash:
-        raise FormatError(f"{path}: manifest meta 'model_id_hash' is {id_hash!r}, but the weights hash otherwise")
     u1, u2 = arrays["u1"], arrays["u2"]
     if u1.ndim != 1 or u2.shape != u1.shape:
         raise FormatError(f"{path}: arrays 'u1' {u1.shape} and 'u2' {u2.shape} must be vectors of one length")
     for name, shape in _moment_shapes(model).items():
         if arrays[name].shape != shape:
             raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
-    return TrainerState(
-        model=model,
-        u1=u1,
-        u2=u2,
-        config=config,
-        step=step,
-        moments={k: arrays[k] for k in _MOMENTS},
-    )
+    state = TrainerState(model=model, u1=u1, u2=u2, config=config, step=step, moments={k: arrays[k] for k in _MOMENTS})
+    container.require_derived(path, meta, _checkpoint_meta(state))
+    return state

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from drrho import cli, container, data, encoder, experiments, trainer
@@ -450,6 +451,20 @@ def test_model_without_id_hash_exits_1_naming_field(tmp_path, capsys):
     rc = cli.run(["eval", "--model", str(model_path), "--data", str(data_path), "--output", str(tmp_path / "e")])
     assert rc == 1
     assert "id_hash" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(0,), (1, 1), (2,)], ids=["empty", "matrix", "two"])
+def test_model_tau_not_of_shape_1_exits_1_naming_it(tmp_path, capsys, shape):
+    # a well-formed container with a valid checksum, only tau is malformed
+    data_path = _gen(tmp_path)
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    arrays, meta = container.read_container(model_path)
+    arrays["tau"] = np.full(shape, arrays["tau"][0])
+    container.write_container(model_path, container.KIND_MODEL, arrays, meta)
+    rc = cli.run(["eval", "--model", str(model_path), "--data", str(data_path), "--output", str(tmp_path / "e")])
+    assert rc == 1
+    assert "'tau'" in capsys.readouterr().err
 
 
 def test_truncated_manifest_exits_1_naming_path(tmp_path, capsys):

@@ -169,3 +169,55 @@ def test_every_manifest_key_edit_loads_or_raises_drrho_error(kind, tmp_path):
                 except Exception as exc:  # noqa: BLE001 - collected, then reported together
                     escaped.append(f"{[*parents, key]} = {value!r}: {type(exc).__name__}: {exc}")
     assert not escaped, "\n".join(escaped)
+
+
+# Each kind's writer, its meta function, and the meta entries its loader
+# builds the object from (its inputs); every other entry is derived.
+OBJECTS = {
+    "dataset": (data.save_dataset, data._dataset_meta, data._DATASET_META_TYPES),
+    "cache": (data.save_cache, data._cache_meta, data._CACHE_META_TYPES),
+    "model": (encoder.save_model, encoder._model_meta, {}),
+    "checkpoint": (trainer.save_checkpoint, trainer._checkpoint_meta, trainer._CHECKPOINT_META_TYPES),
+}
+
+
+def _loaded(kind, tmp_path):
+    path = tmp_path / kind
+    KINDS[kind][0](path)
+    return path, KINDS[kind][1](path)
+
+
+def _derived_keys(kind) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        _, obj = _loaded(kind, Path(tmp))
+    _, meta_of, inputs = OBJECTS[kind]
+    return [key for key in meta_of(obj) if key not in inputs]
+
+
+def _other(value):
+    """Another value of ``value``'s JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    return value + "0"
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind in OBJECTS for key in _derived_keys(kind)])
+def test_derived_meta_entry_of_another_value_is_format_error_naming_it(kind, key, tmp_path):
+    path, obj = _loaded(kind, tmp_path)
+    mpath = container.manifest_path(path)
+    doc = json.loads(mpath.read_text())
+    doc["meta"][key] = _other(OBJECTS[kind][1](obj)[key])
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        KINDS[kind][1](path)
+
+
+@pytest.mark.parametrize("kind", OBJECTS)
+def test_write_load_write_is_a_fixpoint(kind, tmp_path):
+    path, obj = _loaded(kind, tmp_path)
+    again = tmp_path / "again"
+    OBJECTS[kind][0](obj, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert container.manifest_path(again).read_bytes() == container.manifest_path(path).read_bytes()

@@ -1,5 +1,7 @@
 """Synthetic generation, alignment structure, cache, and file round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,30 @@ def test_manifest_n_disagreement_is_format_error(tmp_path):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(FormatError):
         data.load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("noise_sigma", 0), ("noise_sigma", np.float64(0.25)), ("seed", np.int64(3)), ("d_latent", np.int64(2))],
+    ids=["int-sigma", "numpy-sigma", "numpy-seed", "numpy-d_latent"],
+)
+def test_dataset_of_any_accepted_scalar_round_trips(tmp_path, field, value):
+    args = {"noise_sigma": 0.25, "seed": 1, "d_latent": 2, field: value}
+    ds = data.generate_synthetic(32, 6, 5, args["d_latent"], args["noise_sigma"], 0.25, seed=args["seed"])
+    path = tmp_path / "d.dpd"
+    data.save_dataset(ds, path)
+    back = data.load_dataset(path)
+    assert back.content_hash() == ds.content_hash()
+    assert (back.seed, back.noise_sigma, back.d_latent) == (ds.seed, ds.noise_sigma, ds.d_latent)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("seed", True), ("d_latent", False), ("noise_sigma", True), ("seed", 1.5), ("noise_sigma", "0.1")]
+)
+def test_dataset_scalar_of_another_type_is_config_error_naming_it(field, value):
+    ds = data.generate_synthetic(8, 4, 4, 2, 0.1, 0.0, seed=1)
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        replace(ds, **{field: value})
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 3 + 2**64])
