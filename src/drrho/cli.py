@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,6 +23,8 @@ METHOD_CHOICES = list(trainer.METHODS)
 _CONFIG_FIELDS = {f.name for f in fields(trainer.TrainConfig)}
 
 
+# Built once per process and shared: no option has a mutable default, and no caller adds to it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="drrho", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,8 +265,7 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (DrrhoError, ValueError, OSError) as exc:

@@ -66,8 +66,8 @@ def shifted_gaps(s: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, n
     """
     s = _check_square(s)
     g1, g2 = (None, None) if out is None else out
-    diag = np.diag(s)
-    return np.subtract(s, diag[:, None], out=g1), np.subtract(s.T, diag[:, None], out=g2)
+    diag = s.diagonal()[:, None]
+    return np.subtract(s, diag, out=g1), np.subtract(s.T, diag, out=g2)
 
 
 def negative_gaps(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -75,7 +75,8 @@ def negative_gaps(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Rows 0..n-1 are the image anchors and rows n..2n-1 the text anchors, in
     the order of ``shifted_gaps`` with the diagonal dropped: a (2n, n-1)
-    array. Given ``out`` of that shape, the rows are written into it.
+    array. Given ``out``, a C-ordered array of that shape, the rows are
+    written into it.
     """
     s = _check_square(s)
     n = len(s)
@@ -83,17 +84,13 @@ def negative_gaps(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise ValueError("s must hold at least one pair, got shape (0, 0)")
     if out is None:
         out = np.empty((2 * n, n - 1))
-    image, text = out[:n], out[n:]
-    # Anchor a's negatives are the entries before the diagonal, then those
-    # after it: column k < a holds j = k, column k >= a holds j = k + 1.
-    before = np.tri(n, n - 1, -1, dtype=bool)
-    np.copyto(image, s[:, 1:])
-    np.copyto(image, s[:, :-1], where=before)
-    np.copyto(text.T, s[1:])
-    np.copyto(text.T, s[:-1], where=before.T)
-    diag = s.diagonal()[:, None]
-    image -= diag
-    text -= diag
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be a C-ordered array")
+    # Off the diagonal, the entries of a C-ordered (n, n) matrix lie in n - 1
+    # runs of n between diagonal entries: its rows with the diagonal dropped.
+    for side, m in zip(out.reshape(2, n - 1, n), (s, s.T)):
+        np.copyto(side, m.ravel()[1:].reshape(n - 1, n + 1)[:, :n])
+    out.reshape(2, n, n - 1)[...] -= s.diagonal()[:, None]
     return out
 
 

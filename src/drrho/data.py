@@ -164,6 +164,10 @@ def generate_synthetic(
     Deterministic: the same (n, d_x, d_y, d_latent, noise_sigma, seed)
     reproduce bit-identical arrays; test_fraction only relabels the split.
     """
+    for name, value in dict(locals()).items():  # each argument of its annotated JSON type, before any use
+        value = value.item() if isinstance(value, np.generic) else value
+        if why := container.json_type_error(value, (float if name in ("noise_sigma", "test_fraction") else int,)):
+            raise ConfigError(f"{name}: {why}")
     if n < 2:
         raise ConfigError("n must be at least 2")
     if d_latent < 1 or d_latent > min(d_x, d_y):

@@ -78,37 +78,35 @@ def init_model(d: int, d_x: int, d_y: int, seed: int, tau: float = 0.01) -> TwoT
     return TwoTowerModel(w1=w1, w2=w2, tau=tau)
 
 
-def _weight(model: TwoTowerModel, modality: str) -> np.ndarray:
-    if modality == "image":
-        return model.w1
-    if modality == "text":
-        return model.w2
-    raise ValueError(f"modality must be 'image' or 'text', got {modality!r}")
-
-
 def embed_batch(model: TwoTowerModel, modality: str, raws: np.ndarray) -> np.ndarray:
     """Unit-normalized embeddings for a (b, d_in) batch, row per input."""
-    e, _ = _embed_batch_with_norms(model, modality, raws)
-    return e
+    return _embed(model, {modality: raws})[0][0]
 
 
-def _embed_batch_with_norms(model: TwoTowerModel, modality: str, raws: np.ndarray):
-    w = _weight(model, modality)
-    raws = np.asarray(raws, dtype=np.float64)
-    if raws.ndim != 2 or raws.shape[1] != w.shape[1]:
-        raise ConfigError(f"{modality} batch has shape {raws.shape}, expected (*, {w.shape[1]})")
+def _embed(model: TwoTowerModel, batches: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Unit embeddings (k, b, d) and pre-normalization norms (k, b) of k raw batches of one size, keyed
+    by modality: one array per quantity, so that one numpy call normalizes every tower."""
+    h = np.empty((len(batches), len(next(iter(batches.values()))), model.d))
     # Overflow shows as inf or nan, which the trainer's checks name.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = raws @ w.T
-        r = np.linalg.norm(h, axis=1)
+        for k, (modality, raws) in enumerate(batches.items()):
+            if modality not in ("image", "text"):
+                raise ValueError(f"modality must be 'image' or 'text', got {modality!r}")
+            w = model.w1 if modality == "image" else model.w2
+            raws = np.asarray(raws, dtype=np.float64)
+            if raws.ndim != 2 or raws.shape[1] != w.shape[1]:
+                raise ConfigError(f"{modality} batch has shape {raws.shape}, expected (*, {w.shape[1]})")
+            np.matmul(raws, w.T, out=h[k])
+        r = np.linalg.norm(h, axis=-1)
         if np.isinf(r).any():  # hypot does not square, so a finite row's norm fits again
-            r = np.hypot.reduce(h, axis=1)
+            for k in np.flatnonzero(np.isinf(r).any(axis=-1)):
+                r[k] = np.hypot.reduce(h[k], axis=-1)
         bad = r < DEGENERACY_THRESHOLD
         if bad.any():
-            raise DegenerateEmbeddingError(
-                f"{modality} embedding norm below threshold at rows {np.flatnonzero(bad)[:5].tolist()}"
-            )
-        return h / r[:, None], r
+            k = np.flatnonzero(bad.any(axis=-1))[0]
+            rows = np.flatnonzero(bad[k])[:5].tolist()
+            raise DegenerateEmbeddingError(f"{list(batches)[k]} embedding norm below threshold at rows {rows}")
+        return h / r[..., None], r
 
 
 @dataclass
@@ -133,8 +131,7 @@ def pair_embeddings(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> tup
     pre-normalization norms, the forward pass short of the similarity."""
     if len(xs) != len(ys):
         raise ConfigError("image and text batches must have equal size")
-    e1, r1 = _embed_batch_with_norms(model, "image", xs)
-    e2, r2 = _embed_batch_with_norms(model, "text", ys)
+    (e1, e2), (r1, r2) = _embed(model, {"image": xs, "text": ys})
     return e1, e2, r1, r2
 
 

@@ -81,11 +81,12 @@ def softmax_weights(losses, tau: float) -> np.ndarray:
     return p
 
 
-def log_mean_exp(v: np.ndarray, tau: float, axis: int = -1) -> np.ndarray:
+def log_mean_exp(v: np.ndarray, tau: float, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """tau * log((1/m) sum exp(v_i / tau)) along ``axis``, stabilized by
-    subtracting each lane's max. A 1-d vector gives a scalar."""
+    subtracting each lane's max. A 1-d vector gives a scalar. ``out``, of
+    v's shape, takes the one temporary if given."""
     m = v.max(axis=axis, keepdims=True)
-    t = v - m  # the one temporary; scaled and exponentiated in place
+    t = np.subtract(v, m, out=out)  # scaled and exponentiated in place
     t /= tau
     mean = np.exp(t, out=t).sum(axis=axis) / v.shape[axis]
     return m.squeeze(axis) + tau * np.log(mean)

@@ -20,7 +20,7 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_STREAM_SALT = np.uint64(0x5851F42D4C957F2D)
+_STREAM_SALT = 0x5851F42D4C957F2D
 
 SEED_LIMIT = 2**63  # bound on a run or dataset seed, so seed + step stays below 2**64
 
@@ -36,10 +36,13 @@ def mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _stream_key(seed: int, stream: int) -> np.uint64:
-    # The carries wrap in Python ints; a numpy uint64 scalar add would warn.
-    s = mix64(np.array([(seed + int(_GOLDEN)) % 2**64], dtype=np.uint64))
-    t = mix64(np.array([(stream + int(_STREAM_SALT)) % 2**64], dtype=np.uint64))
-    return mix64(s ^ t)[0]
+    # mix64 in Python ints, wrapped to 64 bits: on one-element arrays it costs several times more.
+    def mix(z: int) -> int:
+        z = (z ^ (z >> 30)) * int(_MIX1) % 2**64
+        z = (z ^ (z >> 27)) * int(_MIX2) % 2**64
+        return z ^ (z >> 31)
+
+    return np.uint64(mix(mix((seed + int(_GOLDEN)) % 2**64) ^ mix((stream + _STREAM_SALT) % 2**64)))
 
 
 class CounterRng:

@@ -172,18 +172,18 @@ def _moment_shapes(model: TwoTowerModel) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class TrainerState:
-    model: TwoTowerModel
-    u1: np.ndarray  # (n,) image-anchor inner-mean estimators
-    u2: np.ndarray  # (n,) text-anchor inner-mean estimators
+    model: TwoTowerModel  # w1 and w2, like each of their Adam moments, the halves of one vector
+    u1: np.ndarray  # (n,) image-anchor inner-mean estimators, the head of one vector
+    u2: np.ndarray  # (n,) text-anchor inner-mean estimators, its tail
     config: TrainConfig
     step: int = 0
     moments: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.u1 = np.asarray(self.u1, dtype=np.float64)
-        self.u2 = np.asarray(self.u2, dtype=np.float64)
+        _, self.u1, self.u2 = _flat_pair(np.asarray(self.u1, dtype=np.float64), np.asarray(self.u2, dtype=np.float64))
         if not self.moments:
             self.moments = {name: np.zeros(shape) for name, shape in _moment_shapes(self.model).items()}
+        _flat_parameters(self)
 
     def lr_at(self, step: int) -> float:
         base_lr, warmup = self.config.lr, self.config.resolved_warmup()
@@ -198,6 +198,24 @@ def init_trainer_state(model: TwoTowerModel, n: int, config: TrainConfig) -> Tra
     return TrainerState(model=model, u1=np.zeros(n), u2=np.zeros(n), config=config)
 
 
+def _flat_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, a, b) with a and b views of the head and tail of flat: theirs, if they are already."""
+    flat = a.base
+    if not (isinstance(flat, np.ndarray) and b.base is flat and flat.shape == (a.size + b.size,)):
+        flat = np.concatenate((a.ravel(), b.ravel()))
+        a, b = flat[: a.size].reshape(a.shape), flat[a.size :].reshape(b.shape)
+    return flat, a, b
+
+
+def _flat_parameters(state: TrainerState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat weights, first and second moments, w1's then w2's; a rebound array is laid out anew."""
+    model, mo = state.model, state.moments
+    w, model.w1, model.w2 = _flat_pair(model.w1, model.w2)
+    m, mo["m_w1"], mo["m_w2"] = _flat_pair(mo["m_w1"], mo["m_w2"])
+    v, mo["v_w1"], mo["v_w2"] = _flat_pair(mo["v_w1"], mo["v_w2"])
+    return w, m, v
+
+
 def shifted_gap_exponentials(
     s: np.ndarray, tau: float, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -205,27 +223,37 @@ def shifted_gap_exponentials(
 
     Returns (gaps1, q1, gaps2, q2): gaps1 and gaps2 are the image-anchor and
     text-anchor gaps of ``contrastive.shifted_gaps``, and q = exp(gaps / tau)
-    with the diagonal (the anchor itself) zeroed out. Given ``out``, the
-    ``gaps`` set of ``_step_buffers``, all are written into it.
+    with the diagonal (the anchor itself) zeroed out. All are written into
+    ``out``, the ``gaps`` of ``_step_buffers``, if given, else a ``_gap_set``.
     """
-    g1, q1, g2, q2 = (None,) * 4 if out is None else out
-    gaps1, gaps2 = shifted_gaps(s, out=(g1, g2))
-    q1, q2 = np.divide(gaps1, tau, out=q1), np.divide(gaps2, tau, out=q2)
-    for q in (q1, q2):
-        np.exp(q, out=q)
-        np.fill_diagonal(q, 0.0)
-    return gaps1, q1, gaps2, q2
+    g1, q1, g2, q2 = _gap_set(len(s)) if out is None else out
+    shifted_gaps(s, out=(g1, g2))
+    q = np.divide(g1.base, tau, out=q1.base)
+    np.exp(q, out=q)
+    q.reshape(2, -1)[:, :: len(s) + 1] = 0.0
+    return g1, q1, g2, q2
+
+
+def _anchor_sums(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """(2, b): each image anchor's row sum of q1, then each text anchor's of q2."""
+    return np.array((np.add.reduce(q1, axis=1), np.add.reduce(q2, axis=1)))
+
+
+def _gap_set(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(gaps1, q1, gaps2, q2) as G[0], Q[0], G[1].T and Q[1].T of fresh (2, b, b) arrays G and Q:
+    gaps2 and q2 in the layout of ``shifted_gaps``, since the order of a row sum follows the layout."""
+    g, q = np.empty((2, b, b)), np.empty((2, b, b))
+    return g[0], q[0], g[1].T, q[1].T
 
 
 def _step_buffers(b: int) -> tuple[tuple, list, list, np.ndarray, np.ndarray]:
     """A step's (b, b) buffers, held for a run: (gaps, infonce, distill, sim,
-    ref_sim). ``gaps`` is the ``out`` of ``shifted_gap_exponentials``, with
-    gaps2 and q2 transposed views as the allocating path returns them, since
-    the order of a row sum follows the layout; ``infonce`` and ``distill``
-    reuse its arrays, C-ordered, as distillation runs before either kernel.
-    A drrho-clip step overwrites ``ref_sim`` with s_target - s_reference."""
-    w = [np.empty((b, b)) for _ in range(6)]
-    return (w[0], w[1], w[2].T, w[3].T), w[:3], w[:4], w[4], w[5]
+    ref_sim). ``gaps`` is a ``_gap_set``; ``infonce`` and ``distill`` reuse
+    its arrays, C-ordered, as distillation runs before either kernel. A
+    drrho-clip step overwrites ``ref_sim`` with s_target - s_reference."""
+    gaps = _gap_set(b)
+    g, q = gaps[0].base, gaps[1].base
+    return gaps, [g[0], q[0], g[1]], [*g, *q], np.empty((b, b)), np.empty((b, b))
 
 
 def update_u(
@@ -233,13 +261,13 @@ def update_u(
     batch_indices: np.ndarray,
     s: np.ndarray,
     out: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Moving-average update of u1/u2 for the batch members (others unchanged).
 
     Any index whose estimator is still at its cold-start value of 0 takes
     the full batch average (first touch), unless gamma is 0, which is a
     no-op by definition. Batch indices must be distinct. Returns the
-    batch's updated (u1, u2), the ``u`` the estimators below take.
+    batch's updated (u1, u2) as one array, the ``u`` the estimators take.
     """
     batch_indices = np.asarray(batch_indices, dtype=np.int64)
     b = len(batch_indices)
@@ -251,21 +279,24 @@ def update_u(
         raise ValueError("batch_indices must not repeat an index")
     _, q1, _, q2 = shifted_gap_exponentials(s, state.model.tau, out=out)
     g = state.config.gamma
-    for u, q in ((state.u1, q1), (state.u2, q2)):
-        old = u[batch_indices]
-        g_i = np.where((old == 0.0) & (g > 0.0), 1.0, g)
-        u[batch_indices] = (1.0 - g_i) * old + g_i * (q.sum(axis=1) / (b - 1))
-    return state.u1[batch_indices].copy(), state.u2[batch_indices].copy()
+    flat, state.u1, state.u2 = _flat_pair(state.u1, state.u2)
+    u = flat.reshape(2, -1)
+    old = u[:, batch_indices]
+    g_i = np.where((old == 0.0) & (g > 0.0), 1.0, g)
+    u[:, batch_indices] = new = (1.0 - g_i) * old + g_i * (_anchor_sums(q1, q2) / (b - 1))
+    return new
 
 
-def _check_u(u: tuple[np.ndarray, np.ndarray], b: int) -> None:
-    if len(u) != 2 or any(np.shape(side) != (b,) for side in u):
+def _eps_plus_u(state: TrainerState, u: np.ndarray, b: int) -> np.ndarray:
+    """epsilon + u, (2, b), for the batch's (u1, u2) as ``update_u`` returns it."""
+    if getattr(u, "shape", None) != (2, b) and (len(u) != 2 or any(np.shape(side) != (b,) for side in u)):
         raise ValueError(f"u: expected the batch's (u1, u2), each of shape ({b},)")
+    return np.add(state.config.epsilon, u)
 
 
 def anchor_weight_coefficients(
     state: TrainerState,
-    u: tuple[np.ndarray, np.ndarray],
+    u: np.ndarray,
     s: np.ndarray,
     out: tuple | None = None,
 ) -> np.ndarray:
@@ -274,15 +305,13 @@ def anchor_weight_coefficients(
     batch's (u1, u2) as ``update_u`` returns it. They are built in q1's
     memory, which the next estimator call on the same ``out`` overwrites."""
     b = len(s)
-    _check_u(u, b)
+    w = 1.0 / _eps_plus_u(state, u, b)
     _, q1, _, q2 = shifted_gap_exponentials(s, state.model.tau, out=out)
-    w1 = 1.0 / (state.config.epsilon + u[0])
-    w2 = 1.0 / (state.config.epsilon + u[1])
     scale = 1.0 / (b * (b - 1))
-    diag = -(w1 * q1.sum(axis=1) + w2 * q2.sum(axis=1)) * scale
-    for q, w in ((q1, w1), (q2, w2)):
-        q *= w[:, None]
-        q *= scale
+    diag = -np.add.reduce(w * _anchor_sums(q1, q2)) * scale  # image plus text side
+    q1 *= w[0][:, None]
+    q2 *= w[1][:, None]
+    np.multiply(q1.base, scale, out=q1.base)
     q1 += q2.T
     q1.flat[:: b + 1] += diag
     return q1
@@ -290,7 +319,7 @@ def anchor_weight_coefficients(
 
 def gradient_estimator(
     state: TrainerState,
-    u: tuple[np.ndarray, np.ndarray],
+    u: np.ndarray,
     fwd: BatchForward,
     xs_batch: np.ndarray,
     ys_batch: np.ndarray,
@@ -305,7 +334,7 @@ def gradient_estimator(
 
 def tau_gradient(
     state: TrainerState,
-    u: tuple[np.ndarray, np.ndarray],
+    u: np.ndarray,
     s: np.ndarray,
     out: tuple | None = None,
 ) -> float:
@@ -318,58 +347,56 @@ def tau_gradient(
     if not state.config.learnable_tau:
         raise StateError("tau_gradient requires a learnable-temperature trainer")
     b = len(s)
-    _check_u(u, b)
+    denom = _eps_plus_u(state, u, b)
     tau = state.model.tau
-    gaps1, q1, gaps2, q2 = shifted_gap_exponentials(s, tau, out=out)
-    total = 0.0
-    for u_side, q, gaps in ((u[0], q1, gaps1), (u[1], q2, gaps2)):
-        denom = state.config.epsilon + u_side
-        inner = np.multiply(q, gaps, out=q).sum(axis=1) / ((b - 1) * tau)
-        total += float(np.mean(np.log(denom) - inner / denom))
-    return total + 2.0 * state.config.rho_tau
+    gaps1, q1, _, q2 = shifted_gap_exponentials(s, tau, out=out)
+    np.multiply(q1.base, gaps1.base, out=q1.base)
+    inner = _anchor_sums(q1, q2) / ((b - 1) * tau)
+    side = np.add.reduce(np.log(denom) - inner / denom, axis=1) / b
+    return float(side[0]) + float(side[1]) + 2.0 * state.config.rho_tau
 
 
 def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowerModel:
     """Decoupled-weight-decay adaptive-moment update with bias correction.
 
-    Applies the warmup/cosine learning rate at the current step, then
-    increments the step counter. The temperature uses its own moment pair,
-    a scaled learning rate, no weight decay, and a floor at TAU_MIN. A
-    non-finite gradient, or an update that leaves a parameter non-finite,
-    raises a ``TrainingError`` naming the step (from 1) and the parameter.
+    Applies the warmup/cosine learning rate at the current step, in one
+    pass over the flat weights given, then increments the step counter.
+    The temperature uses its own moment pair, a scaled learning rate, no
+    weight decay, and a floor at TAU_MIN. A non-finite gradient, or an
+    update that leaves a parameter non-finite, raises a ``TrainingError``
+    naming the step (from 1) and the parameter.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            bad = int(np.size(g) - np.isfinite(g).sum())
-            raise TrainingError(f"step {state.step + 1}: non-finite gradient for {name!r} ({bad} entries)")
-    lr = state.lr_at(state.step)
-    t = state.step + 1
-    bc1 = 1.0 - BETA1**t
-    bc2 = 1.0 - BETA2**t
-
-    def adam(m: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    model = state.model
+    w, m, v = _flat_parameters(state)
+    lo, hi = (0 if "w1" in grads else model.w1.size), (w.size if "w2" in grads else model.w1.size)
+    g = np.concatenate([grads[k].ravel() for k in ("w1", "w2") if k in grads] or [np.empty(0)])
+    g_tau = float(np.reshape(grads["tau"], 1)[0]) if "tau" in grads else 0.0
+    if not (np.isfinite(g).all() and math.isfinite(g_tau)):
+        for name, value in grads.items():
+            if not np.all(np.isfinite(value)):
+                bad = int(np.size(value) - np.isfinite(value).sum())
+                raise TrainingError(f"step {state.step + 1}: non-finite gradient for {name!r} ({bad} entries)")
+    lr, t = state.lr_at(state.step), state.step + 1
+    bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+    w, m, v = w[lo:hi], m[lo:hi], v[lo:hi]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
         m[...] = BETA1 * m + (1.0 - BETA1) * g
         v[...] = BETA2 * v + (1.0 - BETA2) * g * g
-        return (m / bc1) / (np.sqrt(v / bc2) + OPT_EPS)
-
-    model = state.model
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
-        for name, w in (("w1", model.w1), ("w2", model.w2)):
-            if name not in grads:
-                continue
-            direction = adam(state.moments[f"m_{name}"], state.moments[f"v_{name}"], grads[name])
-            w *= 1.0 - lr * WEIGHT_DECAY
-            w -= lr * direction
-            if not np.isfinite(w).all():
-                raise TrainingError(f"step {t}: non-finite {name!r} after the update")
-        if "tau" in grads:
-            if not state.config.learnable_tau:
-                raise StateError("tau gradient supplied but temperature is fixed")
-            g = np.asarray(grads["tau"], dtype=np.float64).reshape(1)
-            direction = adam(state.moments["m_tau"], state.moments["v_tau"], g)
-            model.tau = max(TAU_MIN, model.tau - lr * TAU_LR_SCALE * float(direction[0]))
-            if not math.isfinite(model.tau):
-                raise TrainingError(f"step {t}: non-finite 'tau' after the update")
+        w *= 1.0 - lr * WEIGHT_DECAY
+        w -= lr * ((m / bc1) / (np.sqrt(v / bc2) + OPT_EPS))
+        if not np.isfinite(w).all():
+            name = "w1" if lo == 0 and not np.isfinite(model.w1).all() else "w2"
+            raise TrainingError(f"step {t}: non-finite {name!r} after the update")
+    if "tau" in grads:
+        if not state.config.learnable_tau:
+            raise StateError("tau gradient supplied but temperature is fixed")
+        # Python floats round as float64 numpy does, and math.sqrt is correctly rounded.
+        m_tau, v_tau = state.moments["m_tau"], state.moments["v_tau"]
+        m_tau[0] = mt = BETA1 * float(m_tau[0]) + (1.0 - BETA1) * g_tau
+        v_tau[0] = vt = BETA2 * float(v_tau[0]) + (1.0 - BETA2) * g_tau * g_tau
+        model.tau = max(TAU_MIN, model.tau - lr * TAU_LR_SCALE * ((mt / bc1) / (math.sqrt(vt / bc2) + OPT_EPS)))
+        if not math.isfinite(model.tau):
+            raise TrainingError(f"step {t}: non-finite 'tau' after the update")
     state.step += 1
     return model
 
@@ -506,12 +533,12 @@ class _Evaluator:
 
     It holds the features of the eval subset (the head of the training
     pool) and of the test split, the eval subset's reference similarity for
-    a shifted run, which is fixed for the run, one buffer of ``negative_gaps``
-    rows, and the similarity matrices of both forward passes. Each eval
-    point does one forward pass, subtracts the reference similarity from it
-    in place and fills the rows; every method's objective and both loss
-    variances read them. At eval_subset=128 a similarity matrix is 128 KiB,
-    which glibc may map fresh, and fault in, on every call.
+    a shifted run, fixed for the run, a buffer of ``negative_gaps`` rows and
+    one for ``log_mean_exp``'s temporary, and the similarity matrices of both
+    forward passes. Each eval point does one forward pass, subtracts the
+    reference similarity in place and fills the rows; every method's
+    objective and both loss variances read them. At eval_subset=128 a
+    similarity matrix is 128 KiB, which glibc may map fresh on every call.
     """
 
     def __init__(
@@ -523,7 +550,7 @@ class _Evaluator:
         self.xs, self.ys = dataset.xs[subset], dataset.ys[subset]
         test = dataset.test_indices
         self.test = (dataset.xs[test], dataset.ys[test]) if len(test) >= 2 else None
-        self.rows = np.empty((2 * len(subset), len(subset) - 1))
+        self.rows, self.lme_scratch = np.empty((2, 2 * len(subset), len(subset) - 1))
         self.sim = np.empty((len(subset), len(subset)))
         self.test_sim = np.empty((len(test), len(test))) if self.test is not None else None
         self.ref_sim = cache.similarity(subset) if shift else None
@@ -536,7 +563,7 @@ class _Evaluator:
             s -= self.ref_sim
         n = len(s)
         rows = negative_gaps(s, out=self.rows)
-        lme = log_mean_exp(rows, model.tau)
+        lme = log_mean_exp(rows, model.tau, out=self.lme_scratch)
         if self.u:
             objective = float(lme.sum() / n)
         else:

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,28 @@ def test_train_flags_land_in_config_and_defaults_come_from_train_config(tmp_path
     assert cli.run(common + ["--method", "drrho-clip", "--output", str(tmp_path / "default")]) == 0
     config = json.loads((tmp_path / "default" / "report.json").read_text())["config"]
     assert config == trainer.TrainConfig().resolved()
+
+
+def test_parser_is_built_once_and_carries_nothing_between_runs(tmp_path):
+    """A flag given to one run does not reach the next run of the process:
+    its report equals that of a process running only the second command."""
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    args = ["train", "--method", "drrho-clip", "--data", str(data_path), "--ref", str(cache_path),
+            "--steps", "3", "--batch-size", "8", "--embed-dim", "4"]
+    assert cli.run([*args, "--learnable-tau", "--output", str(tmp_path / "flag")]) == 0
+    assert cli.run([*args, "--output", str(tmp_path / "after")]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from drrho import cli; sys.exit(cli.run(sys.argv[1:]))",
+         *args, "--output", str(tmp_path / "alone")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    after = (tmp_path / "after" / "report.json").read_bytes()
+    assert after == (tmp_path / "alone" / "report.json").read_bytes()
+    assert after != (tmp_path / "flag" / "report.json").read_bytes()
 
 
 def test_unknown_method_exits_2(tmp_path):

@@ -179,3 +179,23 @@ def test_seed_outside_the_accepted_range_is_config_error(seed):
     with pytest.raises(ConfigError, match="seed"):
         data.generate_synthetic(8, 4, 4, 2, 0.1, 0.0, seed=seed)
     assert data.generate_synthetic(8, 4, 4, 2, 0.1, 0.0, seed=2**63 - 1).n == 8
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("noise_sigma", "0.1"),
+        ("noise_sigma", None),
+        ("d_latent", 2.0),
+        ("d_latent", "3"),
+        ("n", 8.0),
+        ("d_x", None),
+        ("test_fraction", "0.25"),
+        ("seed", 1.0),
+    ],
+)
+def test_generate_synthetic_mistyped_argument_is_config_error_naming_it(field, value):
+    args = dict(n=8, d_x=4, d_y=4, d_latent=2, noise_sigma=0.1, test_fraction=0.0, seed=1)
+    args[field] = value
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        data.generate_synthetic(**args)

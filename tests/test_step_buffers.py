@@ -253,3 +253,54 @@ def test_training_step_does_not_fault_in_fresh_memory(method, b, short, long, bo
     assert proc.returncode == 0, proc.stderr
     per_step = float(proc.stdout)
     assert per_step < bound, f"{method} at b={b}: {per_step:.0f} minor faults per extra step"
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _view_of(a, parent, index):
+    """``a`` is the memory of parent[index], in a layout of its own."""
+    return a.base is parent and a.size == parent[index].size and _address(a) == _address(parent[index])
+
+
+def _flat_halves(first, second):
+    """``first`` and ``second`` are the head and tail of one flat vector."""
+    flat = first.base
+    assert flat is not None and second.base is flat and flat.shape == (first.size + second.size,)
+    assert _address(first) == _address(flat) and _address(second) == _address(flat) + first.nbytes
+
+
+def test_step_buffers_stack_both_directions():
+    b = 5
+    gaps1, q1, gaps2, q2 = trainer._step_buffers(b)[0]
+    for first, second in ((gaps1, gaps2), (q1, q2)):
+        parent = first.base
+        assert parent.shape == (2, b, b) and parent.flags.c_contiguous
+        assert _view_of(first, parent, 0) and _view_of(second, parent, 1)
+        assert first.strides == parent[0].strides and second.strides == parent[1].T.strides
+
+
+def _assert_stacked(state):
+    _flat_halves(state.u1, state.u2)
+    _flat_halves(state.model.w1, state.model.w2)
+    for moment in ("m", "v"):
+        _flat_halves(state.moments[f"{moment}_w1"], state.moments[f"{moment}_w2"])
+
+
+def test_trainer_state_keeps_its_stacked_layout_through_steps_and_a_checkpoint(tmp_path):
+    ds = data.generate_synthetic(40, 6, 5, 3, 0.2, 0.2, seed=1)
+    config = trainer.TrainConfig(method="fastclip", steps=3, batch_size=8, embed_dim=4, eval_every=10**6)
+    state = trainer.init_trainer_state(encoder.init_model(4, 6, 5, seed=2), ds.n, config)
+    _assert_stacked(state)
+    run = trainer.start_run(config, ds)
+    flats = [run.state.u1.base, run.state.model.w1.base]
+    for _ in range(config.steps):
+        trainer.step(run)
+    _assert_stacked(run.state)
+    assert [run.state.u1.base, run.state.model.w1.base] == flats  # updated in place, not laid out anew
+    path = tmp_path / "t.ckpt"
+    trainer.save_checkpoint(run.state, path)
+    back = trainer.load_checkpoint(path)
+    _assert_stacked(back)
+    assert back.u1.tobytes() + back.u2.tobytes() == run.state.u1.tobytes() + run.state.u2.tobytes()

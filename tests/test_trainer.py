@@ -753,3 +753,56 @@ def test_non_finite_gradient_names_the_step():
     state.step = 6
     with pytest.raises(TrainingError, match=r"^step 7: non-finite gradient for 'w1'"):
         trainer.optimizer_step(state, grads)
+
+
+def test_non_finite_w2_gradient_names_w2_and_counts_its_entries():
+    ds, cache, state, _ = _setup()
+    g2 = np.zeros_like(state.model.w2)
+    g2.flat[[0, 4, 7]] = [np.nan, np.inf, -np.inf]
+    with pytest.raises(TrainingError, match=r"^step 1: non-finite gradient for 'w2' \(3 entries\)"):
+        trainer.optimizer_step(state, {"w1": np.zeros_like(state.model.w1), "w2": g2})
+
+
+def test_non_finite_tau_gradient_names_tau():
+    ds, cache, state, _ = _setup(tau_learnable=True)
+    grads = {"w1": np.zeros_like(state.model.w1), "w2": np.zeros_like(state.model.w2), "tau": np.array([np.nan])}
+    with pytest.raises(TrainingError, match=r"^step 1: non-finite gradient for 'tau' \(1 entries\)"):
+        trainer.optimizer_step(state, grads)
+
+
+def test_update_overflowing_only_w2_names_w2():
+    # A zero w1 with a zero gradient stays 0; w2 times 1 - lr * WEIGHT_DECAY overflows.
+    ds, cache, state, _ = _setup()
+    state.config.lr = 1e308
+    state.model.w1[...] = 0.0
+    state.model.w2[...] = 1e10
+    grads = {"w1": np.zeros_like(state.model.w1), "w2": np.zeros_like(state.model.w2)}
+    with pytest.raises(TrainingError, match=r"^step 1: non-finite 'w2' after the update"):
+        trainer.optimizer_step(state, grads)
+    assert not state.model.w1.any()
+
+
+@pytest.mark.parametrize("given, other", [("w2", "w1"), ("w1", "w2")])
+def test_gradient_of_one_tower_leaves_the_other_bit_unchanged(given, other):
+    ds, cache, state, _ = _setup()
+    draw = CounterRng(3, 0)
+    grads = {name: draw.normals(getattr(state.model, name).shape) for name in ("w1", "w2")}
+    trainer.optimizer_step(state, grads)  # moments of both towers nonzero
+    kept = [getattr(state.model, other), state.moments[f"m_{other}"], state.moments[f"v_{other}"]]
+    before = [a.tobytes() for a in kept]
+    moved = getattr(state.model, given).copy()
+    trainer.optimizer_step(state, {given: grads[given]})
+    assert [a.tobytes() for a in kept] == before
+    assert not np.array_equal(getattr(state.model, given), moved)
+
+
+def test_optimizer_updates_a_weight_rebound_since_the_last_step():
+    ds, cache, state, _ = _setup()
+    g = encoder.init_model(state.model.d, ds.d_x, ds.d_y, seed=123).w1
+    state.model.w1 = state.model.w1.copy()  # no longer a view of the flat weights
+    w_before = state.model.w1.copy()
+    lr = state.lr_at(0)
+    trainer.optimizer_step(state, {"w1": g})
+    want = w_before * (1 - lr * trainer.WEIGHT_DECAY) - lr * g / (np.abs(g) + trainer.OPT_EPS)
+    assert np.allclose(state.model.w1, want, atol=1e-12)
+    assert state.model.w1.base is state.model.w2.base is not None
