@@ -9,9 +9,11 @@ Layout of the binary file:
     per array: name_len u16 LE, name utf-8, ndim u8, dims u32 LE each
     payloads: float64 LE, C order, concatenated in array order
 
-The sidecar ``<path>.json`` repeats the structural facts (kind, shapes),
-carries what the stored object writes as meta (seeds, dims, source ids)
-and a SHA-256 checksum of the binary file. Round trips are bit-exact:
+``_header`` is the one encoding of all before the payloads. The sidecar
+``<path>.json`` lists the arrays (names and shapes, in order), carries what
+the stored object writes as meta (seeds, dims, source ids) and a SHA-256
+checksum of the binary file. The reader rebuilds the header from that list
+and requires the binary to begin with it. Round trips are bit-exact:
 payloads are raw float64 bytes and metadata floats survive JSON via repr.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -47,41 +50,28 @@ def manifest_path(path: str | Path) -> Path:
     return Path(str(path) + ".json")
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _header(kind: int, entries) -> bytes:
+    """The binary header of a ``kind`` container of ``(name, shape)`` pairs."""
+    parts = [MAGIC, struct.pack("<HHI", FORMAT_VERSION, kind, len(entries))]
+    for name, shape in entries:
+        enc = str.encode(name, "utf-8")
+        parts += [struct.pack("<H", len(enc)), enc, struct.pack(f"<B{len(shape)}I", len(shape), *shape)]
+    return b"".join(parts)
 
 
-def write_container(
-    path: str | Path,
-    kind: int,
-    arrays: dict[str, np.ndarray],
-    meta: dict | None = None,
-) -> None:
+def write_container(path: str | Path, kind: int, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named float64 arrays plus a manifest sidecar."""
     path = Path(path)
-    header = bytearray()
-    header += MAGIC
-    header += struct.pack("<HH", FORMAT_VERSION, kind)
-    header += struct.pack("<I", len(arrays))
-    payload = bytearray()
-    shapes = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-        enc = name.encode("utf-8")
-        header += struct.pack("<H", len(enc)) + enc
-        header += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            header += struct.pack("<I", dim)
-        payload += arr.astype("<f8").tobytes(order="C")
-        shapes.append({"name": name, "shape": list(arr.shape)})
-    blob = bytes(header) + bytes(payload)
+    arrays = {name: np.ascontiguousarray(np.asarray(arr, dtype=np.float64)) for name, arr in arrays.items()}
+    blob = _header(kind, [(name, arr.shape) for name, arr in arrays.items()])
+    blob += b"".join(arr.astype("<f8").tobytes(order="C") for arr in arrays.values())
     path.write_bytes(blob)
     manifest = {
         "format": "drrho-container",
         "version": FORMAT_VERSION,
         "kind": _KIND_NAMES[kind],
-        "arrays": shapes,
-        "checksum_sha256": sha256_hex(blob),
+        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()],
+        "checksum_sha256": hashlib.sha256(blob).hexdigest(),
         "meta": meta or {},
     }
     manifest_path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -101,25 +91,7 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
     if expect_kind is not None and kind != expect_kind:
-        raise FormatError(
-            f"{path}: kind {_KIND_NAMES.get(kind, kind)}, expected {_KIND_NAMES[expect_kind]}"
-        )
-    (count,) = struct.unpack_from("<I", blob, 10)
-    offset = 14
-    specs = []
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            specs.append((name, tuple(shape)))
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt header") from exc
+        raise FormatError(f"{path}: kind {_KIND_NAMES.get(kind, kind)}, expected {_KIND_NAMES[expect_kind]}")
 
     mpath = manifest_path(path)
     if not mpath.exists():
@@ -138,21 +110,24 @@ def read_container(path: str | Path, expect_kind: int | None = None) -> tuple[di
     for pos, a in enumerate(entries):
         if not (isinstance(a, dict) and "name" in a and isinstance(a.get("shape"), list)):
             raise FormatError(f"{path}: manifest arrays[{pos}] is not an object with a name and a list shape")
-    declared = [(a["name"], tuple(a["shape"])) for a in entries]
-    if declared != specs:
+    try:
+        header = _header(kind, [(a["name"], a["shape"]) for a in entries])
+    except (TypeError, UnicodeEncodeError, struct.error) as exc:
+        raise FormatError(f"{path}: manifest arrays have no binary header ({exc})") from exc
+    if not blob.startswith(header):
         raise FormatError(f"{path}: manifest arrays disagree with binary header")
 
-    expected_len = offset + sum(8 * int(np.prod(s, dtype=np.int64)) for _, s in specs)
+    sizes = [math.prod(a["shape"]) for a in entries]  # Python ints: no product of u32 dims wraps
+    expected_len = len(header) + 8 * sum(sizes)
     if len(blob) != expected_len:
         raise FormatError(f"{path}: payload length {len(blob)} bytes, expected {expected_len}")
-    if sha256_hex(blob) != manifest.get("checksum_sha256"):
+    if hashlib.sha256(blob).hexdigest() != manifest.get("checksum_sha256"):
         raise ChecksumError(f"{path}: checksum mismatch")
 
-    arrays = {}
-    for name, shape in specs:
-        size = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-        arrays[name] = arr.astype(np.float64)  # own, writable copy
+    arrays, offset = {}, len(header)
+    for a, size in zip(entries, sizes):  # a dim given as JSON true packs, and reads, as 1
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape([int(d) for d in a["shape"]])
+        arrays[a["name"]] = arr.astype(np.float64)  # own, writable copy
         offset += 8 * size
     return arrays, manifest.get("meta", {})
 

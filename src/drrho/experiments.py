@@ -32,7 +32,7 @@ from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate
 from .encoder import batch_forward
 from .errors import ConfigError
 from .report import ExperimentReport
-from .trainer import TrainConfig, _train_pool, run_provenance, train
+from .trainer import TrainConfig, _train_pool, plan_run, run_provenance, train
 
 ERROR_CLIP = 1e-6  # keeps error rates inside the open unit interval for log fits
 
@@ -195,12 +195,23 @@ def _require_test_split(dataset: PairedDataset) -> None:
         raise ConfigError(f"dataset: test split holds {n_test} pairs, retrieval needs at least 2")
 
 
+def _final_only(config: TrainConfig) -> TrainConfig:
+    """``config`` recording only its final eval point: eval points read the
+    model and never change it, so the model is the one every cadence gives."""
+    return replace(config, eval_every=max(1, config.effective_steps))
+
+
 def _trained_model(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None):
-    """The final model of a run whose report nobody reads. It records only
-    the final eval point: eval points read the model and never change it,
-    so the model is the one every cadence gives."""
-    state, _ = train(replace(config, eval_every=max(1, config.effective_steps)), dataset, cache)
+    """The final model of a run whose report nobody reads."""
+    state, _ = train(_final_only(config), dataset, cache)
     return state.model
+
+
+def _recalls(jobs: list) -> list[float]:
+    """``_recall_job`` of every job, once ``plan_run`` has passed them all."""
+    for config, dataset, cache in jobs:
+        plan_run(_final_only(config), dataset, cache)
+    return _run_jobs(jobs, _recall_job)
 
 
 def _recall_job(args) -> float:
@@ -244,7 +255,7 @@ def data_efficiency_sweep(
         for method, fraction in cells
         for seed in seeds
     ]
-    recalls = _run_jobs(jobs, _recall_job)
+    recalls = _recalls(jobs)
 
     report = ExperimentReport(
         config_snapshot={**config.resolved(), "fractions": fractions, "methods": methods, "seeds": seeds},
@@ -336,7 +347,7 @@ def scaling_suite(dataset: PairedDataset, cache: EmbeddingCache) -> dict[str, di
         for steps in (40, 110, 300)
         for fraction in (0.6, 1.0)
     ]
-    recalls = _run_jobs([(config, dataset, cache) for config in configs], _recall_job)
+    recalls = _recalls([(config, dataset, cache) for config in configs])
     out: dict[str, dict] = {}
     for method in methods:
         groups: dict[float, list[float]] = {}

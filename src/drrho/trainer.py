@@ -432,9 +432,9 @@ class Run:
     order: np.ndarray | None = None  # this epoch's order of the pool
 
 
-def start_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None) -> Run:
-    """A run at step 0: the inputs checked, the model initialised, and the
-    step buffers and eval inputs gathered."""
+def plan_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None) -> tuple:
+    """A run's pool, JEST mode (or None), pairs drawn per step and pairs
+    trained on; or the ConfigError of the first of its checks that fails."""
     config.validate()
     if config.needs_reference:
         if cache is None:
@@ -451,7 +451,13 @@ def start_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache
     kept = baselines.selection_size(config.jest_ratio, size)
     if select and config.jest_chunks > kept:
         raise ConfigError(f"jest_chunks: {config.jest_chunks} chunks exceed the {kept} pairs each step selects")
+    return pool, select, size, kept if select else config.batch_size
 
+
+def start_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None) -> Run:
+    """A run at step 0: the inputs checked by ``plan_run``, the model
+    initialised, and the step buffers and eval inputs gathered."""
+    pool, select, size, batch = plan_run(config, dataset, cache)
     tau0 = config.tau_init if config.learnable_tau else config.tau
     model = init_model(config.embed_dim, dataset.d_x, dataset.d_y, config.seed, tau=tau0)
     shift = config.method == "drrho-clip"
@@ -459,7 +465,7 @@ def start_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache
     state = init_trainer_state(model, dataset.n, config)
     report = ExperimentReport(config_snapshot=config.resolved(), provenance=run_provenance(config, dataset, cache))
     # One array per matrix: glibc kept a single 26 MB block resident after a run.
-    buffers = _step_buffers(kept if select else config.batch_size)
+    buffers = _step_buffers(batch)
     evaluator = _Evaluator(config, dataset, cache, pool, shift, u)
     rng = CounterRng(config.seed, _STREAM_BATCHES)
     return Run(state, report, dataset, cache, pool, size, select, shift, u, buffers, evaluator, rng)

@@ -1,5 +1,6 @@
 """Binary container round trips and the three distinct load failures."""
 
+import hashlib
 import json
 import re
 
@@ -75,11 +76,50 @@ def test_manifest_disagreement_raises_format_error(tmp_path):
         container.read_container(path)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"name": "a", "shape": [5.0, 3]},
+        {"name": "a", "shape": [-5, 3]},
+        {"name": 1, "shape": [5, 3]},
+        {"name": "\ud800", "shape": [5, 3]},
+    ],
+    ids=["float-dim", "negative-dim", "int-name", "unencodable-name"],
+)
+def test_manifest_array_without_a_header_encoding_is_format_error(tmp_path, entry):
+    path = tmp_path / "x.bin"
+    container.write_container(path, container.KIND_MODEL, _sample_arrays())
+    mpath = container.manifest_path(path)
+    manifest = json.loads(mpath.read_text())
+    manifest["arrays"][0] = entry
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="manifest arrays"):
+        container.read_container(path)
+
+
 def test_wrong_kind_raises_format_error(tmp_path):
     path = tmp_path / "x.bin"
     container.write_container(path, container.KIND_MODEL, _sample_arrays())
     with pytest.raises(FormatError):
         container.read_container(path, expect_kind=container.KIND_DATASET)
+
+
+def test_format_bytes_are_pinned(tmp_path):
+    # A self-consistent change to the layout would pass every round trip and
+    # still leave every file written before it unreadable.
+    path = tmp_path / "x.bin"
+    arrays = _sample_arrays()
+    container.write_container(path, container.KIND_MODEL, arrays, meta={"seed": 7, "note": "hi"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "101ce77f5191ac252457873ff24a7dc529ed42b77d0ddab4e5b328fbd3a8b7ed"
+    )
+    assert hashlib.sha256(container.manifest_path(path).read_bytes()).hexdigest() == (
+        "f4a117b34b1e91cf7402072f8b3958fb7280aa3c1f7cd2497badf27f92aa1182"
+    )
+    loaded, _ = container.read_container(path, expect_kind=container.KIND_MODEL)
+    assert [(name, arr.shape, arr.tobytes()) for name, arr in loaded.items()] == [
+        (name, arr.shape, arr.tobytes()) for name, arr in arrays.items()
+    ]
 
 
 def _small_dataset():

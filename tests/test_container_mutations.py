@@ -1,10 +1,15 @@
 """Hostile edits to every container kind: a flipped byte in either file, a
 truncated binary, or a manifest key deleted, retyped or re-valued, drawn at
 random and, per key, enumerated. The matching loader either returns or
-raises a ``DrrhoError``; nothing else may escape."""
+raises a ``DrrhoError``; nothing else may escape. A flipped header byte, a
+binary cut inside its header, or a declared size beyond 64 bits raises a
+``FormatError``, ``VersionError`` or ``ChecksumError``."""
 
 import functools
+import hashlib
 import json
+import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drrho import container, data, encoder, trainer
-from drrho.errors import DrrhoError, FormatError
+from drrho.errors import ChecksumError, DrrhoError, FormatError, VersionError
 
 
 def _dataset():
@@ -221,3 +226,53 @@ def test_write_load_write_is_a_fixpoint(kind, tmp_path):
     OBJECTS[kind][0](obj, again)
     assert again.read_bytes() == path.read_bytes()
     assert container.manifest_path(again).read_bytes() == container.manifest_path(path).read_bytes()
+
+
+def _overflowing(blob: bytes, manifest: bytes) -> tuple[bytes, bytes]:
+    """The container of ``blob``'s kind that declares one array ``w1`` of
+    shape (65536,)*4 and no payload, under a valid checksum: its 2**64
+    entries wrap to 0 in 64-bit integers."""
+    shape = (65536,) * 4
+    crafted = blob[:10] + struct.pack("<IH", 1, 2) + b"w1" + struct.pack("<B4I", 4, *shape)
+    doc = json.loads(manifest)
+    doc.update(arrays=[{"name": "w1", "shape": list(shape)}], checksum_sha256=hashlib.sha256(crafted).hexdigest())
+    return crafted, json.dumps(doc).encode()
+
+
+def _write(path, blob: bytes, manifest: bytes) -> None:
+    path.write_bytes(blob)
+    container.manifest_path(path).write_bytes(manifest)
+
+
+def test_payload_size_beyond_64_bits_is_format_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    _write(path, *_overflowing(*_pristine("model")))
+    expected = 14 + 2 + 2 + 1 + 4 * 4 + 8 * 2**64
+    with pytest.raises(FormatError, match=f"expected {expected}"):
+        container.read_container(path)
+    with pytest.raises(FormatError, match=f"expected {expected}"):
+        encoder.load_model(path)
+
+
+# The binary half of the narrow contract: every header byte flipped, the
+# binary cut at every header offset and the overflowing file each raise one
+# of the three container errors, from the loader of every kind.
+@pytest.mark.parametrize("kind", KINDS)
+def test_header_flips_truncations_and_overflow_raise_container_errors(kind, tmp_path):
+    blob, manifest = _pristine(kind)
+    header = len(blob) - 8 * sum(math.prod(a["shape"]) for a in json.loads(manifest)["arrays"])
+    cases = {f"flip {at}": (blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :], manifest) for at in range(header)}
+    cases.update({f"truncate {length}": (blob[:length], manifest) for length in range(header + 1)})
+    cases["overflow"] = _overflowing(blob, manifest)
+    path = tmp_path / kind
+    escaped = []
+    for name, files in cases.items():
+        _write(path, *files)
+        try:
+            KINDS[kind][1](path)
+            escaped.append(f"{name}: loaded")
+        except (FormatError, VersionError, ChecksumError):
+            pass
+        except Exception as exc:  # noqa: BLE001 - collected, then reported together
+            escaped.append(f"{name}: {type(exc).__name__}: {exc}")
+    assert not escaped, "\n".join(escaped)

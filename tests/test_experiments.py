@@ -234,6 +234,43 @@ def test_scaling_suite_rejects_dataset_without_test_pairs_before_training(monkey
         experiments.scaling_suite(ds, cache)
 
 
+def _record_start_run(monkeypatch) -> list:
+    calls = []
+    start_run = trainer.start_run
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0].method)
+        return start_run(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "start_run", recorded)
+    monkeypatch.setenv("DRRHO_THREADS", "1")
+    return calls
+
+
+def test_sweep_rejects_a_job_start_run_would_before_any_trains(monkeypatch):
+    # JEST's super batch of 16 / 0.2 = 80 pairs overfills the 52-pair pool
+    # of fraction 0.3; the other jobs pass every check the sweep makes itself.
+    ds = data.generate_synthetic(200, 12, 10, 4, 0.25, 0.125, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=7))
+    config = trainer.TrainConfig(steps=5, batch_size=16, embed_dim=6)
+    calls = _record_start_run(monkeypatch)
+    with pytest.raises(ConfigError, match="jest_ratio"):
+        experiments.data_efficiency_sweep(
+            config, ds, cache, fractions=[1.0, 0.3], methods=["drrho-clip", "fastclip", "jest"]
+        )
+    assert calls == []
+
+
+def test_scaling_suite_rejects_a_cache_of_another_dataset_before_any_trains(monkeypatch):
+    ds = data.generate_synthetic(160, 12, 10, 4, 0.25, 0.25, seed=2)
+    other = data.generate_synthetic(160, 12, 10, 4, 0.25, 0.25, seed=3)
+    cache = data.build_reference_cache(other, encoder.init_model(6, 12, 10, seed=7))
+    calls = _record_start_run(monkeypatch)
+    with pytest.raises(ConfigError, match="cache"):
+        experiments.scaling_suite(ds, cache)
+    assert calls == []
+
+
 def test_sweep_parallel_matches_sequential(monkeypatch):
     ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
     config = trainer.TrainConfig(method="fastclip", steps=10, batch_size=16, embed_dim=4, lr=5e-3, seed=3)
