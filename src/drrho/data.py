@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,13 @@ _STREAM_NOISE_Y = 4
 _NORM_TOL = 1e-9  # how far a cached embedding's norm may sit from 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairedDataset:
-    """Aligned (x, y) feature pairs with a train/test split tag per index."""
+    """Aligned (x, y) feature pairs with a train/test split tag per index.
+
+    Immutable: the arrays are read-only copies of the inputs and no field
+    can be rebound, so the content hash is computed once per dataset.
+    """
 
     xs: np.ndarray  # (n, d_x)
     ys: np.ndarray  # (n, d_y)
@@ -45,11 +49,13 @@ class PairedDataset:
     seed: int
     noise_sigma: float
     d_latent: int
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=np.float64)
-        self.ys = np.asarray(self.ys, dtype=np.float64)
-        self.split = np.asarray(self.split, dtype=np.int64)
+        for name, dtype in (("xs", np.float64), ("ys", np.float64), ("split", np.int64)):
+            a = np.array(getattr(self, name), dtype=dtype)  # a copy that no caller holds
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if self.xs.ndim != 2 or self.ys.ndim != 2:
             raise ConfigError("xs and ys must be 2-d arrays")
         if len(self.xs) != len(self.ys) or len(self.split) != len(self.xs):
@@ -62,7 +68,14 @@ class PairedDataset:
             value = value.item() if isinstance(value, np.generic) else value  # a numpy scalar's number
             if why := container.json_type_error(value, (kind,)):
                 raise ConfigError(f"{name}: {why}")
-            setattr(self, name, kind(value))
+            object.__setattr__(self, name, kind(value))
+
+    def __setstate__(self, state: dict) -> None:
+        # A sweep's worker receives the dataset pickled, and unpickled arrays
+        # are writable: read-only again, they keep the carried hash true.
+        self.__dict__.update(state)
+        for a in (self.xs, self.ys, self.split):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -85,13 +98,16 @@ class PairedDataset:
         return np.flatnonzero(self.split == SPLIT_TEST)
 
     def content_hash(self) -> str:
-        """SHA-256 over payload bytes and generation parameters."""
-        h = hashlib.sha256()
-        h.update(self.xs.astype("<f8").tobytes(order="C"))
-        h.update(self.ys.astype("<f8").tobytes(order="C"))
-        h.update(self.split.astype("<i8").tobytes(order="C"))
-        h.update(f"{self.seed}|{self.noise_sigma!r}|{self.d_latent}".encode())
-        return h.hexdigest()
+        """SHA-256 over payload bytes and generation parameters, computed on
+        the first call and held: nothing it covers can change."""
+        if self._hash is None:
+            h = hashlib.sha256()
+            h.update(self.xs.astype("<f8").tobytes(order="C"))
+            h.update(self.ys.astype("<f8").tobytes(order="C"))
+            h.update(self.split.astype("<i8").tobytes(order="C"))
+            h.update(f"{self.seed}|{self.noise_sigma!r}|{self.d_latent}".encode())
+            object.__setattr__(self, "_hash", h.hexdigest())
+        return self._hash
 
 
 @dataclass

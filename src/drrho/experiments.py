@@ -59,9 +59,18 @@ class VarianceSummary:
     text_variances: np.ndarray  # (b,) text anchors
 
     @classmethod
-    def of_rows(cls, rows: np.ndarray) -> "VarianceSummary":
-        """Summarize ``contrastive.negative_gaps`` rows: image anchors, then text anchors."""
-        var = rows.var(axis=1)
+    def of_rows(cls, rows: np.ndarray, scratch: np.ndarray | None = None) -> "VarianceSummary":
+        """Summarize ``contrastive.negative_gaps`` rows: image anchors, then
+        text anchors. These are np.var's own steps, so the variances equal
+        ``rows.var(axis=1)``; given ``scratch``, an array of the rows' shape,
+        the squared deviations are formed in it instead of a fresh array."""
+        m = rows.shape[1]
+        mean = np.add.reduce(rows, axis=1, keepdims=True)
+        mean /= m
+        dev = np.subtract(rows, mean, out=scratch)
+        np.square(dev, out=dev)
+        var = np.add.reduce(dev, axis=1)
+        var /= m
         b = len(rows) // 2
         return cls(image_variances=var[:b], text_variances=var[b:])
 

@@ -7,6 +7,9 @@ central finite differences. Oracles stay dumb and slow on purpose.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+
 import numpy as np
 from mpmath import mp
 
@@ -266,22 +269,23 @@ def anchor_loss_direct(gaps: np.ndarray, tau: float) -> float:
 def weighted_draws_direct(rng, probs: np.ndarray, k: int) -> np.ndarray:
     """``k`` draws without replacement the slow way, the reference for
     ``CounterRng.weighted_draws``: one uniform, one total and one cumulative
-    sum per draw."""
-    p = np.asarray(probs, dtype=np.float64).copy()
-    if k > p.size:
+    sum per draw. The uniforms come from one ``uniforms(k)`` call, the
+    counter values of ``k`` calls of ``uniforms(1)``; the sums are of plain
+    Python floats, left to right, and the search is ``bisect``."""
+    p = [float(x) for x in np.asarray(probs, dtype=np.float64).ravel()]
+    if k > len(p):
         raise ValueError("cannot draw more items than candidates")
     out = np.empty(k, dtype=np.int64)
-    for t in range(k):
-        total = p.sum()
+    for t, uniform in enumerate(rng.uniforms(k).tolist()):
+        cum = list(itertools.accumulate(p))
+        total = cum[-1] if cum else 0.0
         if not total > 0.0:
             raise ValueError("probabilities sum to zero before all draws done")
-        u = rng.uniforms(1)[0] * total
-        j = int(np.searchsorted(np.cumsum(p), u, side="left"))
-        j = min(j, p.size - 1)
-        while p[j] == 0.0 and j + 1 < p.size:  # u landed on a spent index's boundary
+        j = min(bisect.bisect_left(cum, uniform * total), len(p) - 1)
+        while p[j] == 0.0 and j + 1 < len(p):  # u landed on a spent index's boundary
             j += 1
         if p[j] == 0.0:
-            j = int(np.argmax(p))
+            j = p.index(max(p))
         out[t] = j
         p[j] = 0.0
     return out

@@ -1,5 +1,7 @@
 """Synthetic generation, alignment structure, cache, and file round trips."""
 
+import dataclasses
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -199,3 +201,30 @@ def test_generate_synthetic_mistyped_argument_is_config_error_naming_it(field, v
     args[field] = value
     with pytest.raises(ConfigError, match=f"^{field}: "):
         data.generate_synthetic(**args)
+
+
+def test_dataset_is_read_only_so_its_hash_is_computed_once(sha256_calls):
+    ds = data.generate_synthetic(8, 4, 3, 2, 0.1, 0.25, seed=1)
+    first = ds.content_hash()
+    for name in ("xs", "ys", "split"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, getattr(ds, name).copy())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.seed = 2
+    assert ds.content_hash() == first and len(sha256_calls) == 1
+    # a sweep's worker receives the dataset pickled: still read-only, hash carried over
+    back = pickle.loads(pickle.dumps(ds))
+    with pytest.raises(ValueError, match="read-only"):
+        back.xs[0, 0] = 1.0
+    assert back.content_hash() == first and len(sha256_calls) == 1
+
+
+def test_dataset_holds_its_own_copy_of_the_inputs():
+    xs = np.eye(4)
+    ds = data.PairedDataset(xs=xs, ys=xs.copy(), split=np.zeros(4), seed=0, noise_sigma=0.0, d_latent=4)
+    before = ds.content_hash()
+    xs[0, 0] = 5.0  # the caller's array stays the caller's, and writable
+    assert ds.xs[0, 0] == 1.0 and ds.content_hash() == before
+    assert before == replace(ds).content_hash()

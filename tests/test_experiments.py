@@ -271,6 +271,15 @@ def test_scaling_suite_rejects_a_cache_of_another_dataset_before_any_trains(monk
     assert calls == []
 
 
+def test_sweep_hashes_each_dataset_once(monkeypatch, sha256_calls):
+    monkeypatch.setenv("DRRHO_THREADS", "1")
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=7))
+    config = trainer.TrainConfig(steps=4, batch_size=16, embed_dim=4, lr=5e-3)
+    experiments.data_efficiency_sweep(config, ds, cache, fractions=[1.0, 0.5], methods=["drrho-clip", "fastclip"])
+    assert len(sha256_calls) == 1
+
+
 def test_sweep_parallel_matches_sequential(monkeypatch):
     ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
     config = trainer.TrainConfig(method="fastclip", steps=10, batch_size=16, embed_dim=4, lr=5e-3, seed=3)

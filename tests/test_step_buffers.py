@@ -1,6 +1,7 @@
 """Step buffers: every ``out=`` path gives the allocating path's values and
 layout, the estimators agree when they share one buffer set in trainer
-order, and a training step stops faulting in fresh memory."""
+order, and a training step stops faulting in fresh memory and holds no
+gap matrices."""
 
 import os
 import subprocess
@@ -31,19 +32,19 @@ def _batch(b, seed=0, tau=0.05):
     return ds, cache, model, batch
 
 
-def _gap_buffers(b):
-    """(gaps1, q1, gaps2, q2) as ``train()`` holds them, filled with NaN so
-    that any entry a kernel leaves unwritten shows."""
-    gaps = trainer._step_buffers(b)[0]
-    for g in gaps:
-        g[...] = np.nan
-    return gaps
+def _q_buffer(b):
+    """The (2, b, b) exponentials buffer as ``train()`` holds it, filled
+    with NaN so that any entry a kernel leaves unwritten shows."""
+    q = trainer._step_buffers(b)[0]
+    q[...] = np.nan
+    return q
 
 
 def test_step_buffers_lay_out_gaps_as_the_allocating_path():
     s = np.arange(9.0).reshape(3, 3)
-    for held, alloc in zip(trainer._step_buffers(3)[0], trainer.shifted_gap_exponentials(s, 0.1)):
-        assert held.shape == alloc.shape and held.strides == alloc.strides
+    held = trainer.shifted_gap_exponentials(s, 0.1, out=trainer._step_buffers(3)[0])
+    for h, alloc in zip(held, trainer.shifted_gap_exponentials(s, 0.1)):
+        assert h.shape == alloc.shape and h.strides == alloc.strides
 
 
 @pytest.mark.parametrize("with_ref", [False, True], ids=["plain", "shifted"])
@@ -69,15 +70,16 @@ def test_gap_kernels_out_match_allocating(b, with_ref):
     if with_ref:
         s -= cache.similarity(batch)
 
-    g1, _, g2, _ = _gap_buffers(b)
+    q = _q_buffer(b)
+    g1, g2 = q[0], q[1].T
     got = contrastive.shifted_gaps(s, out=(g1, g2))
     assert got[0] is g1 and got[1] is g2
     for x, y in zip(got, contrastive.shifted_gaps(s)):
         _same(x, y)
 
-    out = _gap_buffers(b)
+    out = _q_buffer(b)
     got = trainer.shifted_gap_exponentials(s, model.tau, out=out)
-    assert all(x is y for x, y in zip(got, out))
+    assert _at(got[0], out[0]) and _at(got[1], out[1])
     for x, y in zip(got, trainer.shifted_gap_exponentials(s, model.tau)):
         _same(x, y)
 
@@ -118,14 +120,14 @@ def test_estimators_share_one_buffer_set_in_trainer_order(b, method):
     s = fwd.s - cache.similarity(batch) if method == "drrho-clip" else fwd.s
     alloc = trainer.init_trainer_state(model.copy(), ds.n, config)
     held = trainer.init_trainer_state(model.copy(), ds.n, config)
-    out = _gap_buffers(b)
+    out = _q_buffer(b)
     for _ in range(2):  # the second round starts from warm u
         u_a = trainer.update_u(alloc, batch, s)
         u_h = trainer.update_u(held, batch, s, out=out)
         for x, y in zip(u_h, u_a):
             _same(x, y)
         coef = trainer.anchor_weight_coefficients(held, u_h, s, out=out)
-        assert coef is out[1]
+        assert _at(coef, out[0]) and coef.strides == out[0].strides
         _same(coef, trainer.anchor_weight_coefficients(alloc, u_a, s))
         g_a = trainer.gradient_estimator(alloc, u_a, fwd, xs, ys, s)
         g_h = trainer.gradient_estimator(held, u_h, fwd, xs, ys, s, out=out)
@@ -255,8 +257,51 @@ def test_training_step_does_not_fault_in_fresh_memory(method, b, short, long, bo
     assert per_step < bound, f"{method} at b={b}: {per_step:.0f} minor faults per extra step"
 
 
+# Peak resident growth of a 2-step run at b=1024, read by a fresh process
+# from its own rusage. Each (b, b) array a step writes is 8 MB.
+_PEAK = textwrap.dedent(
+    """
+    import resource, sys
+    from drrho import data, encoder, trainer
+
+    method, b = sys.argv[1], int(sys.argv[2])
+    ds = data.generate_synthetic(b + 76, 24, 20, 4, 0.3, 0.0, seed=0)
+    cache = data.build_reference_cache(ds, encoder.init_model(16, 24, 20, seed=1))
+    config = trainer.TrainConfig(
+        method=method, steps=2, batch_size=b, embed_dim=8, lr=5e-3, tau_learnable=True, eval_subset=128,
+        eval_every=10**6,
+    )
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    trainer.train(config, ds, cache)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+    """
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is read in KiB on Linux")
+@pytest.mark.parametrize("method, bound_mb", [("drrho-clip", 40), ("fastclip", 32)])
+def test_estimator_step_holds_no_gap_matrices(method, bound_mb):
+    """A u-estimator step writes its exponentials, not the gaps too: a
+    drrho-clip step touches the similarity, reference similarity and the
+    two q matrices, a fastclip step all but the reference."""
+    pytest.importorskip("resource")
+    src = Path(trainer.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK, method, "1024"],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth = float(proc.stdout)
+    assert growth < bound_mb, f"{method} at b=1024: peak RSS grew {growth:.1f} MB"
+
+
 def _address(a):
     return a.__array_interface__["data"][0]
+
+
+def _at(a, b):
+    """``a`` starts where ``b`` does."""
+    return _address(a) == _address(b)
 
 
 def _view_of(a, parent, index):
@@ -273,12 +318,14 @@ def _flat_halves(first, second):
 
 def test_step_buffers_stack_both_directions():
     b = 5
-    gaps1, q1, gaps2, q2 = trainer._step_buffers(b)[0]
-    for first, second in ((gaps1, gaps2), (q1, q2)):
-        parent = first.base
-        assert parent.shape == (2, b, b) and parent.flags.c_contiguous
-        assert _view_of(first, parent, 0) and _view_of(second, parent, 1)
-        assert first.strides == parent[0].strides and second.strides == parent[1].T.strides
+    q, infonce, distill, _, _ = trainer._step_buffers(b)
+    parent = distill
+    assert parent.shape == (4, b, b) and parent.flags.c_contiguous
+    for head, k in ((q, 2), (infonce, 3)):
+        assert head.base is parent and head.shape == (k, b, b) and _at(head, parent)
+    q1, q2 = trainer.shifted_gap_exponentials(np.zeros((b, b)), 0.1, out=q)
+    assert _view_of(q1, parent, 0) and _view_of(q2, parent, 1)
+    assert q1.strides == parent[0].strides and q2.strides == parent[1].T.strides
 
 
 def _assert_stacked(state):

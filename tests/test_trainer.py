@@ -1,6 +1,7 @@
 """Estimator maintenance, gradient estimators, optimizer, and the loop."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ def _setup(n=10, d=4, dx=6, dy=5, tau=0.5, seed=0, **cfg_overrides):
 
 def _batch_means(state, batch, s):
     b = len(batch)
-    _, q1, _, q2 = trainer.shifted_gap_exponentials(s, state.model.tau)
+    q1, q2 = trainer.shifted_gap_exponentials(s, state.model.tau)
     return q1.sum(axis=1) / (b - 1), q2.sum(axis=1) / (b - 1)
 
 
@@ -113,7 +114,7 @@ def test_u_positivity_and_bound():
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
-    gaps1, _, gaps2, _ = trainer.shifted_gap_exponentials(fwd.s - s_r, state.model.tau)
+    gaps1, gaps2 = contrastive.shifted_gaps(fwd.s - s_r)
     trainer.update_u(state, batch, fwd.s - s_r)
     bound = np.exp(max(gaps1.max(), gaps2.max()) / state.model.tau)
     assert (state.u1[batch] > 0).all() and (state.u2[batch] > 0).all()
@@ -285,6 +286,43 @@ def test_tau_gradient_matches_finite_differences():
 
     fd = finite_diff_scalar(objective, 0.4)
     assert abs(got - fd) / max(1e-8, abs(fd)) <= 1e-4
+
+
+def _tau_gradient_from_gaps(state, u, s):
+    """The tau gradient over held gaps, sum_j q_ij * gap_ij with the gaps of
+    ``contrastive.shifted_gaps``; and the sum of its terms' magnitudes."""
+    b, tau = len(s), state.model.tau
+    denom = state.config.epsilon + np.asarray(u)
+    total = scale = 2.0 * state.config.rho_tau
+    for side, gaps in enumerate(contrastive.shifted_gaps(s)):
+        q = np.exp(gaps / tau)
+        np.fill_diagonal(q, 0.0)
+        inner = (q * gaps).sum(axis=1) / ((b - 1) * tau)
+        total += np.mean(np.log(denom[side]) - inner / denom[side])
+        scale += np.mean(np.abs(np.log(denom[side])) + np.abs(inner / denom[side]))
+    return total, scale
+
+
+@pytest.mark.parametrize("tau", [trainer.TAU_MIN, 0.07, 0.5])
+@pytest.mark.parametrize("b", [2, 3, 48, 257])
+def test_tau_gradient_matches_held_gap_oracle(b, tau):
+    # rho_tau = 0 leaves only the data terms. At b=2 with cold u each anchor
+    # has one negative, whose log q - gap / tau is 0: the gradient cancels to
+    # rounding, so the error is measured against the size of the terms summed.
+    ds = data.generate_synthetic(b + 2, 6, 5, 3, 0.2, 0.0, seed=b)
+    cache = data.build_reference_cache(ds, encoder.init_model(4, 6, 5, seed=b + 50))
+    model = encoder.init_model(4, 6, 5, seed=b + 1, tau=tau)
+    batch = np.arange(1, b + 1)
+    plain = encoder.batch_forward(model, ds.xs[batch], ds.ys[batch]).s
+    config = trainer.TrainConfig(batch_size=b, embed_dim=4, tau_learnable=True, rho_tau=0.0)
+    for s in (plain, plain - cache.similarity(batch)):
+        for warm in (False, True):
+            state = trainer.init_trainer_state(model.copy(), ds.n, config)
+            if warm:
+                state.u1[:], state.u2[:] = CounterRng(b, 0).uniforms(2 * ds.n).reshape(2, -1) * 3.0 + 0.1
+            u = trainer.update_u(state, batch, s)
+            want, scale = _tau_gradient_from_gaps(state, u, s)
+            assert abs(trainer.tau_gradient(state, u, s) - want) <= 1e-12 * scale
 
 
 def test_tau_clamp_at_floor():
@@ -546,9 +584,9 @@ def test_eval_point_infonce_matches_loop_oracle(method):
     assert final["loss_variance_text"] == var.text_mean
 
 
-@pytest.mark.parametrize("method", ["drrho-clip", "fastclip", "openclip", "jest"])
-def test_eval_point_transient_memory(method):
-    # The monitored-small-batch shape: a 640-pair pool, 128 test pairs, eval_subset=128.
+def _eval_point_peak(method):
+    """tracemalloc's peak over one steady-state eval point at the
+    monitored-small-batch shape: a 640-pair pool, 128 test pairs, eval_subset=128."""
     ds = data.generate_synthetic(640, 24, 20, 4, 0.3, 0.2, seed=0)
     cache = data.build_reference_cache(ds, encoder.init_model(16, 24, 20, seed=5))
     config = trainer.TrainConfig(method=method, steps=150, batch_size=48, embed_dim=8, eval_subset=128)
@@ -562,7 +600,18 @@ def test_eval_point_transient_memory(method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 512 * 1024
+    return peak
+
+
+@pytest.mark.parametrize("method", ["drrho-clip", "fastclip", "openclip", "jest"])
+def test_eval_point_transient_memory(method):
+    assert _eval_point_peak(method) <= 512 * 1024
+
+
+@pytest.mark.parametrize("method", ["drrho-clip", "fastclip", "openclip", "jest"])
+def test_eval_point_variances_use_the_held_buffer(method):
+    # A fresh (2n, n - 1) array of squared deviations alone is 254 KiB at n=128.
+    assert _eval_point_peak(method) <= 192 * 1024
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -621,7 +670,18 @@ def test_checkpoint_with_retired_config_keys_loads(tmp_path):
 
 def test_checkpoint_invalid_config_names_field(tmp_path):
     path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update(gamma=0.0))
-    with pytest.raises(ConfigError, match="gamma"):
+    with pytest.raises(FormatError, match="gamma"):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gamma", 2), ("jest_ratio", 3.0), ("tau", 0), ("jest_chunks", 0), ("method", "fasNclip")],
+)
+def test_checkpoint_config_out_of_range_is_format_error(tmp_path, field, value):
+    # each value has the field's JSON type, so only the config's range check rejects it
+    path = _edit_checkpoint_meta(tmp_path, lambda meta: meta.update({field: value}))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: manifest meta {field}: ")):
         trainer.load_checkpoint(path)
 
 
