@@ -48,9 +48,7 @@ from .trainer import (
     TrainerState,
     gradient_estimator,
     init_trainer_state,
-    load_checkpoint,
     optimizer_step,
-    save_checkpoint,
     tau_gradient,
     train,
     update_u,

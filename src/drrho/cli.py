@@ -148,7 +148,6 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     encoder.save_model(state.model, out_dir / "model.ckpt")
-    trainer.save_checkpoint(state, out_dir / "trainer.ckpt")
     _write_report(report, out_dir, plot_data=args.plot_data)
     summary = report.summary
     print(f"resolved config: {config.resolved()}")

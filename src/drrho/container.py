@@ -4,7 +4,7 @@ Layout of the binary file:
 
     magic   6 bytes  b"DRRHO1"
     version u16 LE
-    kind    u16 LE   (dataset=1, cache=2, model=3, trainer=4)
+    kind    u16 LE   (dataset=1, cache=2, model=3)
     count   u32 LE   number of named arrays
     per array: name_len u16 LE, name utf-8, ndim u8, dims u32 LE each
     payloads: float64 LE, C order, concatenated in array order
@@ -36,13 +36,12 @@ FORMAT_VERSION = 1
 KIND_DATASET = 1
 KIND_CACHE = 2
 KIND_MODEL = 3
-KIND_TRAINER = 4
+# Kind 4 was the retired trainer checkpoint; never reuse it, so an old trainer.ckpt loads as no kind.
 
 _KIND_NAMES = {
     KIND_DATASET: "dataset",
     KIND_CACHE: "cache",
     KIND_MODEL: "model",
-    KIND_TRAINER: "trainer",
 }
 
 

@@ -171,25 +171,19 @@ def _model_meta(model: TwoTowerModel) -> dict:
     return {"d": model.d, "d_x": model.d_x, "d_y": model.d_y, "id_hash": model.id_hash}
 
 
-def model_arrays(model: TwoTowerModel) -> dict[str, np.ndarray]:
-    """The container arrays of a model: ``w1``, ``w2`` and ``tau`` of shape (1,)."""
-    return {"w1": model.w1, "w2": model.w2, "tau": np.array([model.tau])}
-
-
-def model_from_arrays(path, arrays: dict[str, np.ndarray]) -> TwoTowerModel:
-    """The model of ``model_arrays``; FormatError naming an array missing, or ``tau`` unless of shape (1,)."""
-    container.require_arrays(path, arrays, ("w1", "w2", "tau"))
-    if arrays["tau"].shape != (1,):
-        raise FormatError(f"{path}: array 'tau' has shape {arrays['tau'].shape}, expected (1,)")
-    return TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
-
-
 def save_model(model: TwoTowerModel, path) -> None:
-    container.write_container(path, container.KIND_MODEL, model_arrays(model), meta=_model_meta(model))
+    """Write ``w1``, ``w2`` and ``tau`` as an array of shape (1,)."""
+    arrays = {"w1": model.w1, "w2": model.w2, "tau": np.array([model.tau])}
+    container.write_container(path, container.KIND_MODEL, arrays, meta=_model_meta(model))
 
 
 def load_model(path) -> TwoTowerModel:
+    """A saved model; FormatError naming an array missing, ``tau`` unless of
+    shape (1,), or a manifest entry that disagrees with the weights."""
     arrays, meta = container.read_container(path, expect_kind=container.KIND_MODEL)
-    model = model_from_arrays(path, arrays)
+    container.require_arrays(path, arrays, ("w1", "w2", "tau"))
+    if arrays["tau"].shape != (1,):
+        raise FormatError(f"{path}: array 'tau' has shape {arrays['tau'].shape}, expected (1,)")
+    model = TwoTowerModel(w1=arrays["w1"], w2=arrays["w2"], tau=float(arrays["tau"][0]))
     container.require_derived(path, meta, _model_meta(model))
     return model

@@ -37,17 +37,16 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from . import baselines, container, encoder
+from . import baselines, container
 # global_objective is not called here; bench/test_bench.py checks that the
 # tracer wraps it through this module's binding.
 from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
 from .data import EmbeddingCache, PairedDataset, check_cache_matches
 from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, pair_embeddings, similarity_backward
-from .errors import ConfigError, FormatError, StateError, TrainingError
+from .errors import ConfigError, StateError, TrainingError
 from .report import ExperimentReport
 from .risk import log_mean_exp
 from .rng import SEED_LIMIT, CounterRng
@@ -98,7 +97,7 @@ class TrainConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}, expected one of {METHODS}")
         # Each field is of its annotated JSON type, a number finite, then in range.
-        for name, types in _CONFIG_META_TYPES.items():
+        for name, types in _CONFIG_TYPES.items():
             value = getattr(self, name)
             if container.json_type_error(value, types) or (float in types and not math.isfinite(value)):
                 raise ConfigError(f"{name}: invalid {type(value).__name__} {value!r}")
@@ -159,20 +158,11 @@ class TrainConfig:
         return max(1, self.effective_steps // 50)
 
 
-# Each config field's accepted JSON types, read from its annotation; a
-# checkpoint's state is rebuilt from these manifest entries and its step.
-_CONFIG_META_TYPES = {
+# Each config field's accepted types, read from its annotation, which
+# ``TrainConfig.validate`` checks as ``container.json_type_error`` reads them.
+_CONFIG_TYPES = {
     name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(TrainConfig).items()
 }
-_CHECKPOINT_META_TYPES = {**_CONFIG_META_TYPES, "step": (int,)}
-
-_MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2", "m_tau", "v_tau")
-
-
-def _moment_shapes(model: TwoTowerModel) -> dict[str, tuple[int, ...]]:
-    """Each Adam moment's shape: that of w1, w2 or tau, as its name ends."""
-    shapes = {"w1": model.w1.shape, "w2": model.w2.shape, "tau": (1,)}
-    return {name: shapes[name[2:]] for name in _MOMENTS}
 
 
 @dataclass
@@ -182,12 +172,12 @@ class TrainerState:
     u2: np.ndarray  # (n,) text-anchor inner-mean estimators, its tail
     config: TrainConfig
     step: int = 0
-    moments: dict[str, np.ndarray] = field(default_factory=dict)
+    moments: dict[str, np.ndarray] = field(init=False)  # m_ and v_ of w1, w2 and tau, each of its shape
 
     def __post_init__(self):
         _, self.u1, self.u2 = _flat_pair(np.asarray(self.u1, dtype=np.float64), np.asarray(self.u2, dtype=np.float64))
-        if not self.moments:
-            self.moments = {name: np.zeros(shape) for name, shape in _moment_shapes(self.model).items()}
+        shapes = {"w1": self.model.w1.shape, "w2": self.model.w2.shape, "tau": (1,)}
+        self.moments = {f"{m}_{p}": np.zeros(shape) for p, shape in shapes.items() for m in "mv"}
         _flat_parameters(self)
 
     def lr_at(self, step: int) -> float:
@@ -590,44 +580,3 @@ class _Evaluator:
             report.add(step, "recall_at_1", experiments.recall_at_1(s_test))
         if self.config.learnable_tau:
             report.add(step, "tau", model.tau)
-
-
-def _checkpoint_meta(state: TrainerState) -> dict:
-    """What a trainer checkpoint's manifest says of its state: the resolved run config, the step, the model id."""
-    return {**state.config.resolved(), "step": state.step, "model_id_hash": state.model.id_hash}
-
-
-def save_checkpoint(state: TrainerState, path: str | Path) -> None:
-    """Write weights, u, moments and the resolved run config that produced them."""
-    arrays = {**encoder.model_arrays(state.model), "u1": state.u1, "u2": state.u2}
-    arrays.update((k, state.moments[k]) for k in _MOMENTS)
-    container.write_container(path, container.KIND_TRAINER, arrays, meta=_checkpoint_meta(state))
-
-
-def load_checkpoint(path: str | Path) -> TrainerState:
-    """A saved trainer state; FormatError naming the first manifest entry
-    that is out of range, disagrees with the weights, or differs from what
-    the state writes."""
-    arrays, meta = container.read_container(path, expect_kind=container.KIND_TRAINER)
-    container.require_arrays(path, arrays, ("u1", "u2", *_MOMENTS))
-    values = container.require_meta(path, meta, _CHECKPOINT_META_TYPES)
-    step = values.pop("step")
-    config = TrainConfig(**values)
-    try:
-        config.validate()
-    except ConfigError as e:  # a well-typed entry out of range is the file's fault, not the caller's
-        raise FormatError(f"{path}: manifest meta {e}") from e
-    if step < 0:
-        raise FormatError(f"{path}: manifest meta 'step' is {step}, below 0")
-    model = encoder.model_from_arrays(path, arrays)
-    if config.embed_dim != model.d:
-        raise FormatError(f"{path}: manifest meta 'embed_dim' is {config.embed_dim}, but w1 has {model.d} rows")
-    u1, u2 = arrays["u1"], arrays["u2"]
-    if u1.ndim != 1 or u2.shape != u1.shape:
-        raise FormatError(f"{path}: arrays 'u1' {u1.shape} and 'u2' {u2.shape} must be vectors of one length")
-    for name, shape in _moment_shapes(model).items():
-        if arrays[name].shape != shape:
-            raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
-    state = TrainerState(model=model, u1=u1, u2=u2, config=config, step=step, moments={k: arrays[k] for k in _MOMENTS})
-    container.require_derived(path, meta, _checkpoint_meta(state))
-    return state

@@ -52,6 +52,10 @@ def test_gen_data_round_trip(tmp_path):
     assert ds.content_hash() == again.content_hash()
 
 
+# Every file `drrho train` writes without --plot-data.
+_RUN_FILES = {"model.ckpt", "model.ckpt.json", "report.json", "series.csv"}
+
+
 # A JEST step draws a super batch of batch / 0.2 pairs from the 72-pair pool.
 @pytest.mark.parametrize(
     "method, batch",
@@ -74,10 +78,47 @@ def test_train_repeat_is_bit_identical(tmp_path, method, batch):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.run(args + ["--output", str(out_a)]) == 0
     assert cli.run(args + ["--output", str(out_b)]) == 0
-    assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
-    assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
-    assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
-    assert (out_a / "trainer.ckpt").read_bytes() == (out_b / "trainer.ckpt").read_bytes()
+    assert {p.name for p in out_a.iterdir()} == {p.name for p in out_b.iterdir()} == _RUN_FILES
+    for name in _RUN_FILES:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def _readme_sequence(out: Path, env: dict) -> dict[str, bytes]:
+    """Every file a small README command sequence writes, each command run as
+    ``python -m drrho.cli`` in a child process with ``env``."""
+    out.mkdir()
+    pool, cache = out / "pool.dpd", out / "pool.emb"
+    train = ["train", "--data", pool, "--ref", cache, "--steps", "6", "--embed-dim", "8", "--seed", "0"]
+    commands = [
+        ["gen-data", "--n", "320", "--d-x", "24", "--d-y", "20", "--d-latent", "4", "--noise-sigma", "0.3",
+         "--test-fraction", "0.2", "--seed", "0", "--output", pool],
+        ["train", "--method", "fastclip", "--data", pool, "--steps", "20", "--batch-size", "64",
+         "--embed-dim", "8", "--seed", "1000", "--output", out / "ref-run"],
+        ["ref-embed", "--data", pool, "--model", out / "ref-run" / "model.ckpt", "--output", cache],
+        *([*train, "--method", m, "--batch-size", "48", "--output", out / m] for m in ("drrho-clip", "openclip", "jest")),
+        [*train, "--method", "drrho-clip", "--batch-size", "256", "--output", out / "b256"],
+        ["sweep", "--data", pool, "--ref", cache, "--fractions", "1.0,0.5", "--steps", "6", "--batch-size", "48",
+         "--output", out / "sweep"],
+    ]
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drrho.cli", *map(str, command)], capture_output=True, text=True, timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_outputs_are_bit_identical_across_blas_and_worker_thread_counts(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for name in ("OPENBLAS_NUM_THREADS", "DRRHO_THREADS"):
+        env.pop(name, None)
+    default = _readme_sequence(tmp_path / "default", env)
+    assert {"b256/model.ckpt", "jest/series.csv", "sweep/report.json", "ref-run/model.ckpt.json"} <= set(default)
+    one_blas = _readme_sequence(tmp_path / "blas1", {**env, "OPENBLAS_NUM_THREADS": "1"})
+    assert one_blas == default
+    serial = _readme_sequence(tmp_path / "serial", {**env, "OPENBLAS_NUM_THREADS": "1", "DRRHO_THREADS": "1"})
+    assert serial == default
 
 
 def test_train_all_methods_smoke(tmp_path):

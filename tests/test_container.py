@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from drrho import container, data, encoder, trainer
+from drrho import container, data, encoder
 from drrho.errors import ChecksumError, FormatError, VersionError
 from drrho.rng import CounterRng
 
@@ -102,6 +102,12 @@ def test_wrong_kind_raises_format_error(tmp_path):
     container.write_container(path, container.KIND_MODEL, _sample_arrays())
     with pytest.raises(FormatError):
         container.read_container(path, expect_kind=container.KIND_DATASET)
+    # Kind 4, the retired trainer checkpoint: an old trainer.ckpt given as a model.
+    blob = bytearray(path.read_bytes())
+    blob[8:10] = (4).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: kind 4, expected model"):
+        container.read_container(path, expect_kind=container.KIND_MODEL)
 
 
 def test_format_bytes_are_pinned(tmp_path):
@@ -141,14 +147,8 @@ def _small_model():
             "e1",
         ),
         (container.KIND_MODEL, lambda p: encoder.save_model(_small_model(), p), encoder.load_model, "tau"),
-        (
-            container.KIND_TRAINER,
-            lambda p: trainer.save_checkpoint(trainer.init_trainer_state(_small_model(), 16, trainer.TrainConfig()), p),
-            trainer.load_checkpoint,
-            "v_tau",
-        ),
     ],
-    ids=["dataset", "cache", "model", "trainer"],
+    ids=["dataset", "cache", "model"],
 )
 def test_missing_array_names_path_and_array(tmp_path, kind, save, load, dropped):
     path = tmp_path / "artifact.bin"

@@ -17,18 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drrho import container, data, encoder, trainer
+from drrho import container, data, encoder
 from drrho.errors import ChecksumError, DrrhoError, FormatError, VersionError
 
 
 def _dataset():
     return data.generate_synthetic(12, 4, 3, 2, 0.1, 0.25, seed=0)
-
-
-def _save_checkpoint(path):
-    config = trainer.TrainConfig(method="fastclip", steps=2, batch_size=4, embed_dim=3)
-    state = trainer.init_trainer_state(encoder.init_model(3, 4, 3, seed=2), 12, config)
-    trainer.save_checkpoint(state, path)
 
 
 KINDS = {
@@ -38,7 +32,6 @@ KINDS = {
         data.load_cache,
     ),
     "model": (lambda path: encoder.save_model(encoder.init_model(3, 4, 3, seed=2), path), encoder.load_model),
-    "checkpoint": (_save_checkpoint, trainer.load_checkpoint),
 }
 
 _BIG = 10**400  # an int that no float holds
@@ -128,7 +121,7 @@ def test_mutated_container_loads_or_raises_drrho_error(kind, draws):
             pass
 
 
-@pytest.mark.parametrize("kind, key", [("dataset", "noise_sigma"), ("cache", "source_tau"), ("checkpoint", "lr")])
+@pytest.mark.parametrize("kind, key", [("dataset", "noise_sigma"), ("cache", "source_tau")])
 def test_meta_int_beyond_float_range_is_format_error(kind, key):
     blob, manifest = _pristine(kind)
     doc = json.loads(manifest)
@@ -182,7 +175,6 @@ OBJECTS = {
     "dataset": (data.save_dataset, data._dataset_meta, data._DATASET_META_TYPES),
     "cache": (data.save_cache, data._cache_meta, data._CACHE_META_TYPES),
     "model": (encoder.save_model, encoder._model_meta, {}),
-    "checkpoint": (trainer.save_checkpoint, trainer._checkpoint_meta, trainer._CHECKPOINT_META_TYPES),
 }
 
 

@@ -335,7 +335,7 @@ def _assert_stacked(state):
         _flat_halves(state.moments[f"{moment}_w1"], state.moments[f"{moment}_w2"])
 
 
-def test_trainer_state_keeps_its_stacked_layout_through_steps_and_a_checkpoint(tmp_path):
+def test_trainer_state_keeps_its_stacked_layout_through_steps():
     ds = data.generate_synthetic(40, 6, 5, 3, 0.2, 0.2, seed=1)
     config = trainer.TrainConfig(method="fastclip", steps=3, batch_size=8, embed_dim=4, eval_every=10**6)
     state = trainer.init_trainer_state(encoder.init_model(4, 6, 5, seed=2), ds.n, config)
@@ -346,8 +346,3 @@ def test_trainer_state_keeps_its_stacked_layout_through_steps_and_a_checkpoint(t
         trainer.step(run)
     _assert_stacked(run.state)
     assert [run.state.u1.base, run.state.model.w1.base] == flats  # updated in place, not laid out anew
-    path = tmp_path / "t.ckpt"
-    trainer.save_checkpoint(run.state, path)
-    back = trainer.load_checkpoint(path)
-    _assert_stacked(back)
-    assert back.u1.tobytes() + back.u2.tobytes() == run.state.u1.tobytes() + run.state.u2.tobytes()
