@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--learnable-tau", dest="tau_learnable", action="store_true")
     p.add_argument("--fixed-tau", dest="tau_learnable", action="store_false")
-    p.add_argument("--tau-init", type=float)
     p.add_argument("--rho", dest="rho_tau", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--epsilon", type=float)
@@ -162,7 +161,7 @@ def _cmd_eval(args) -> int:
     indices = dataset.test_indices if args.split == "test" else dataset.train_indices
     recall = experiments.evaluate_recall(model, dataset, indices)
     report = ExperimentReport(
-        config_snapshot={"command": "eval", "model": str(args.model), "split": args.split},
+        config_snapshot={"command": "eval", "split": args.split},
         provenance={"dataset_hash": dataset.content_hash(), "model_id": model.id_hash},
     )
     report.add(0, "recall_at_1", recall)

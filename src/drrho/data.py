@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
+from .encoder import embed_batch
 from .errors import ConfigError, FormatError
 from .rng import SEED_LIMIT, CounterRng
 
@@ -211,8 +212,6 @@ def generate_synthetic(
 
 def build_reference_cache(dataset: PairedDataset, reference) -> EmbeddingCache:
     """Embed every pair with the reference model, offline, in dataset order."""
-    from .encoder import embed_batch  # local import to avoid a cycle
-
     if reference.d_x != dataset.d_x or reference.d_y != dataset.d_y:
         raise ConfigError(
             f"reference encoder dims ({reference.d_x}, {reference.d_y}) "

@@ -111,28 +111,25 @@ def _embed(model: TwoTowerModel, batches: dict[str, np.ndarray]) -> tuple[np.nda
 
 @dataclass
 class BatchForward:
-    """Embeddings, pre-normalization norms, and the similarity matrix for a batch."""
+    """Both towers' unit embeddings and pre-normalization norms, and the similarity matrix, of a batch."""
 
-    e1: np.ndarray  # (b, d)
-    e2: np.ndarray  # (b, d)
-    r1: np.ndarray  # (b,)
-    r2: np.ndarray  # (b,)
-    s: np.ndarray  # (b, b), s[i, j] = <e1_i, e2_j>
+    e: np.ndarray  # (2, b, d): image rows e[0], text rows e[1]
+    r: np.ndarray  # (2, b)
+    s: np.ndarray  # (b, b), s[i, j] = <e[0, i], e[1, j]>
 
     @classmethod
-    def of(cls, e1, e2, r1, r2, out: np.ndarray | None = None) -> "BatchForward":
+    def of(cls, e, r, out: np.ndarray | None = None) -> "BatchForward":
         """The forward pass of these embedding rows; the similarity matrix
         goes into ``out`` if given."""
-        return cls(e1=e1, e2=e2, r1=r1, r2=r2, s=np.matmul(e1, e2.T, out=out))
+        return cls(e=e, r=r, s=np.matmul(e[0], e[1].T, out=out))
 
 
-def pair_embeddings(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A batch's (e1, e2, r1, r2): both sides' unit embeddings and their
-    pre-normalization norms, the forward pass short of the similarity."""
+def pair_embeddings(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's (e, r): both towers' unit embeddings (2, b, d) and their
+    pre-normalization norms (2, b), the forward pass short of the similarity."""
     if len(xs) != len(ys):
         raise ConfigError("image and text batches must have equal size")
-    (e1, e2), (r1, r2) = _embed(model, {"image": xs, "text": ys})
-    return e1, e2, r1, r2
+    return _embed(model, {"image": xs, "text": ys})
 
 
 def batch_forward(
@@ -150,20 +147,19 @@ def similarity_backward(
 ) -> dict[str, np.ndarray]:
     """Chain dLoss/dS (b, b) through the batch into {"w1": ..., "w2": ...}.
 
-    Sum over pairs of grad_s[i, j] * d s_ij / dW, vectorized:
-    rows aggregate over the cosine partners first, then project out the
-    radial component and contract with the raw inputs.
+    Sum over pairs of grad_s[i, j] * d s_ij / dW, vectorized over both
+    towers at once: rows aggregate over the cosine partners first, then
+    project out the radial component and contract with the raw inputs.
     """
     grad_s = np.asarray(grad_s, dtype=np.float64)
     if grad_s.shape != fwd.s.shape:
         raise ConfigError(f"grad_s shape {grad_s.shape} does not match similarity {fwd.s.shape}")
-    v1 = grad_s @ fwd.e2  # (b, d): partner sum per image row
-    v1 -= np.sum(v1 * fwd.e1, axis=1, keepdims=True) * fwd.e1
-    g_w1 = (v1 / fwd.r1[:, None]).T @ np.asarray(xs, dtype=np.float64)
-    v2 = grad_s.T @ fwd.e1  # (b, d): partner sum per text column
-    v2 -= np.sum(v2 * fwd.e2, axis=1, keepdims=True) * fwd.e2
-    g_w2 = (v2 / fwd.r2[:, None]).T @ np.asarray(ys, dtype=np.float64)
-    return {"w1": g_w1, "w2": g_w2}
+    v = np.empty_like(fwd.e)
+    np.matmul(grad_s, fwd.e[1], out=v[0])  # partner sum per image row
+    np.matmul(grad_s.T, fwd.e[0], out=v[1])  # partner sum per text column
+    v -= np.sum(v * fwd.e, axis=2, keepdims=True) * fwd.e
+    v /= fwd.r[..., None]
+    return {"w1": v[0].T @ np.asarray(xs, dtype=np.float64), "w2": v[1].T @ np.asarray(ys, dtype=np.float64)}
 
 
 def _model_meta(model: TwoTowerModel) -> dict:

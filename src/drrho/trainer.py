@@ -26,9 +26,7 @@ warmup and cosine decay. A step fills its b x b arrays in place into the
 run's buffers, so only a run's first step faults in fresh memory. The
 estimators hold one (2, b, b) set of exponentials q and never the gaps:
 the tau gradient's sum_j q_ij * gap_ij is sum_j q_ij * s_ij - s_ii *
-sum_j q_ij, as the gap is linear in s. On a 2-core host that took a
-b=1024 drrho-clip step from 78 to 56 ms and the peak RSS growth of a
-2-step run from 52 to 36 MB (README). A JEST step embeds its super batch
+sum_j q_ij, as the gap is linear in s. A JEST step embeds its super batch
 once and selects from the embeddings.
 """
 
@@ -78,9 +76,8 @@ class TrainConfig:
     batch_size: int = 32
     embed_dim: int = 8
     lr: float = 1e-2
-    tau: float = DEFAULT_TAU
+    tau: float | None = None  # where a run starts, fixed or learned; None: see ``start_tau``
     tau_learnable: bool | None = None  # default: per-method convention
-    tau_init: float = 0.07
     rho_tau: float = 11.0
     gamma: float = 0.8
     epsilon: float = 1e-8
@@ -99,15 +96,14 @@ class TrainConfig:
         # Each field is of its annotated JSON type, a number finite, then in range.
         for name, types in _CONFIG_TYPES.items():
             value = getattr(self, name)
-            if container.json_type_error(value, types) or (float in types and not math.isfinite(value)):
+            if container.json_type_error(value, types) or (isinstance(value, float) and not math.isfinite(value)):
                 raise ConfigError(f"{name}: invalid {type(value).__name__} {value!r}")
         checks = [
             ("steps", self.steps >= 0),
             ("batch_size", self.batch_size >= 2),
             ("embed_dim", self.embed_dim >= 1),
             ("lr", self.lr > 0),
-            ("tau", self.tau > 0),
-            ("tau_init", self.tau_init > 0),
+            ("tau", self.tau is None or self.tau > 0),
             ("rho_tau", self.rho_tau >= 0),
             ("gamma", 0 < self.gamma <= 1),
             ("epsilon", self.epsilon >= 0),
@@ -136,6 +132,14 @@ class TrainConfig:
         return self.method in ("openclip", "fastclip", "jest", "jest-topk")
 
     @property
+    def start_tau(self) -> float:
+        """The temperature a run starts at: ``tau`` if set, else DEFAULT_TAU
+        for a fixed temperature and 0.07 for a learned one."""
+        if self.tau is not None:
+            return self.tau
+        return 0.07 if self.learnable_tau else DEFAULT_TAU
+
+    @property
     def effective_steps(self) -> int:
         if self.method in ("jest", "jest-topk"):
             return int(round(self.steps * JEST_ITER_MULTIPLIER))
@@ -143,6 +147,7 @@ class TrainConfig:
 
     def resolved(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["tau"] = self.start_tau
         out["tau_learnable"] = self.learnable_tau
         out["effective_steps"] = self.effective_steps
         out["warmup_steps"] = self.resolved_warmup()
@@ -277,8 +282,8 @@ def update_u(
 
 def _eps_plus_u(state: TrainerState, u: np.ndarray, b: int) -> np.ndarray:
     """epsilon + u, (2, b), for the batch's (u1, u2) as ``update_u`` returns it."""
-    if getattr(u, "shape", None) != (2, b) and (len(u) != 2 or any(np.shape(side) != (b,) for side in u)):
-        raise ValueError(f"u: expected the batch's (u1, u2), each of shape ({b},)")
+    if getattr(u, "shape", None) != (2, b):
+        raise ValueError(f"u: expected the batch's (u1, u2) as one array of shape (2, {b})")
     return np.add(state.config.epsilon, u)
 
 
@@ -451,8 +456,7 @@ def start_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache
     """A run at step 0: the inputs checked by ``plan_run``, the model
     initialised, and the step buffers and eval inputs gathered."""
     pool, select, size, batch = plan_run(config, dataset, cache)
-    tau0 = config.tau_init if config.learnable_tau else config.tau
-    model = init_model(config.embed_dim, dataset.d_x, dataset.d_y, config.seed, tau=tau0)
+    model = init_model(config.embed_dim, dataset.d_x, dataset.d_y, config.seed, tau=config.start_tau)
     shift = config.method == "drrho-clip"
     u = shift or config.method == "fastclip"
     state = init_trainer_state(model, dataset.n, config)
@@ -480,14 +484,14 @@ def step(run: Run) -> None:
     batch = run.order[first : first + run.size]
     xs_b, ys_b = run.dataset.xs[batch], run.dataset.ys[batch]
     if run.select:
-        e1, e2, r1, r2 = pair_embeddings(model, xs_b, ys_b)
+        e, r = pair_embeddings(model, xs_b, ys_b)
         outcome = baselines.jest_select(
-            (e1, e2), (cache.e1[batch], cache.e2[batch]), batch, ratio=config.jest_ratio,
+            e, (cache.e1[batch], cache.e2[batch]), batch, ratio=config.jest_ratio,
             n_chunks=config.jest_chunks, mode=run.select, seed=config.seed + t, score_tau=model.tau,
         )
         batch, pos = outcome.selected, outcome.positions
         xs_b, ys_b = xs_b[pos], ys_b[pos]
-        fwd = BatchForward.of(e1[pos], e2[pos], r1[pos], r2[pos], out=sim_out)
+        fwd = BatchForward.of(e[:, pos], r[:, pos], out=sim_out)
     else:
         fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
     s_ref = cache.similarity(batch, out=ref_out) if run.shift or config.distill else None

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -172,7 +173,6 @@ def test_train_flags_land_in_config_and_defaults_come_from_train_config(tmp_path
         "--embed-dim": ("embed_dim", 4),
         "--lr": ("lr", 0.003),
         "--tau": ("tau", 0.02),
-        "--tau-init": ("tau_init", 0.05),
         "--rho": ("rho_tau", 5.0),
         "--gamma": ("gamma", 0.5),
         "--epsilon": ("epsilon", 1e-6),
@@ -287,6 +287,48 @@ def test_missing_reference_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "reference" in capsys.readouterr().err
+
+
+def test_tau_init_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["train", "--method", "fastclip", "--data", "x", "--tau-init", "0.05", "--output", "y"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("learned", [True, False], ids=["learned-tau", "fixed-tau"])
+def test_report_config_reruns_its_run_from_its_start_temperature(tmp_path, learned):
+    """A report's config, cut to the TrainConfig fields, is the run: it
+    starts the model at the recorded tau and retrains the same model file."""
+    data_path = _gen(tmp_path)
+    argv = ["train", "--method", "fastclip", "--data", str(data_path), "--tau", "0.05", "--steps", "3",
+            "--batch-size", "16", "--embed-dim", "4", "--learnable-tau" if learned else "--fixed-tau"]
+    assert cli.run(argv + ["--output", str(tmp_path / "run")]) == 0
+    recorded = json.loads((tmp_path / "run" / "report.json").read_text())["config"]
+    assert recorded["tau"] == 0.05 and recorded["tau_learnable"] is learned
+    config = trainer.TrainConfig(**{k: v for k, v in recorded.items() if k in cli._CONFIG_FIELDS})
+    ds = data.load_dataset(data_path)
+    assert trainer.start_run(config, ds).state.model.tau == recorded["tau"]
+    state, _ = trainer.train(config, ds)
+    encoder.save_model(state.model, tmp_path / "again.ckpt")
+    for suffix in ("", ".json"):
+        again = (tmp_path / f"again.ckpt{suffix}").read_bytes()
+        assert again == (tmp_path / "run" / f"model.ckpt{suffix}").read_bytes()
+
+
+def test_eval_report_is_the_same_from_any_model_directory(tmp_path):
+    data_path = _gen(tmp_path)
+    ds = data.load_dataset(data_path)
+    encoder.save_model(encoder.init_model(6, ds.d_x, ds.d_y, seed=5), tmp_path / "m.ckpt")
+    reports = []
+    for where in ("a", "b/c"):
+        (tmp_path / where).mkdir(parents=True)
+        for suffix in ("", ".json"):
+            shutil.copy(tmp_path / f"m.ckpt{suffix}", tmp_path / where / f"m.ckpt{suffix}")
+        out = tmp_path / where / "eval"
+        assert cli.run(["eval", "--model", str(tmp_path / where / "m.ckpt"), "--data", str(data_path),
+                        "--output", str(out)]) == 0
+        reports.append([(out / name).read_bytes() for name in ("report.json", "series.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_eval_and_variance_commands(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_similarity_grad_orthogonal_to_own_embedding():
     x, y = rng.normals(6), rng.normals(7)
     fwd, grads = _pair_backward(model, x, y)
     # each column of g1 is proportional to the projected partner: e1 . (g1 @ dual) = 0
-    assert np.max(np.abs(fwd.e1[0] @ grads["w1"])) < 1e-12
+    assert np.max(np.abs(fwd.e[0, 0] @ grads["w1"])) < 1e-12
 
 
 def test_similarity_grad_zero_at_aligned_pair():

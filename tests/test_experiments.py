@@ -210,7 +210,7 @@ def test_sweep_untrained_rows_hold_the_model_recall():
     ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
     config = trainer.TrainConfig(method="fastclip", steps=0, batch_size=16, embed_dim=6, seed=3)
     report = experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0])
-    untrained = encoder.init_model(6, 12, 10, seed=3, tau=config.tau_init)
+    untrained = encoder.init_model(6, 12, 10, seed=3, tau=config.start_tau)
     assert report.config_snapshot["rows"][0]["recall_at_1"] == experiments.evaluate_recall(untrained, ds)
 
 

@@ -161,7 +161,7 @@ def test_first_step_hands_fresh_u_to_estimators(method, distill):
 
     pool = trainer._train_pool(ds, config.train_fraction)
     batch = pool[CounterRng(config.seed, trainer._STREAM_BATCHES).permutation(len(pool))][: config.batch_size]
-    model = encoder.init_model(config.embed_dim, ds.d_x, ds.d_y, config.seed, tau=config.tau_init)
+    model = encoder.init_model(config.embed_dim, ds.d_x, ds.d_y, config.seed, tau=config.start_tau)
     state = trainer.init_trainer_state(model, ds.n, config)
     xs, ys = ds.xs[batch], ds.ys[batch]
     fwd = encoder.batch_forward(model, xs, ys)
@@ -390,7 +390,7 @@ def test_train_deterministic_and_t0():
     s0, r0 = trainer.train(config0, ds, cache)
     assert s0.step == 0
     assert r0.series == []
-    init = encoder.init_model(6, 12, 10, seed=9, tau=config0.tau)
+    init = encoder.init_model(6, 12, 10, seed=9, tau=config0.start_tau)
     assert np.array_equal(s0.model.w1, init.w1)
 
 
@@ -426,12 +426,32 @@ def test_zero_steps_return_the_initial_state_and_no_points(method):
     ds, cache = _pool_of_120()
     config = trainer.TrainConfig(method=method, steps=0, batch_size=12, embed_dim=6, seed=4)
     state, rep = trainer.train(config, ds, cache)
-    init = encoder.init_model(6, 12, 10, seed=4, tau=config.tau_init if config.learnable_tau else config.tau)
+    init = encoder.init_model(6, 12, 10, seed=4, tau=config.start_tau)
     assert state.step == 0 and rep.series == []
     assert state.model.w1.tobytes() == init.w1.tobytes() and state.model.w2.tobytes() == init.w2.tobytes()
     assert state.model.tau == init.tau
     assert not state.u1.any() and not state.u2.any() and not any(m.any() for m in state.moments.values())
     assert rep.provenance == {"dataset_hash": ds.content_hash(), "cache_source_id": cache.source_id, "seed": 4}
+
+
+@pytest.mark.parametrize(
+    "method, tau_learnable, tau, start",
+    [
+        ("fastclip", None, 0.05, 0.05),
+        ("drrho-clip", True, 0.03, 0.03),
+        ("drrho-clip", None, 0.03, 0.03),
+        ("fastclip", None, None, 0.07),
+        ("drrho-clip", True, None, 0.07),
+        ("drrho-clip", None, None, 0.01),
+        ("openclip", False, None, 0.01),
+    ],
+)
+def test_config_tau_is_the_temperature_the_run_starts_at(method, tau_learnable, tau, start):
+    ds, cache = _pool_of_120()
+    config = trainer.TrainConfig(method=method, tau_learnable=tau_learnable, tau=tau, steps=2, batch_size=12, embed_dim=6)
+    run = trainer.start_run(config, ds, cache)
+    assert run.state.model.tau == run.report.config_snapshot["tau"] == start
+    assert "tau_init" not in run.report.config_snapshot
 
 
 @pytest.mark.parametrize("method, b, size", [("fastclip", 12, 12), ("drrho-clip", 7, 7), ("jest", 6, 12)])
@@ -623,7 +643,6 @@ def test_config_validation_names_field():
         ("epsilon", float("inf")),
         ("rho_tau", float("inf")),
         ("lr", float("inf")),
-        ("tau_init", float("inf")),
         ("gamma", float("nan")),
     ]
     for field, value in cases:
@@ -657,8 +676,8 @@ def test_train_rejects_a_field_of_the_wrong_type_naming_it(field, value):
 
 
 def test_config_takes_an_int_where_a_float_is_annotated():
-    trainer.TrainConfig(lr=1, tau=1, tau_init=1, gamma=1, epsilon=0, lam=0, jest_ratio=1, train_fraction=1).validate()
-    trainer.TrainConfig(tau_learnable=None, eval_every=None).validate()
+    trainer.TrainConfig(lr=1, tau=1, gamma=1, epsilon=0, lam=0, jest_ratio=1, train_fraction=1).validate()
+    trainer.TrainConfig(tau=None, tau_learnable=None, eval_every=None).validate()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 5 + 2**64])
