@@ -241,7 +241,9 @@ def data_efficiency_sweep(
     fixed step budget, and tabulate final retrieval accuracy.
 
     The report carries one summary row per (method, fraction), averaged
-    over seeds; per-run values go into the series keyed by row index.
+    over seeds, with the tau, tau_learnable and effective_steps its runs
+    resolve to; per-run values go into the series keyed by row index. The
+    config block leaves out the keys each method resolves for itself.
     """
     fractions = [float(f) for f in fractions]
     methods = [config.method] if methods is None else list(methods)
@@ -266,15 +268,19 @@ def data_efficiency_sweep(
     ]
     recalls = _recalls(jobs)
 
+    per_method = ("method", "tau", "tau_learnable", "effective_steps", "warmup_steps", "eval_every")
+    shared = {k: v for k, v in config.resolved().items() if k not in per_method}
     report = ExperimentReport(
-        config_snapshot={**config.resolved(), "fractions": fractions, "methods": methods, "seeds": seeds},
+        config_snapshot={**shared, "fractions": fractions, "methods": methods, "seeds": seeds},
         provenance=run_provenance(config, dataset, cache),
     )
     rows = []
     for row, (method, fraction) in enumerate(cells):
         cell = recalls[row * len(seeds) : (row + 1) * len(seeds)]
         mean = float(np.mean(cell))
-        rows.append({"method": method, "fraction": fraction, "recall_at_1": mean})
+        run = jobs[row * len(seeds)][0]
+        rows.append({"method": method, "fraction": fraction, "recall_at_1": mean, "tau": run.start_tau,
+                     "tau_learnable": run.learnable_tau, "effective_steps": run.effective_steps})
         report.add(row, f"recall_at_1/{method}/frac={fraction}", mean)
         for seed, recall in zip(seeds, cell):
             report.add(row, f"recall_at_1/{method}/frac={fraction}/seed={seed}", recall)

@@ -6,7 +6,7 @@ anchor's negatives cannot be estimated unbiasedly from a mini batch alone.
 The shifted gaps are the plain gaps of s = s_target - s_reference, which a
 drrho-clip step forms once; every estimator takes that ``s`` (fastclip's is
 s_target). Following the moving-average estimator approach, each pair i
-carries two scalars u1[i], u2[i] tracking the inner mean of exponentiated
+carries two scalars u[0, i], u[1, i] tracking the inner mean of exponentiated
 gaps for its image-side and text-side anchor losses:
 
     u[i] <- (1 - gamma) * u[i] + gamma * mean_over_batch_negatives exp(gap / tau)
@@ -172,18 +172,24 @@ _CONFIG_TYPES = {
 
 @dataclass
 class TrainerState:
-    model: TwoTowerModel  # w1 and w2, like each of their Adam moments, the halves of one vector
-    u1: np.ndarray  # (n,) image-anchor inner-mean estimators, the head of one vector
-    u2: np.ndarray  # (n,) text-anchor inner-mean estimators, its tail
+    model: TwoTowerModel  # its w1 and w2 are views of the head and tail of w
+    u: np.ndarray  # (2, n) inner-mean estimators: image anchors, then text anchors
     config: TrainConfig
     step: int = 0
-    moments: dict[str, np.ndarray] = field(init=False)  # m_ and v_ of w1, w2 and tau, each of its shape
+    w: np.ndarray = field(init=False)  # the flat weights, w1's then w2's
+    m: np.ndarray = field(init=False)  # Adam's first moment, laid out like w
+    v: np.ndarray = field(init=False)  # Adam's second moment, laid out like w
+    m_tau: float = field(init=False, default=0.0)  # tau's first moment
+    v_tau: float = field(init=False, default=0.0)  # tau's second moment
 
     def __post_init__(self):
-        _, self.u1, self.u2 = _flat_pair(np.asarray(self.u1, dtype=np.float64), np.asarray(self.u2, dtype=np.float64))
-        shapes = {"w1": self.model.w1.shape, "w2": self.model.w2.shape, "tau": (1,)}
-        self.moments = {f"{m}_{p}": np.zeros(shape) for p, shape in shapes.items() for m in "mv"}
-        _flat_parameters(self)
+        self.u = np.array(self.u, dtype=np.float64)
+        if self.u.ndim != 2 or len(self.u) != 2:
+            raise ConfigError(f"u: expected shape (2, n), got {self.u.shape}")
+        model, k = self.model, self.model.w1.size
+        self.w = np.concatenate((model.w1.ravel(), model.w2.ravel()))
+        model.w1, model.w2 = self.w[:k].reshape(model.w1.shape), self.w[k:].reshape(model.w2.shape)
+        self.m, self.v = np.zeros_like(self.w), np.zeros_like(self.w)
 
     def lr_at(self, step: int) -> float:
         base_lr, warmup = self.config.lr, self.config.resolved_warmup()
@@ -195,25 +201,7 @@ class TrainerState:
 
 
 def init_trainer_state(model: TwoTowerModel, n: int, config: TrainConfig) -> TrainerState:
-    return TrainerState(model=model, u1=np.zeros(n), u2=np.zeros(n), config=config)
-
-
-def _flat_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat, a, b) with a and b views of the head and tail of flat: theirs, if they are already."""
-    flat = a.base
-    if not (isinstance(flat, np.ndarray) and b.base is flat and flat.shape == (a.size + b.size,)):
-        flat = np.concatenate((a.ravel(), b.ravel()))
-        a, b = flat[: a.size].reshape(a.shape), flat[a.size :].reshape(b.shape)
-    return flat, a, b
-
-
-def _flat_parameters(state: TrainerState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat weights, first and second moments, w1's then w2's; a rebound array is laid out anew."""
-    model, mo = state.model, state.moments
-    w, model.w1, model.w2 = _flat_pair(model.w1, model.w2)
-    m, mo["m_w1"], mo["m_w2"] = _flat_pair(mo["m_w1"], mo["m_w2"])
-    v, mo["v_w1"], mo["v_w2"] = _flat_pair(mo["v_w1"], mo["v_w2"])
-    return w, m, v
+    return TrainerState(model=model, u=np.zeros((2, n)), config=config)
 
 
 def shifted_gap_exponentials(s: np.ndarray, tau: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -255,25 +243,23 @@ def update_u(
     s: np.ndarray,
     out: tuple | None = None,
 ) -> np.ndarray:
-    """Moving-average update of u1/u2 for the batch members (others unchanged).
+    """Moving-average update of ``state.u`` for the batch members (others unchanged).
 
     Any index whose estimator is still at its cold-start value of 0 takes
     the full batch average (first touch), unless gamma is 0, which is a
     no-op by definition. Batch indices must be distinct. Returns the
-    batch's updated (u1, u2) as one array, the ``u`` the estimators take.
+    batch's updated columns of ``state.u``, (2, b), the ``u`` the estimators take.
     """
     batch_indices = np.asarray(batch_indices, dtype=np.int64)
     b = len(batch_indices)
     if b < 2:
         raise ValueError("batch must contain at least 2 pairs (negatives required)")
-    seen = np.zeros(state.u1.shape, dtype=bool)
+    seen = np.zeros(state.u.shape[1], dtype=bool)
     seen[batch_indices] = True
     if np.count_nonzero(seen) != b:
         raise ValueError("batch_indices must not repeat an index")
     q1, q2 = shifted_gap_exponentials(s, state.model.tau, out=out)
-    g = state.config.gamma
-    flat, state.u1, state.u2 = _flat_pair(state.u1, state.u2)
-    u = flat.reshape(2, -1)
+    g, u = state.config.gamma, state.u
     old = u[:, batch_indices]
     g_i = np.where((old == 0.0) & (g > 0.0), 1.0, g)
     u[:, batch_indices] = new = (1.0 - g_i) * old + g_i * (_anchor_sums(q1, q2) / (b - 1))
@@ -281,9 +267,9 @@ def update_u(
 
 
 def _eps_plus_u(state: TrainerState, u: np.ndarray, b: int) -> np.ndarray:
-    """epsilon + u, (2, b), for the batch's (u1, u2) as ``update_u`` returns it."""
+    """epsilon + u, (2, b), for the batch's u as ``update_u`` returns it."""
     if getattr(u, "shape", None) != (2, b):
-        raise ValueError(f"u: expected the batch's (u1, u2) as one array of shape (2, {b})")
+        raise ValueError(f"u: expected the batch's columns of state.u, of shape (2, {b})")
     return np.add(state.config.epsilon, u)
 
 
@@ -295,7 +281,7 @@ def anchor_weight_coefficients(
 ) -> np.ndarray:
     """dObjectiveEstimate/dS for the batch: the coefficient on each
     similarity entry, combining both anchor directions. ``u`` is the
-    batch's (u1, u2) as ``update_u`` returns it. They are built in q1's
+    batch's (2, b) u as ``update_u`` returns it. They are built in q1's
     memory, which the next estimator call on the same ``out`` overwrites."""
     b = len(s)
     w = 1.0 / _eps_plus_u(state, u, b)
@@ -362,11 +348,14 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
     The temperature uses its own moment pair, a scaled learning rate, no
     weight decay, and a floor at TAU_MIN. A non-finite gradient, or an
     update that leaves a parameter non-finite, raises a ``TrainingError``
-    naming the step (from 1) and the parameter.
+    naming the step (from 1) and the parameter; a weight rebound since the
+    state was made, no longer a view of ``state.w``, a ``StateError``.
     """
     model = state.model
-    w, m, v = _flat_parameters(state)
-    lo, hi = (0 if "w1" in grads else model.w1.size), (w.size if "w2" in grads else model.w1.size)
+    for name in ("w1", "w2"):
+        if getattr(model, name).base is not state.w:
+            raise StateError(f"{name}: rebound since the trainer state was made, so not a view of state.w")
+    lo, hi = (0 if "w1" in grads else model.w1.size), (state.w.size if "w2" in grads else model.w1.size)
     g = np.concatenate([grads[k].ravel() for k in ("w1", "w2") if k in grads] or [np.empty(0)])
     g_tau = float(np.reshape(grads["tau"], 1)[0]) if "tau" in grads else 0.0
     if not (np.isfinite(g).all() and math.isfinite(g_tau)):
@@ -376,7 +365,7 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
                 raise TrainingError(f"step {state.step + 1}: non-finite gradient for {name!r} ({bad} entries)")
     lr, t = state.lr_at(state.step), state.step + 1
     bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
-    w, m, v = w[lo:hi], m[lo:hi], v[lo:hi]
+    w, m, v = state.w[lo:hi], state.m[lo:hi], state.v[lo:hi]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
         m[...] = BETA1 * m + (1.0 - BETA1) * g
         v[...] = BETA2 * v + (1.0 - BETA2) * g * g
@@ -389,9 +378,8 @@ def optimizer_step(state: TrainerState, grads: dict[str, np.ndarray]) -> TwoTowe
         if not state.config.learnable_tau:
             raise StateError("tau gradient supplied but temperature is fixed")
         # Python floats round as float64 numpy does, and math.sqrt is correctly rounded.
-        m_tau, v_tau = state.moments["m_tau"], state.moments["v_tau"]
-        m_tau[0] = mt = BETA1 * float(m_tau[0]) + (1.0 - BETA1) * g_tau
-        v_tau[0] = vt = BETA2 * float(v_tau[0]) + (1.0 - BETA2) * g_tau * g_tau
+        state.m_tau = mt = BETA1 * state.m_tau + (1.0 - BETA1) * g_tau
+        state.v_tau = vt = BETA2 * state.v_tau + (1.0 - BETA2) * g_tau * g_tau
         model.tau = max(TAU_MIN, model.tau - lr * TAU_LR_SCALE * ((mt / bc1) / (math.sqrt(vt / bc2) + OPT_EPS)))
         if not math.isfinite(model.tau):
             raise TrainingError(f"step {t}: non-finite 'tau' after the update")

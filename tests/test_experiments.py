@@ -199,6 +199,20 @@ def test_sweep_recall_is_the_recall_of_a_default_cadence_run():
             assert (row, key, experiments.evaluate_recall(state.model, ds)) in report.series
 
 
+def test_sweep_rows_record_what_their_own_method_resolves():
+    # The base config is drrho-clip's; each row's runs resolve tau and steps for their own method.
+    ds = data.generate_synthetic(160, 12, 10, 4, 0.25, 0.25, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=7))
+    config = trainer.TrainConfig(steps=4, batch_size=8, embed_dim=6, eval_subset=16)
+    methods = ["drrho-clip", "fastclip", "jest"]
+    report = experiments.data_efficiency_sweep(config, ds, cache, fractions=[1.0], methods=methods)
+    rows = report.to_json_dict()["config"]["rows"]
+    got = [(r["method"], r["tau"], r["tau_learnable"], r["effective_steps"]) for r in rows]
+    assert got == [("drrho-clip", 0.01, False, 4), ("fastclip", 0.07, True, 4), ("jest", 0.07, True, 7)]
+    per_method = {"method", "tau", "tau_learnable", "effective_steps", "warmup_steps", "eval_every"}
+    assert not per_method & set(report.config_snapshot)
+
+
 def test_sweep_rejects_too_small_fraction():
     ds = data.generate_synthetic(64, 12, 10, 4, 0.25, 0.25, seed=2)
     config = trainer.TrainConfig(method="fastclip", steps=5, batch_size=16, embed_dim=4)

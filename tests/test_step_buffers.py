@@ -135,13 +135,12 @@ def test_estimators_share_one_buffer_set_in_trainer_order(b, method):
             _same(g_h[name], g_a[name])
         tau_h = trainer.tau_gradient(held, u_h, s, out=out)
         assert tau_h == trainer.tau_gradient(alloc, u_a, s)
-    _same(held.u1, alloc.u1)
-    _same(held.u2, alloc.u2)
+    _same(held.u, alloc.u)
 
 
 def _run_digest(state, rep):
-    arrays = [state.model.w1, state.model.w2, state.u1, state.u2, *state.moments.values()]
-    return [a.tobytes() for a in arrays], state.model.tau, repr(rep.summary)
+    arrays = [state.model.w1, state.model.w2, state.u, state.m, state.v]
+    return [a.tobytes() for a in arrays], (state.m_tau, state.v_tau), state.model.tau, repr(rep.summary)
 
 
 @pytest.mark.parametrize(
@@ -309,13 +308,6 @@ def _view_of(a, parent, index):
     return a.base is parent and a.size == parent[index].size and _address(a) == _address(parent[index])
 
 
-def _flat_halves(first, second):
-    """``first`` and ``second`` are the head and tail of one flat vector."""
-    flat = first.base
-    assert flat is not None and second.base is flat and flat.shape == (first.size + second.size,)
-    assert _address(first) == _address(flat) and _address(second) == _address(flat) + first.nbytes
-
-
 def test_step_buffers_stack_both_directions():
     b = 5
     q, infonce, distill, _, _ = trainer._step_buffers(b)
@@ -328,21 +320,26 @@ def test_step_buffers_stack_both_directions():
     assert q1.strides == parent[0].strides and q2.strides == parent[1].T.strides
 
 
-def _assert_stacked(state):
-    _flat_halves(state.u1, state.u2)
-    _flat_halves(state.model.w1, state.model.w2)
-    for moment in ("m", "v"):
-        _flat_halves(state.moments[f"{moment}_w1"], state.moments[f"{moment}_w2"])
+def _assert_stacked(state, n):
+    """w1 and w2 are the head and tail of ``state.w``, m and v are laid out
+    like it, and u holds both directions' estimators in one (2, n) array."""
+    model, w = state.model, state.w
+    assert w.shape == (model.w1.size + model.w2.size,) and w.flags.c_contiguous
+    assert model.w1.base is w and model.w2.base is w
+    assert _at(model.w1, w) and _address(model.w2) == _address(w) + model.w1.nbytes
+    assert state.m.shape == state.v.shape == w.shape and state.u.shape == (2, n)
 
 
 def test_trainer_state_keeps_its_stacked_layout_through_steps():
     ds = data.generate_synthetic(40, 6, 5, 3, 0.2, 0.2, seed=1)
     config = trainer.TrainConfig(method="fastclip", steps=3, batch_size=8, embed_dim=4, eval_every=10**6)
     state = trainer.init_trainer_state(encoder.init_model(4, 6, 5, seed=2), ds.n, config)
-    _assert_stacked(state)
+    _assert_stacked(state, ds.n)
     run = trainer.start_run(config, ds)
-    flats = [run.state.u1.base, run.state.model.w1.base]
+    held = [run.state.w, run.state.m, run.state.v, run.state.u]
     for _ in range(config.steps):
         trainer.step(run)
-    _assert_stacked(run.state)
-    assert [run.state.u1.base, run.state.model.w1.base] == flats  # updated in place, not laid out anew
+    _assert_stacked(run.state, ds.n)
+    # updated in place, not laid out anew
+    assert all(now is then for now, then in zip([run.state.w, run.state.m, run.state.v, run.state.u], held))
+    assert run.state.u.any() and run.state.m.any()

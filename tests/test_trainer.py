@@ -44,27 +44,26 @@ def test_update_u_gamma_one_equals_batch_average():
 def test_update_u_gamma_zero_is_noop():
     ds, cache, state, _ = _setup(gamma=1.0)
     state.config.gamma = 0.0
-    state.u1[:] = 0.7
-    state.u2[:] = 0.4
+    state.u[0] = 0.7
+    state.u[1] = 0.4
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     trainer.update_u(state, batch, fwd.s - cache.similarity(batch))
-    assert (state.u1 == 0.7).all() and (state.u2 == 0.4).all()
+    assert (state.u[0] == 0.7).all() and (state.u[1] == 0.4).all()
 
 
 def test_update_u_two_step_hand_recurrence():
     ds, cache, state, _ = _setup(gamma=0.5)
     u0 = 0.3
-    state.u1[:] = u0
-    state.u2[:] = u0
+    state.u[:] = u0
     batch = np.arange(ds.n)
     fwd = encoder.batch_forward(state.model, ds.xs, ds.ys)
     s_r = cache.similarity(batch)
     m1, m2 = _batch_means(state, batch, fwd.s - s_r)
     trainer.update_u(state, batch, fwd.s - s_r)
     trainer.update_u(state, batch, fwd.s - s_r)  # same step, same losses
-    assert np.allclose(state.u1[batch], 0.25 * u0 + 0.75 * m1, atol=1e-15)
-    assert np.allclose(state.u2[batch], 0.25 * u0 + 0.75 * m2, atol=1e-15)
+    assert np.allclose(state.u[0, batch], 0.25 * u0 + 0.75 * m1, atol=1e-15)
+    assert np.allclose(state.u[1, batch], 0.25 * u0 + 0.75 * m2, atol=1e-15)
 
 
 def test_update_u_first_touch_and_untouched_entries():
@@ -75,21 +74,21 @@ def test_update_u_first_touch_and_untouched_entries():
     m1, _ = _batch_means(state, batch, fwd.s - s_r)
     trainer.update_u(state, batch, fwd.s - s_r)
     # cold indices take the full average despite gamma=0.5
-    assert np.allclose(state.u1[batch], m1, atol=0)
-    assert (state.u1[4:] == 0).all() and (state.u2[4:] == 0).all()
+    assert np.allclose(state.u[0, batch], m1, atol=0)
+    assert (state.u[:, 4:] == 0).all()
 
 
 def test_update_u_matches_per_index_loop():
     ds, cache, state, _ = _setup(n=12, gamma=0.3)
-    state.u1[[1, 5, 7, 10]] = [0.2, 1.7, 0.0, 3.1]
-    state.u2[[0, 5, 9]] = [0.9, 0.05, 2.4]
+    state.u[0, [1, 5, 7, 10]] = [0.2, 1.7, 0.0, 3.1]
+    state.u[1, [0, 5, 9]] = [0.9, 0.05, 2.4]
     batch = np.array([9, 1, 5, 0, 7, 11, 3])  # unsorted, cold and warm mixed
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     s_r = cache.similarity(batch)
-    u1, u2 = state.u1.copy(), state.u2.copy()
-    update_u_direct(u1, u2, batch, *_batch_means(state, batch, fwd.s - s_r), state.config.gamma)
+    u = state.u.copy()
+    update_u_direct(u[0], u[1], batch, *_batch_means(state, batch, fwd.s - s_r), state.config.gamma)
     trainer.update_u(state, batch, fwd.s - s_r)
-    assert np.array_equal(state.u1, u1) and np.array_equal(state.u2, u2)
+    assert np.array_equal(state.u, u)
 
 
 def test_update_u_rejects_singleton_batch():
@@ -104,7 +103,7 @@ def test_update_u_rejects_repeated_index():
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     with pytest.raises(ValueError, match="repeat"):
         trainer.update_u(state, batch, fwd.s - cache.similarity(batch))
-    assert not state.u1.any() and not state.u2.any()
+    assert not state.u.any()
 
 
 def test_u_positivity_and_bound():
@@ -115,8 +114,8 @@ def test_u_positivity_and_bound():
     gaps1, gaps2 = contrastive.shifted_gaps(fwd.s - s_r)
     trainer.update_u(state, batch, fwd.s - s_r)
     bound = np.exp(max(gaps1.max(), gaps2.max()) / state.model.tau)
-    assert (state.u1[batch] > 0).all() and (state.u2[batch] > 0).all()
-    assert (state.u1[batch] <= bound + 1e-12).all()
+    assert (state.u[:, batch] > 0).all()
+    assert (state.u[0, batch] <= bound + 1e-12).all()
 
 
 def test_estimator_consistency_at_gamma_one_over_steps():
@@ -129,8 +128,8 @@ def test_estimator_consistency_at_gamma_one_over_steps():
         s_r = cache.similarity(batch)
         u = trainer.update_u(state, batch, fwd.s - s_r)
         m1, m2 = _batch_means(state, batch, fwd.s - s_r)
-        assert np.max(np.abs(state.u1 - m1)) < 1e-12
-        assert np.max(np.abs(state.u2 - m2)) < 1e-12
+        assert np.max(np.abs(state.u[0] - m1)) < 1e-12
+        assert np.max(np.abs(state.u[1] - m2)) < 1e-12
         grads = trainer.gradient_estimator(state, u, fwd, ds.xs, ds.ys, fwd.s - s_r)
         trainer.optimizer_step(state, grads)
 
@@ -141,7 +140,7 @@ def test_estimators_reject_u_of_wrong_shape():
     fwd = encoder.batch_forward(state.model, ds.xs[batch], ds.ys[batch])
     s_r = cache.similarity(batch)
     u1, u2 = trainer.update_u(state, batch, fwd.s - s_r)
-    full = (state.u1, state.u2)  # every pair's u, not the batch's
+    full = state.u  # every pair's u, not the batch's
     for u in ((np.ones(7), u2), (u1, np.ones((8, 1))), full, (u1,)):
         with pytest.raises(ValueError, match="u:"):
             trainer.gradient_estimator(state, u, fwd, ds.xs[batch], ds.ys[batch], fwd.s - s_r)
@@ -180,9 +179,9 @@ def test_first_step_hands_fresh_u_to_estimators(method, distill):
 
     assert np.array_equal(got.model.w1, state.model.w1) and np.array_equal(got.model.w2, state.model.w2)
     assert got.model.tau == state.model.tau
-    assert np.array_equal(got.u1, state.u1) and np.array_equal(got.u2, state.u2)
-    for key in state.moments:
-        assert np.array_equal(got.moments[key], state.moments[key])
+    assert np.array_equal(got.u, state.u)
+    assert np.array_equal(got.m, state.m) and np.array_equal(got.v, state.v)
+    assert (got.m_tau, got.v_tau) == (state.m_tau, state.v_tau)
 
 
 def _exact_objective_fn(ds, s_r, tau, which, other_w):
@@ -317,7 +316,7 @@ def test_tau_gradient_matches_held_gap_oracle(b, tau):
         for warm in (False, True):
             state = trainer.init_trainer_state(model.copy(), ds.n, config)
             if warm:
-                state.u1[:], state.u2[:] = CounterRng(b, 0).uniforms(2 * ds.n).reshape(2, -1) * 3.0 + 0.1
+                state.u[:] = CounterRng(b, 0).uniforms(2 * ds.n).reshape(2, -1) * 3.0 + 0.1
             u = trainer.update_u(state, batch, s)
             want, scale = _tau_gradient_from_gaps(state, u, s)
             assert abs(trainer.tau_gradient(state, u, s) - want) <= 1e-12 * scale
@@ -395,8 +394,9 @@ def test_train_deterministic_and_t0():
 
 
 def _outputs(state, rep):
-    arrays = [state.model.w1, state.model.w2, state.u1, state.u2, *state.moments.values()]
-    return [a.tobytes() for a in arrays], state.model.tau, state.step, rep.to_json_dict()
+    arrays = [state.model.w1, state.model.w2, state.u, state.m, state.v]
+    moments = state.m_tau, state.v_tau
+    return [a.tobytes() for a in arrays], moments, state.model.tau, state.step, rep.to_json_dict()
 
 
 def _pool_of_120():
@@ -430,8 +430,27 @@ def test_zero_steps_return_the_initial_state_and_no_points(method):
     assert state.step == 0 and rep.series == []
     assert state.model.w1.tobytes() == init.w1.tobytes() and state.model.w2.tobytes() == init.w2.tobytes()
     assert state.model.tau == init.tau
-    assert not state.u1.any() and not state.u2.any() and not any(m.any() for m in state.moments.values())
+    assert not state.u.any() and not state.m.any() and not state.v.any() and state.m_tau == state.v_tau == 0.0
     assert rep.provenance == {"dataset_hash": ds.content_hash(), "cache_source_id": cache.source_id, "seed": 4}
+
+
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_u_is_positive_exactly_on_the_pairs_a_step_drew(method):
+    # 5 steps of 12 pairs stay inside the first epoch's order of the 120-pair pool.
+    ds, cache = _pool_of_120()
+    config = trainer.TrainConfig(method=method, steps=5, batch_size=12, embed_dim=6, lr=5e-3, eval_every=10**6)
+    state, _ = trainer.train(config, ds, cache)
+    run = trainer.start_run(config, ds, cache)
+    for _ in range(config.effective_steps):
+        trainer.step(run)
+    assert np.array_equal(run.state.u, state.u) and state.u.shape == (2, ds.n)
+    if method not in ("fastclip", "drrho-clip"):
+        assert not state.u.any()
+        return
+    drawn = run.order[: config.steps * config.batch_size]
+    cold = np.setdiff1d(np.arange(ds.n), drawn)
+    assert len(cold) == ds.n - len(drawn) > 0
+    assert (state.u[:, drawn] > 0).all() and (state.u[:, cold] == 0).all()
 
 
 @pytest.mark.parametrize(
@@ -561,9 +580,9 @@ def test_eval_cadence_leaves_the_trained_state_unchanged(method, learnable, dist
     assert every.model.w1.tobytes() == final.model.w1.tobytes()
     assert every.model.w2.tobytes() == final.model.w2.tobytes()
     assert every.model.tau == final.model.tau
-    assert every.u1.tobytes() == final.u1.tobytes() and every.u2.tobytes() == final.u2.tobytes()
-    for key in every.moments:
-        assert every.moments[key].tobytes() == final.moments[key].tobytes()
+    assert every.u.tobytes() == final.u.tobytes()
+    assert every.m.tobytes() == final.m.tobytes() and every.v.tobytes() == final.v.tobytes()
+    assert (every.m_tau, every.v_tau) == (final.m_tau, final.v_tau)
 
 
 @pytest.mark.parametrize("method", ["drrho-clip", "fastclip"])
@@ -732,7 +751,9 @@ def test_gradient_of_one_tower_leaves_the_other_bit_unchanged(given, other):
     draw = CounterRng(3, 0)
     grads = {name: draw.normals(getattr(state.model, name).shape) for name in ("w1", "w2")}
     trainer.optimizer_step(state, grads)  # moments of both towers nonzero
-    kept = [getattr(state.model, other), state.moments[f"m_{other}"], state.moments[f"v_{other}"]]
+    k = state.model.w1.size
+    span = slice(0, k) if other == "w1" else slice(k, None)
+    kept = [getattr(state.model, other), state.m[span], state.v[span]]
     before = [a.tobytes() for a in kept]
     moved = getattr(state.model, given).copy()
     trainer.optimizer_step(state, {given: grads[given]})
@@ -740,13 +761,20 @@ def test_gradient_of_one_tower_leaves_the_other_bit_unchanged(given, other):
     assert not np.array_equal(getattr(state.model, given), moved)
 
 
-def test_optimizer_updates_a_weight_rebound_since_the_last_step():
+@pytest.mark.parametrize("name", ["w1", "w2"])
+def test_optimizer_rejects_a_weight_rebound_since_the_state_was_made(name):
     ds, cache, state, _ = _setup()
-    g = encoder.init_model(state.model.d, ds.d_x, ds.d_y, seed=123).w1
-    state.model.w1 = state.model.w1.copy()  # no longer a view of the flat weights
-    w_before = state.model.w1.copy()
-    lr = state.lr_at(0)
-    trainer.optimizer_step(state, {"w1": g})
-    want = w_before * (1 - lr * trainer.WEIGHT_DECAY) - lr * g / (np.abs(g) + trainer.OPT_EPS)
-    assert np.allclose(state.model.w1, want, atol=1e-12)
-    assert state.model.w1.base is state.model.w2.base is not None
+    grads = {"w1": np.ones_like(state.model.w1), "w2": np.ones_like(state.model.w2)}
+    trainer.optimizer_step(state, grads)  # moments nonzero
+    setattr(state.model, name, getattr(state.model, name).copy())  # no longer a view of state.w
+    before = state.step, state.w.tobytes(), state.m.tobytes(), state.v.tobytes()
+    with pytest.raises(StateError, match=f"^{name}: rebound"):
+        trainer.optimizer_step(state, grads)
+    assert (state.step, state.w.tobytes(), state.m.tobytes(), state.v.tobytes()) == before
+
+
+@pytest.mark.parametrize("u", [np.zeros(10), np.zeros((3, 10)), np.zeros((10, 2)), np.zeros((2, 10, 1))])
+def test_trainer_state_rejects_u_not_of_shape_two_by_n(u):
+    _, _, state, config = _setup()
+    with pytest.raises(ConfigError, match=r"^u: expected shape \(2, n\)"):
+        trainer.TrainerState(model=state.model.copy(), u=u, config=config)
