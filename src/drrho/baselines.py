@@ -18,14 +18,13 @@ from .risk import log_mean_exp
 from .rng import CounterRng
 
 
-def _softmax_into(a: np.ndarray, axis: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Softmax of ``a`` along ``axis``, as exp of the max-shifted log-softmax,
-    written into ``out``; ``work``, which may be ``a``, takes the
-    exponentials that the normalizer sums."""
-    np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
-    np.exp(out, out=work)
-    out -= np.log(work.sum(axis=axis, keepdims=True))
-    return np.exp(out, out=out)
+def _softmax_into(s: np.ndarray, tau: float, axis: int, out: np.ndarray, scale: float) -> np.ndarray:
+    """``scale`` times the softmax of ``s / tau`` along ``axis``, written
+    into ``out``: exp((s - max) / tau) times scale / sum, with one exp, no
+    log and no scaled copy of ``s``."""
+    np.subtract(s, s.max(axis=axis, keepdims=True), out=out)
+    np.exp(np.divide(out, tau, out=out), out=out)
+    return np.multiply(out, scale / out.sum(axis=axis, keepdims=True), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -34,20 +33,21 @@ def _softmax_into(a: np.ndarray, axis: int, out: np.ndarray, work: np.ndarray) -
 
 def infonce_grad_s(s, tau: float, out=None) -> np.ndarray:
     """dInfoNCE/dS in closed form: softmax probabilities minus the identity,
-    averaged over both directions. Given ``out``, three arrays shaped like
-    ``s``, the work is done in them and the gradient is ``out[1]``."""
+    averaged over both directions. Given ``out``, two arrays shaped like
+    ``s``, they take the row and column softmax, each scaled by 1/(2b tau),
+    and the gradient is ``out[0]``, less 1/(b tau) on the diagonal."""
     s = _check_square(s)
     if not tau > 0:
         raise ValueError("tau must be positive")
-    a, p_row, p_col = out if out is not None else (np.empty_like(s) for _ in range(3))
-    np.divide(s, tau, out=a)
-    _softmax_into(a, 1, p_row, work=p_col)
-    _softmax_into(a, 0, p_col, work=a)
+    b = len(s)
+    scale = 1.0 / (2.0 * b * tau)
+    p_row, p_col = out if out is not None else (np.empty_like(s) for _ in range(2))
+    _softmax_into(s, tau, 1, p_row, scale)
+    _softmax_into(s, tau, 0, p_col, scale)
     # p - 0.0 == p, so subtracting the identity only touches the diagonal.
-    p_row.flat[:: len(s) + 1] -= 1.0
-    p_col.flat[:: len(s) + 1] -= 1.0
+    p_row.flat[:: b + 1] -= 2.0 * scale
     p_row += p_col
-    return np.divide(p_row, 2.0 * len(s) * tau, out=p_row)
+    return p_row
 
 
 def infonce_tau_gradient(s, tau: float, out=None) -> float:
@@ -182,16 +182,16 @@ def distillation_grad_s(s_target, s_reference, tau: float, tau_ref: float, out=N
     (at tau_ref) to the target's (at tau), summed over both directions and
     divided by b^2. That is (target softmax - reference softmax) per
     direction, scaled by 1/(b^2 tau); exactly zero at matched
-    distributions. Given ``out``, four arrays shaped like ``s_target``, the
-    work is done in them and the gradient is ``out[0]``."""
+    distributions. Given ``out``, two arrays (grad, p) shaped like
+    ``s_target``, the gradient is summed in ``grad`` from softmaxes in ``p``."""
     s_t, s_r = _check_same_shape(s_target, s_reference)
     if not (tau > 0 and tau_ref > 0):
         raise ValueError("temperatures must be positive")
     b = len(s_t)
-    grad, a, p, p_hat = out if out is not None else (np.empty_like(s_t) for _ in range(4))
-    grad.fill(0.0)
-    for axis in (1, 0):
-        _softmax_into(np.divide(s_t, tau, out=a), axis, p, work=a)
-        _softmax_into(np.divide(s_r, tau_ref, out=a), axis, p_hat, work=a)
-        grad += np.subtract(p, p_hat, out=p)
-    return np.divide(grad, b * b * tau, out=grad)
+    grad, p = out if out is not None else (np.empty_like(s_t) for _ in range(2))
+    scale = 1.0 / (b * b * tau)
+    _softmax_into(s_t, tau, 1, grad, scale)
+    grad -= _softmax_into(s_r, tau_ref, 1, p, scale)
+    grad += _softmax_into(s_t, tau, 0, p, scale)
+    grad -= _softmax_into(s_r, tau_ref, 0, p, scale)
+    return grad

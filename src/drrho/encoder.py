@@ -115,7 +115,7 @@ class BatchForward:
 
     e: np.ndarray  # (2, b, d): image rows e[0], text rows e[1]
     r: np.ndarray  # (2, b)
-    s: np.ndarray  # (b, b), s[i, j] = <e[0, i], e[1, j]>
+    s: np.ndarray  # (b, b) <e[0, i], e[1, j]>; a drrho-clip step subtracts s_reference into it
 
     @classmethod
     def of(cls, e, r, out: np.ndarray | None = None) -> "BatchForward":

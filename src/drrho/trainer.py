@@ -23,11 +23,12 @@ is the two in a loop. Everything is deterministic given (config, seed):
 each epoch's order is the next counter-based permutation of the pool, and
 the optimizer is a from-scratch decoupled weight-decay Adam with linear
 warmup and cosine decay. A step fills its b x b arrays in place into the
-run's buffers, so only a run's first step faults in fresh memory. The
-estimators hold one (2, b, b) set of exponentials q and never the gaps:
-the tau gradient's sum_j q_ij * gap_ij is sum_j q_ij * s_ij - s_ii *
-sum_j q_ij, as the gap is linear in s. A JEST step embeds its super batch
-once and selects from the embeddings.
+run's buffers, so only a run's first step faults in fresh memory: 3 b x b
+arrays, 4 with distillation (see ``_step_buffers``). The estimators hold
+one (2, b, b) set of exponentials q and never the gaps: the tau
+gradient's sum_j q_ij * gap_ij is sum_j q_ij * s_ij - s_ii * sum_j q_ij,
+as the gap is linear in s. A JEST step embeds its super batch once and
+selects from the embeddings.
 """
 
 from __future__ import annotations
@@ -227,14 +228,14 @@ def _anchor_sums(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return np.array((np.add.reduce(q1, axis=1), np.add.reduce(q2, axis=1)))
 
 
-def _step_buffers(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A step's (b, b) buffers, held for a run: (q, infonce, distill, sim,
-    ref_sim). q, infonce and distill are the first 2, 3 and 4 matrices of
-    one (4, b, b) array, since distillation is done before either kernel; a
-    method touches only the pages it writes. A drrho-clip step overwrites
-    ``ref_sim`` with s_target - s_reference."""
-    scratch = np.empty((4, b, b))
-    return scratch[:2], scratch[:3], scratch, np.empty((b, b)), np.empty((b, b))
+def _step_buffers(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A step's (b, b) buffers, held for a run: (sim, ref, distill, q). The
+    last three share one (3, b, b) scratch: ref is scratch[0], distill
+    scratch[1:], and q, or InfoNCE's two softmaxes, scratch[:2]. A
+    drrho-clip step subtracts ``ref`` into ``sim`` after distillation has
+    read both, and before q overwrites ``ref``."""
+    scratch = np.empty((3, b, b))
+    return np.empty((b, b)), scratch[0], scratch[1:], scratch[:2]
 
 
 def update_u(
@@ -449,7 +450,6 @@ def start_run(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache
     u = shift or config.method == "fastclip"
     state = init_trainer_state(model, dataset.n, config)
     report = ExperimentReport(config_snapshot=config.resolved(), provenance=run_provenance(config, dataset, cache))
-    # One array per matrix: glibc kept a single 26 MB block resident after a run.
     buffers = _step_buffers(batch)
     evaluator = _Evaluator(config, dataset, cache, pool, shift, u)
     rng = CounterRng(config.seed, _STREAM_BATCHES)
@@ -464,7 +464,7 @@ def step(run: Run) -> None:
     """
     state, cache, t = run.state, run.cache, run.state.step
     config, model = state.config, state.model
-    q_out, nce_out, dist_out, sim_out, ref_out = run.buffers
+    sim_out, ref_out, dist_out, q_out = run.buffers
     per_epoch = len(run.pool) // run.size
     if t % per_epoch == 0:
         run.order = run.pool[run.rng.permutation(len(run.pool))]
@@ -483,22 +483,22 @@ def step(run: Run) -> None:
     else:
         fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
     s_ref = cache.similarity(batch, out=ref_out) if run.shift or config.distill else None
-    # Distillation reads s_ref before a drrho-clip step overwrites it.
     if config.distill:
         dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau, out=dist_out)
         dist = similarity_backward(fwd, xs_b, ys_b, dist_coef)
 
     if run.u:
-        s = np.subtract(fwd.s, s_ref, out=s_ref) if run.shift else fwd.s
+        # Distillation has read both; q overwrites s_ref once it is subtracted.
+        s = np.subtract(fwd.s, s_ref, out=fwd.s) if run.shift else fwd.s
         u = update_u(state, batch, s, out=q_out)
         grads = gradient_estimator(state, u, fwd, xs_b, ys_b, s, out=q_out)
         if config.learnable_tau:
             grads["tau"] = np.asarray([tau_gradient(state, u, s, out=q_out)])
     else:
-        coef = baselines.infonce_grad_s(fwd.s, model.tau, out=nce_out)
+        coef = baselines.infonce_grad_s(fwd.s, model.tau, out=q_out)
         grads = similarity_backward(fwd, xs_b, ys_b, coef)
         if config.learnable_tau:
-            grads["tau"] = np.asarray([baselines.infonce_tau_gradient(fwd.s, model.tau, out=nce_out)])
+            grads["tau"] = np.asarray([baselines.infonce_tau_gradient(fwd.s, model.tau, out=q_out)])
     if config.distill:
         # Distillation has no temperature pull, so tau's blend adds 0.
         for k in grads:

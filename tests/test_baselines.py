@@ -2,13 +2,15 @@
 come from the loop oracles, since the library computes only their
 gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from drrho import baselines, data, encoder, trainer
 from drrho.rng import CounterRng
 
-from oracles import distillation_direct, finite_diff_scalar, infonce_direct, rel_err
+from oracles import distillation_direct, finite_diff_scalar, infonce_direct, rel_err, softmax_direct
 
 
 def _random_pair(seed, n, d=5):
@@ -49,6 +51,34 @@ def test_infonce_tau_gradient_matches_numeric():
     got = baselines.infonce_tau_gradient(s, 0.4)
     fd = finite_diff_scalar(lambda t: infonce_direct(s, t), 0.4)
     assert abs(got - fd) / max(1e-8, abs(fd)) <= 1e-5
+
+
+def _softmax_pair(s, tau):
+    """Row and column softmax of s / tau from the 50-digit oracle."""
+    row = np.array([softmax_direct(r, tau) for r in s])
+    return row, np.array([softmax_direct(c, tau) for c in s.T]).T
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.005, 0.07, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("b", [2, 5, 16])
+def test_softmax_kernels_match_high_precision_at_extreme_temperatures(b, tau):
+    """Both kernels are sums of scaled softmaxes (InfoNCE's less a scaled
+    identity); each is within 1e-15 of the largest entry of those terms,
+    with no RuntimeWarning at either end of the range."""
+    s, s_r = _random_sim(b, b), _random_sim(b + 100, b)
+    row, col = _softmax_pair(s, tau)
+    row_r, col_r = _softmax_pair(s_r, tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nce = baselines.infonce_grad_s(s, tau)
+        dist = baselines.distillation_grad_s(s, s_r, tau, tau)
+    c = 1.0 / (2 * b * tau)
+    want = c * row + c * col - 2 * c * np.eye(b)
+    assert np.max(np.abs(nce - want)) <= 1e-15 * 2 * c
+    c = 1.0 / (b * b * tau)
+    want = c * ((row - row_r) + (col - col_r))
+    largest = c * max(p.max() for p in (row, col, row_r, col_r))
+    assert np.max(np.abs(dist - want)) <= 1e-15 * largest
 
 
 def test_gcl_step_equals_drrho_with_flat_reference():

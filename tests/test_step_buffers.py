@@ -35,14 +35,14 @@ def _batch(b, seed=0, tau=0.05):
 def _q_buffer(b):
     """The (2, b, b) exponentials buffer as ``train()`` holds it, filled
     with NaN so that any entry a kernel leaves unwritten shows."""
-    q = trainer._step_buffers(b)[0]
+    q = trainer._step_buffers(b)[3]
     q[...] = np.nan
     return q
 
 
 def test_step_buffers_lay_out_gaps_as_the_allocating_path():
     s = np.arange(9.0).reshape(3, 3)
-    held = trainer.shifted_gap_exponentials(s, 0.1, out=trainer._step_buffers(3)[0])
+    held = trainer.shifted_gap_exponentials(s, 0.1, out=trainer._step_buffers(3)[3])
     for h, alloc in zip(held, trainer.shifted_gap_exponentials(s, 0.1)):
         assert h.shape == alloc.shape and h.strides == alloc.strides
 
@@ -88,9 +88,9 @@ def test_gap_kernels_out_match_allocating(b, with_ref):
 def test_infonce_out_matches_allocating(b):
     ds, _, model, batch = _batch(b)
     s = encoder.batch_forward(model, ds.xs[batch], ds.ys[batch]).s
-    out = np.full((3, b, b), np.nan)
+    out = np.full((2, b, b), np.nan)
     coef = baselines.infonce_grad_s(s, model.tau, out=out)
-    assert np.shares_memory(coef, out[1])
+    assert _view_of(coef, out, 0)
     _same(coef, baselines.infonce_grad_s(s, model.tau))
     out[:] = np.nan
     assert baselines.infonce_tau_gradient(s, model.tau, out=out) == baselines.infonce_tau_gradient(s, model.tau)
@@ -101,9 +101,9 @@ def test_distillation_out_matches_allocating(b):
     ds, cache, model, batch = _batch(b)
     s = encoder.batch_forward(model, ds.xs[batch], ds.ys[batch]).s
     s_ref = cache.similarity(batch)
-    out = np.full((4, b, b), np.nan)
+    out = np.full((2, b, b), np.nan)
     coef = baselines.distillation_grad_s(s, s_ref, model.tau, 0.03, out=out)
-    assert np.shares_memory(coef, out[0])
+    assert _view_of(coef, out, 0)
     _same(coef, baselines.distillation_grad_s(s, s_ref, model.tau, 0.03))
 
 
@@ -111,7 +111,9 @@ def test_distillation_out_matches_allocating(b):
 @pytest.mark.parametrize("b", SIZES)
 def test_estimators_share_one_buffer_set_in_trainer_order(b, method):
     """update_u, gradient_estimator, tau_gradient on one buffer set equal the
-    allocating calls; the coefficients live in q1's memory, and the next
+    allocating calls. As in a step, a drrho-clip step subtracts the reference
+    similarity, held where q1 goes, into the similarity's memory; the
+    coefficients live in q1's memory, and the next
     ``shifted_gap_exponentials`` call may overwrite them only after use."""
     ds, cache, model, batch = _batch(b, tau=0.02)
     config = trainer.TrainConfig(method=method, batch_size=b, embed_dim=4, tau_learnable=True, gamma=0.8)
@@ -120,20 +122,24 @@ def test_estimators_share_one_buffer_set_in_trainer_order(b, method):
     s = fwd.s - cache.similarity(batch) if method == "drrho-clip" else fwd.s
     alloc = trainer.init_trainer_state(model.copy(), ds.n, config)
     held = trainer.init_trainer_state(model.copy(), ds.n, config)
-    out = _q_buffer(b)
+    sim, ref, _, out = trainer._step_buffers(b)
+    sim[...], out[...] = np.nan, np.nan
+    fwd_h = encoder.batch_forward(model, xs, ys, out=sim)
+    s_h = np.subtract(fwd_h.s, cache.similarity(batch, out=ref), out=sim) if method == "drrho-clip" else sim
+    _same(s_h, s)
     for _ in range(2):  # the second round starts from warm u
         u_a = trainer.update_u(alloc, batch, s)
-        u_h = trainer.update_u(held, batch, s, out=out)
+        u_h = trainer.update_u(held, batch, s_h, out=out)
         for x, y in zip(u_h, u_a):
             _same(x, y)
-        coef = trainer.anchor_weight_coefficients(held, u_h, s, out=out)
+        coef = trainer.anchor_weight_coefficients(held, u_h, s_h, out=out)
         assert _at(coef, out[0]) and coef.strides == out[0].strides
         _same(coef, trainer.anchor_weight_coefficients(alloc, u_a, s))
         g_a = trainer.gradient_estimator(alloc, u_a, fwd, xs, ys, s)
-        g_h = trainer.gradient_estimator(held, u_h, fwd, xs, ys, s, out=out)
+        g_h = trainer.gradient_estimator(held, u_h, fwd_h, xs, ys, s_h, out=out)
         for name in g_a:
             _same(g_h[name], g_a[name])
-        tau_h = trainer.tau_gradient(held, u_h, s, out=out)
+        tau_h = trainer.tau_gradient(held, u_h, s_h, out=out)
         assert tau_h == trainer.tau_gradient(alloc, u_a, s)
     _same(held.u, alloc.u)
 
@@ -164,7 +170,7 @@ def test_train_with_step_buffers_matches_allocating_path(monkeypatch, method, b,
         jest_ratio=ratio, distill=True, eval_subset=32, eval_every=2,
     )
     held = _run_digest(*trainer.train(config, ds, cache))
-    monkeypatch.setattr(trainer, "_step_buffers", lambda b: (None,) * 5)
+    monkeypatch.setattr(trainer, "_step_buffers", lambda b: (None,) * 4)
     assert held == _run_digest(*trainer.train(config, ds, cache))
 
 
@@ -196,6 +202,19 @@ def test_jest_step_allocates_no_super_by_super_array(monkeypatch, method):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1 and peaks[0] < 1280 * 1280 * 8, f"peak {peaks} B"
+
+
+def _probe(script, *argv):
+    """The number a fresh interpreter prints running ``script`` with
+    ``argv`` on this checkout's sources, which reads its own memory counters."""
+    pytest.importorskip("resource")
+    src = Path(trainer.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
 
 
 # Minor page faults per extra training step, read by a fresh process from
@@ -245,52 +264,55 @@ _CHURN = textwrap.dedent(
     ],
 )
 def test_training_step_does_not_fault_in_fresh_memory(method, b, short, long, bound):
-    pytest.importorskip("resource")
-    src = Path(trainer.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHURN, method, str(b), str(short), str(long)],
-        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    per_step = float(proc.stdout)
+    per_step = _probe(_CHURN, method, b, short, long)
     assert per_step < bound, f"{method} at b={b}: {per_step:.0f} minor faults per extra step"
 
 
 # Peak resident growth of a 2-step run at b=1024, read by a fresh process
-# from its own rusage. Each (b, b) array a step writes is 8 MB.
+# from its own VmHWM. Each (b, b) array a step writes is 8 MB. ru_maxrss
+# would not do: at exec it takes over the parent's resident set, so under a
+# test runner larger than the run it reads no growth at all.
 _PEAK = textwrap.dedent(
     """
-    import resource, sys
+    import sys
     from drrho import data, encoder, trainer
 
-    method, b = sys.argv[1], int(sys.argv[2])
+    def peak_kib():
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+    method, _, distill = sys.argv[1].partition("+")  # "openclip+distill" adds distillation
+    b = int(sys.argv[2])
     ds = data.generate_synthetic(b + 76, 24, 20, 4, 0.3, 0.0, seed=0)
     cache = data.build_reference_cache(ds, encoder.init_model(16, 24, 20, seed=1))
     config = trainer.TrainConfig(
-        method=method, steps=2, batch_size=b, embed_dim=8, lr=5e-3, tau_learnable=True, eval_subset=128,
-        eval_every=10**6,
+        method=method, steps=2, batch_size=b, embed_dim=8, lr=5e-3, tau_learnable=True, distill=bool(distill),
+        eval_subset=128, eval_every=10**6,
     )
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = peak_kib()
     trainer.train(config, ds, cache)
-    print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+    print((peak_kib() - before) / 1024)
     """
 )
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is read in KiB on Linux")
-@pytest.mark.parametrize("method, bound_mb", [("drrho-clip", 40), ("fastclip", 32)])
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read from /proc on Linux")
+@pytest.mark.parametrize(
+    "method, bound_mb",
+    [
+        ("drrho-clip", 32),
+        ("fastclip", 32),
+        ("openclip", 32),
+        ("drrho-clip+distill", 40),
+        ("openclip+distill", 40),
+    ],
+)
 def test_estimator_step_holds_no_gap_matrices(method, bound_mb):
-    """A u-estimator step writes its exponentials, not the gaps too: a
-    drrho-clip step touches the similarity, reference similarity and the
-    two q matrices, a fastclip step all but the reference."""
-    pytest.importorskip("resource")
-    src = Path(trainer.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK, method, "1024"],
-        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    growth = float(proc.stdout)
+    """A step writes its exponentials or softmaxes, not the gaps too, and
+    touches 3 b x b arrays: the similarity and two of the scratch, which
+    take the reference similarity before q. Distillation adds the third
+    scratch matrix."""
+    growth = _probe(_PEAK, method, 1024)
     assert growth < bound_mb, f"{method} at b=1024: peak RSS grew {growth:.1f} MB"
 
 
@@ -310,11 +332,13 @@ def _view_of(a, parent, index):
 
 def test_step_buffers_stack_both_directions():
     b = 5
-    q, infonce, distill, _, _ = trainer._step_buffers(b)
-    parent = distill
-    assert parent.shape == (4, b, b) and parent.flags.c_contiguous
-    for head, k in ((q, 2), (infonce, 3)):
-        assert head.base is parent and head.shape == (k, b, b) and _at(head, parent)
+    sim, ref, distill, q = trainer._step_buffers(b)
+    parent = ref.base
+    assert parent.shape == (3, b, b) and parent.flags.c_contiguous
+    assert sim.shape == (b, b) and not np.shares_memory(sim, parent)
+    assert _view_of(ref, parent, 0)
+    for head, first in ((q, 0), (distill, 1)):
+        assert head.base is parent and head.shape == (2, b, b) and _at(head, parent[first])
     q1, q2 = trainer.shifted_gap_exponentials(np.zeros((b, b)), 0.1, out=q)
     assert _view_of(q1, parent, 0) and _view_of(q2, parent, 1)
     assert q1.strides == parent[0].strides and q2.strides == parent[1].T.strides
