@@ -45,12 +45,14 @@ def _values(losses) -> np.ndarray:
 
 
 def cvar_topk(losses, k: int) -> float:
-    """Mean of the k largest losses; ties resolved by (value desc, index asc)."""
+    """Mean of the k largest losses, summed in descending order; ties do not change it."""
     v = _values(losses)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= v.size:
         raise ValueError(f"k={k} out of range for {v.size} losses")
-    order = np.argsort(-v, kind="stable")
-    return float(np.mean(v[order[:k]]))
+    top = np.sort(np.partition(v, v.size - k)[v.size - k :])
+    return float(np.mean(top[::-1]))
 
 
 def softmax_weights(losses, tau: float) -> np.ndarray:
@@ -63,8 +65,8 @@ def softmax_weights(losses, tau: float) -> np.ndarray:
     every accuracy tolerance).
     """
     v = _values(losses)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     z = np.exp((v - v.max()) / tau)
     p = z / z.sum()
     for _ in range(4):
@@ -95,8 +97,8 @@ def log_mean_exp(v: np.ndarray, tau: float, axis: int = -1, out: np.ndarray | No
 def kl_regularized_risk(losses, tau: float) -> float:
     """Soft maximum tau * log-mean-exp(losses / tau)."""
     v = _values(losses)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     return float(log_mean_exp(v, tau))
 
 
@@ -113,17 +115,17 @@ def kl_constrained_risk(losses, rho: float, n: int) -> tuple[float, float]:
     Returns (risk, minimizing tau).
     """
     v = _values(losses)
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 0 <= rho < np.inf:
+        raise ValueError("rho must be nonnegative and finite")
+    if not 1 <= n < np.inf:
+        raise ValueError("n must be at least 1 and finite")
     scale = max(1.0, float(v.max() - v.min()))
     lo, hi = np.log(TAU_BOUND_LO * scale), np.log(TAU_BOUND_HI * scale)
     radius = rho / n
-    top = v.max()
+    shifted = v - v.max()
 
     def slope(x: float) -> tuple[float, float]:  # h(x) and dh/dx from one exp pass
-        z = (v - top) / np.exp(x)
+        z = shifted / np.exp(x)
         e = np.exp(z)
         total = e.sum()
         mean_z = float(e @ z) / total
@@ -166,8 +168,8 @@ def chi2_dro_risk(losses, rho: float, n: int) -> tuple[float, np.ndarray]:
     Returns (risk, attaining weights). Requires len(losses) == n.
     """
     v = _values(losses)
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < np.inf:
+        raise ValueError("rho must be nonnegative and finite")
     if n != v.size:
         raise ValueError(f"chi2_dro_risk treats losses as the empirical distribution; n={n} != {v.size}")
     uniform = np.full(n, 1.0 / n)

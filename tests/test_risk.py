@@ -32,6 +32,13 @@ def test_cvar_topk_hand_cases():
         risk.cvar_topk(v, 0)
     with pytest.raises(ValueError):
         risk.cvar_topk(v, 5)
+    assert risk.cvar_topk(v, np.int64(2)) == risk.cvar_topk(v, 2)
+
+
+@pytest.mark.parametrize("k", [2.5, np.float64(2.0), "2", True], ids=["float", "float64", "str", "bool"])
+def test_cvar_topk_rejects_a_non_integer_k(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        risk.cvar_topk([0.3, -1.0, 2.2, 0.9], k)
 
 
 def test_cvar_topk_matches_sort_oracle_randomized():
@@ -41,6 +48,23 @@ def test_cvar_topk_matches_sort_oracle_randomized():
         v = rng.normals(m)
         k = 1 + int(rng.uniforms(1)[0] * m) % m
         assert risk.cvar_topk(v, k) == pytest.approx(topk_mean_direct(v, k), abs=1e-12)
+
+
+def test_cvar_topk_is_the_descending_mean_bit_for_bit():
+    # The partitioned top k must add the same values in the same order as a
+    # full stable sort; k straddles numpy's 128-element pairwise block and
+    # its 8192-element buffer, and bytes are compared so a zero's sign counts.
+    rng = np.random.default_rng(72)
+    for n in (1, 2, 9, 127, 128, 129, 1000, 10000, 20000):
+        ks = {k for k in (1, n // 10, 127, 128, 129, 8193, n - 1, n) if 1 <= k <= n}
+        gamma = rng.gamma(0.7, size=n)
+        ties = np.round(rng.normal(size=n), 1)
+        zeros = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), size=n)
+        for v in (gamma, ties, zeros):
+            desc = v[np.argsort(-v, kind="stable")]
+            for k in ks:
+                want = np.float64(np.mean(desc[:k]))
+                assert np.float64(risk.cvar_topk(v, k)).tobytes() == want.tobytes(), (n, k)
 
 
 def test_softmax_weights_known_values():
@@ -238,6 +262,31 @@ def test_non_finite_losses_rejected_naming_losses(solve):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="losses"):
             solve([1.0, bad, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "param, solve",
+    [
+        ("tau", lambda v, x: risk.softmax_weights(v, x)),
+        ("tau", lambda v, x: risk.kl_regularized_risk(v, x)),
+        ("rho", lambda v, x: risk.kl_constrained_risk(v, x, 4)),
+        ("n", lambda v, x: risk.kl_constrained_risk(v, 2.0, x)),
+        ("rho", lambda v, x: risk.chi2_dro_risk(v, x, 4)),
+        ("n", lambda v, x: risk.chi2_dro_risk(v, 2.0, x)),
+    ],
+    ids=[
+        "softmax_weights-tau",
+        "kl_regularized_risk-tau",
+        "kl_constrained_risk-rho",
+        "kl_constrained_risk-n",
+        "chi2_dro_risk-rho",
+        "chi2_dro_risk-n",
+    ],
+)
+def test_non_finite_parameters_rejected_naming_them(param, solve, bad):
+    with pytest.raises(ValueError, match=rf"\b{param}\b"):
+        solve([0.3, 1.2, -0.4, 2.0], bad)
 
 
 def _loss_pair(rng, n):
