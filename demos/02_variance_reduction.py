@@ -3,16 +3,16 @@
 
 The generalization story rests on the variance of the shifted loss being
 smaller than the variance of the plain loss. This runs the seeded
-pipeline: train a reference on a 4x data pool, train a fresh target on a
-quarter of it, and compare per-anchor pairwise-loss variances on the
-target's training data.
+pipeline: train the reference recipe on a 4x data pool, train a fresh
+target on a quarter of it, and compare per-anchor pairwise-loss variances
+on the target's training data. All five seeds' runs train in one pool.
 """
 
 from drrho import experiments
 
 print(f"{'seed':>4} {'plain img':>10} {'rho img':>10} {'plain txt':>10} {'rho txt':>10}  reduced?")
-for seed in range(5):
-    out = experiments.variance_reduction_trial(seed)
+seeds = range(5)
+for seed, out in zip(seeds, experiments.variance_reduction_trial(seeds)):
     reduced = out["rho_image"] < out["plain_image"] and out["rho_text"] < out["plain_text"]
     print(
         f"{seed:>4} {out['plain_image']:>10.4f} {out['rho_image']:>10.4f} "

@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import data, encoder, experiments, trainer
-from .errors import ConfigError, DrrhoError
+from .errors import DrrhoError
 from .report import ExperimentReport
 
 METHOD_CHOICES = list(trainer.METHODS)
@@ -171,26 +171,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    if args.subset < 3:
-        raise ConfigError(f"subset: need at least 3 anchors, got {args.subset}")
     dataset = data.load_dataset(args.data)
     model = encoder.load_model(args.model)
     cache = data.load_cache(args.ref) if args.ref else None
-    if cache is not None:
-        data.check_cache_matches(cache, dataset)
-    anchors = dataset.train_indices[: args.subset]
-    fwd = encoder.batch_forward(model, dataset.xs[anchors], dataset.ys[anchors])
-    plain = experiments.loss_variance(fwd.s)
+    plain, shifted = experiments.train_pairs_variance(model, dataset, args.subset, cache)
     report = ExperimentReport(
-        config_snapshot={"command": "variance", "subset": int(len(anchors))},
+        config_snapshot={"command": "variance", "subset": len(plain.image_variances)},
         provenance={"dataset_hash": dataset.content_hash(), "model_id": model.id_hash},
     )
     report.add(0, "plain_variance_image", plain.image_mean)
     report.add(0, "plain_variance_text", plain.text_mean)
     print(f"plain variance image/text: {plain.image_mean:.6e} / {plain.text_mean:.6e}")
-    if cache is not None:
-        s_ref = cache.similarity(anchors)
-        shifted = experiments.loss_variance(fwd.s, s_ref)
+    if shifted is not None:
         report.add(0, "rho_variance_image", shifted.image_mean)
         report.add(0, "rho_variance_text", shifted.text_mean)
         print(f"shifted variance image/text: {shifted.image_mean:.6e} / {shifted.text_mean:.6e}")

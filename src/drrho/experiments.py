@@ -2,16 +2,12 @@
 accuracy, per-anchor loss variance, data-efficiency sweeps, and power-law
 fits of error against compute.
 
-The paper's three experiments are fixed recipes: the two trials take only
-a seed, and ``scaling_suite`` runs one grid on the pool and reference cache
-it is given. ``train_reference`` defaults to the reference recipe (fastclip,
-d=16, b=64, 800 steps). Every grid trains through one job function.
-
-A training whose report is discarded (each sweep and grid job, the
-trials' runs and ``train_reference``) records only its final eval point,
-since eval points read the model and never change it. Each point is two
-forward passes, the gap rows, the variances and recall: the CLI sweep's
-50-step jobs skip 49 of their 50 points, a reference 49 of its 50.
+The paper's three experiments are fixed recipes: the two trials take a
+list of seeds and return one row per seed, and ``scaling_suite`` runs one
+grid on the pool and reference cache it is given. Every training, the
+reference recipe's included, goes through ``_final_models``: it checks
+every run with ``plan_run`` before any trains, then trains them in one
+pool, each recording only its final eval point.
 
 Compute is counted in abstract units of trainable-parameter count times
 samples seen. Any consistent unit works: rescaling compute by a constant
@@ -28,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contrastive import negative_gaps, shifted_similarity
-from .data import EmbeddingCache, PairedDataset, build_reference_cache, generate_synthetic
+from .data import EmbeddingCache, PairedDataset, build_reference_cache, check_cache_matches, generate_synthetic
 from .encoder import batch_forward
 from .errors import ConfigError
 from .report import ExperimentReport
@@ -154,7 +150,7 @@ def best_error_per_compute(groups: dict[float, list[float]]) -> list[ScalingPoin
 def evaluate_recall(model, dataset: PairedDataset, indices: np.ndarray | None = None) -> float:
     idx = dataset.test_indices if indices is None else np.asarray(indices, dtype=np.int64)
     if len(idx) < 2:
-        raise ValueError("need at least 2 pairs to evaluate retrieval")
+        raise ConfigError(f"split: holds {len(idx)} pairs, retrieval needs at least 2")
     fwd = batch_forward(model, dataset.xs[idx], dataset.ys[idx])
     return recall_at_1(fwd.s)
 
@@ -204,29 +200,23 @@ def _require_test_split(dataset: PairedDataset) -> None:
         raise ConfigError(f"dataset: test split holds {n_test} pairs, retrieval needs at least 2")
 
 
-def _final_only(config: TrainConfig) -> TrainConfig:
-    """``config`` recording only its final eval point: eval points read the
-    model and never change it, so the model is the one every cadence gives."""
-    return replace(config, eval_every=max(1, config.effective_steps))
+def _final_models(jobs: list) -> list:
+    """The final model of every ``(config, dataset, cache)`` job, in job
+    order, once ``plan_run`` has passed them all. Each run records only its
+    final eval point: eval points read the model and never change it, so the
+    model is the one every cadence gives. The cache goes only to runs that use it."""
+    jobs = [
+        (replace(config, eval_every=max(1, config.effective_steps)), dataset, cache if config.needs_reference else None)
+        for config, dataset, cache in jobs
+    ]
+    for job in jobs:
+        plan_run(*job)
+    return _run_jobs(jobs, _final_model)
 
 
-def _trained_model(config: TrainConfig, dataset: PairedDataset, cache: EmbeddingCache | None = None):
-    """The final model of a run whose report nobody reads."""
-    state, _ = train(_final_only(config), dataset, cache)
+def _final_model(job):
+    state, _ = train(*job)
     return state.model
-
-
-def _recalls(jobs: list) -> list[float]:
-    """``_recall_job`` of every job, once ``plan_run`` has passed them all."""
-    for config, dataset, cache in jobs:
-        plan_run(_final_only(config), dataset, cache)
-    return _run_jobs(jobs, _recall_job)
-
-
-def _recall_job(args) -> float:
-    """Final test recall@1 of one run; the cache goes only to runs that use it."""
-    config, dataset, cache = args
-    return evaluate_recall(_trained_model(config, dataset, cache if config.needs_reference else None), dataset)
 
 
 def data_efficiency_sweep(
@@ -266,7 +256,7 @@ def data_efficiency_sweep(
         for method, fraction in cells
         for seed in seeds
     ]
-    recalls = _recalls(jobs)
+    recalls = [evaluate_recall(model, dataset) for model in _final_models(jobs)]
 
     per_method = ("method", "tau", "tau_learnable", "effective_steps", "warmup_steps", "eval_every")
     shared = {k: v for k, v in config.resolved().items() if k not in per_method}
@@ -288,59 +278,75 @@ def data_efficiency_sweep(
     return report
 
 
-def variance_reduction_trial(seed: int) -> dict[str, float]:
-    """One seeded trial of the variance-reduction effect.
+def train_pairs_variance(model, dataset: PairedDataset, k: int, cache: EmbeddingCache | None = None):
+    """Loss variances of the first ``k`` training pairs under ``model``:
+    plain, and shifted by the reference ``cache`` (None without one)."""
+    if k < 3:
+        raise ConfigError(f"subset: need at least 3 anchors, got {k}")
+    if cache is not None:
+        check_cache_matches(cache, dataset)
+    anchors = dataset.train_indices[:k]
+    if len(anchors) < 3:
+        raise ConfigError(f"data: train split holds {len(anchors)} pairs, loss variance needs at least 3")
+    s = batch_forward(model, dataset.xs[anchors], dataset.ys[anchors]).s
+    return loss_variance(s), None if cache is None else loss_variance(s, cache.similarity(anchors))
 
-    A reference is trained on a pool of 768 pairs; a target is trained
-    fresh on its first quarter; then per-anchor pairwise-loss variances of
-    the target are measured with and without the reference shift on the
-    first 96 pairs of the target's training data.
+
+def variance_reduction_trial(seeds) -> list[dict[str, float]]:
+    """Seeded trials of the variance-reduction effect, one row per seed.
+
+    Per seed, the reference recipe at d=8, b=48 and 300 steps trains on a
+    pool of 768 pairs and a target fresh on its first quarter; then the
+    target's per-anchor pairwise-loss variances are measured with and
+    without the reference shift on the first 96 pairs of its training data.
+    Every seed's runs train as one batch.
     """
-    dataset = generate_synthetic(
-        n=864, d_x=24, d_y=20, d_latent=6, noise_sigma=0.25, test_fraction=96 / 864, seed=seed
-    )
-    ref_config = TrainConfig(method="fastclip", steps=300, batch_size=48, embed_dim=8, lr=5e-3, seed=seed + 1)
-    ref_model = _trained_model(ref_config, dataset)
-    target_config = TrainConfig(
-        method="fastclip", steps=150, batch_size=48, embed_dim=8, lr=5e-3, train_fraction=0.25, seed=seed + 2
-    )
-    target_model = _trained_model(target_config, dataset)
-
-    anchors = dataset.train_indices[:96]
-    s_target = batch_forward(target_model, dataset.xs[anchors], dataset.ys[anchors]).s
-    s_reference = batch_forward(ref_model, dataset.xs[anchors], dataset.ys[anchors]).s
-    plain = loss_variance(s_target)
-    shifted = loss_variance(s_target, s_reference)
-    return {
-        "plain_image": plain.image_mean,
-        "plain_text": plain.text_mean,
-        "rho_image": shifted.image_mean,
-        "rho_text": shifted.text_mean,
-    }
+    seeds = list(seeds)
+    datasets = [
+        generate_synthetic(n=864, d_x=24, d_y=20, d_latent=6, noise_sigma=0.25, test_fraction=96 / 864, seed=seed)
+        for seed in seeds
+    ]
+    target = TrainConfig(method="fastclip", steps=150, batch_size=48, embed_dim=8, lr=5e-3, train_fraction=0.25)
+    jobs = []
+    for seed, dataset in zip(seeds, datasets):
+        jobs.append(_reference_job(dataset, embed_dim=8, steps=300, batch_size=48, seed=seed + 1))
+        jobs.append((replace(target, seed=seed + 2), dataset, None))
+    models = _final_models(jobs)
+    rows = []
+    for dataset, reference, model in zip(datasets, models[::2], models[1::2]):
+        plain, shifted = train_pairs_variance(model, dataset, 96, build_reference_cache(dataset, reference))
+        rows.append({"plain_image": plain.image_mean, "plain_text": plain.text_mean,
+                     "rho_image": shifted.image_mean, "rho_text": shifted.text_mean})
+    return rows
 
 
-def data_efficiency_trial(seed: int) -> dict[str, float]:
-    """One seeded data-efficiency comparison against a strong reference.
+def data_efficiency_trial(seeds) -> list[dict[str, float]]:
+    """Seeded data-efficiency comparisons against a strong reference, one
+    row per seed.
 
-    Trains the reference recipe on the full pool of 640 pairs, then the
-    reference-shifted method on half and on all of the pool, and the
-    no-reference baseline on all of it, every run for 150 steps at batch
-    48 with learnable temperature. Returns final test retrieval accuracies.
+    Per seed, the reference recipe trains on the full pool of 640 pairs,
+    then the reference-shifted method on half and on all of the pool, and
+    the no-reference baseline on all of it, every run for 150 steps at
+    batch 48 with learnable temperature. A row holds final test retrieval
+    accuracies. Every seed's reference trains in one batch, then every
+    seed's other runs in another.
     """
-    dataset = generate_synthetic(640, 24, 20, 4, 0.3, 0.2, seed=seed)
-    ref_model, cache = train_reference(dataset, seed=seed + 1000)
-    base = TrainConfig(
-        steps=150, batch_size=48, embed_dim=8, lr=5e-3, seed=seed, eval_subset=32, tau_learnable=True
-    )
-    out = {"reference": evaluate_recall(ref_model, dataset)}
-    runs = (
-        ("drrho_half", "drrho-clip", 0.5),
-        ("drrho_full", "drrho-clip", 1.0),
-        ("baseline_full", "fastclip", 1.0),
-    )
-    for key, method, fraction in runs:
-        out[key] = _recall_job((replace(base, method=method, train_fraction=fraction), dataset, cache))
-    return out
+    seeds = list(seeds)
+    datasets = [generate_synthetic(640, 24, 20, 4, 0.3, 0.2, seed=seed) for seed in seeds]
+    references = _final_models([_reference_job(dataset, seed=seed + 1000) for seed, dataset in zip(seeds, datasets)])
+    base = TrainConfig(steps=150, batch_size=48, embed_dim=8, lr=5e-3, eval_subset=32, tau_learnable=True)
+    runs = {"drrho_half": ("drrho-clip", 0.5), "drrho_full": ("drrho-clip", 1.0), "baseline_full": ("fastclip", 1.0)}
+    caches = [build_reference_cache(dataset, reference) for dataset, reference in zip(datasets, references)]
+    jobs = [
+        (replace(base, method=method, train_fraction=fraction, seed=seed), dataset, cache)
+        for seed, dataset, cache in zip(seeds, datasets, caches)
+        for method, fraction in runs.values()
+    ]
+    models = iter(_final_models(jobs))
+    return [
+        {"reference": evaluate_recall(reference, dataset), **{k: evaluate_recall(next(models), dataset) for k in runs}}
+        for dataset, reference in zip(datasets, references)
+    ]
 
 
 def scaling_suite(dataset: PairedDataset, cache: EmbeddingCache) -> dict[str, dict]:
@@ -362,7 +368,7 @@ def scaling_suite(dataset: PairedDataset, cache: EmbeddingCache) -> dict[str, di
         for steps in (40, 110, 300)
         for fraction in (0.6, 1.0)
     ]
-    recalls = _recalls([(config, dataset, cache) for config in configs])
+    recalls = [evaluate_recall(model, dataset) for model in _final_models([(c, dataset, cache) for c in configs])]
     out: dict[str, dict] = {}
     for method in methods:
         groups: dict[float, list[float]] = {}
@@ -377,18 +383,16 @@ def scaling_suite(dataset: PairedDataset, cache: EmbeddingCache) -> dict[str, di
     return out
 
 
-def train_reference(
-    dataset: PairedDataset,
-    embed_dim: int = 16,
-    steps: int = 800,
-    batch_size: int = 64,
-    lr: float = 5e-3,
-    seed: int = 1000,
-):
-    """Train a no-reference model on the full pool and cache its embeddings;
-    the standard way benchmarks obtain a strong reference."""
-    config = TrainConfig(
-        method="fastclip", steps=steps, batch_size=batch_size, embed_dim=embed_dim, lr=lr, seed=seed
-    )
-    model = _trained_model(config, dataset)
+def _reference_job(dataset: PairedDataset, embed_dim=16, steps=800, batch_size=64, lr=5e-3, seed=1000) -> tuple:
+    """The reference recipe as a ``_final_models`` job: fastclip on the
+    full pool, with no reference of its own."""
+    config = TrainConfig(method="fastclip", steps=steps, batch_size=batch_size, embed_dim=embed_dim, lr=lr, seed=seed)
+    return config, dataset, None
+
+
+def train_reference(dataset: PairedDataset, **recipe):
+    """Train the reference recipe on ``dataset`` and cache its embeddings;
+    the standard way benchmarks obtain a strong reference. Keywords
+    (embed_dim, steps, batch_size, lr, seed) override the recipe's."""
+    [model] = _final_models([_reference_job(dataset, **recipe)])
     return model, build_reference_cache(dataset, model)

@@ -136,8 +136,8 @@ def kl_constrained_risk(losses, rho: float, n: int) -> tuple[float, float]:
     h_hi, var_hi = slope(hi)
     x = lo if h_lo >= 0.0 else hi
     if h_lo < 0.0 < h_hi:
-        # First guess from the small-KL expansion KL ~ Var_p / 2, read at hi.
-        guess = hi + 0.5 * np.log(var_hi / (2.0 * radius)) if var_hi > 0.0 else lo
+        # First guess from the small-KL expansion KL ~ Var_p / 2, read at hi (none at rho = 0).
+        guess = hi + 0.5 * np.log(var_hi / (2.0 * radius)) if var_hi > 0.0 and radius > 0.0 else lo
         x = guess if lo < guess < hi else 0.5 * (lo + hi)
         step = hi - lo
         for _ in range(_KL_MAX_STEPS):

@@ -184,8 +184,7 @@ def test_criterion_3_zero_shift_identities():
 def test_criterion_4_variance_reduction():
     t0 = time.time()
     wins_image = wins_text = 0
-    for seed in range(10):
-        out = experiments.variance_reduction_trial(seed)
+    for out in experiments.variance_reduction_trial(range(10)):
         wins_image += out["rho_image"] < out["plain_image"]
         wins_text += out["rho_text"] < out["plain_text"]
     assert wins_image >= 9
@@ -200,7 +199,7 @@ def test_criterion_4_variance_reduction():
 
 def test_criterion_5_data_efficiency_direction():
     t0 = time.time()
-    rows = [experiments.data_efficiency_trial(seed) for seed in range(5)]
+    rows = experiments.data_efficiency_trial(range(5))
     half = float(np.mean([r["drrho_half"] for r in rows]))
     full = float(np.mean([r["drrho_full"] for r in rows]))
     baseline = float(np.mean([r["baseline_full"] for r in rows]))

@@ -496,6 +496,27 @@ def test_variance_subset_below_three_exits_1(tmp_path, capsys, subset):
     assert "subset" in capsys.readouterr().err
 
 
+def test_variance_on_a_train_split_under_three_pairs_exits_1_naming_data(tmp_path, capsys):
+    data_path = tmp_path / "d.dpd"
+    assert cli.run(["gen-data", "--n", "8", "--test-fraction", "0.9", "--output", str(data_path)]) == 0
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 24, 20, seed=1), model_path)
+    argv = ["variance", "--model", str(model_path), "--data", str(data_path)]
+    assert cli.run(argv + ["--output", str(tmp_path / "var")]) == 1
+    assert "data:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test_fraction, split", [("0.1", "test"), ("0.9", "train")])
+def test_eval_on_a_split_under_two_pairs_exits_1_naming_split(tmp_path, capsys, test_fraction, split):
+    data_path = tmp_path / "d.dpd"
+    assert cli.run(["gen-data", "--n", "8", "--test-fraction", test_fraction, "--output", str(data_path)]) == 0
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 24, 20, seed=1), model_path)
+    argv = ["eval", "--model", str(model_path), "--data", str(data_path), "--split", split]
+    assert cli.run(argv + ["--output", str(tmp_path / "ev")]) == 1
+    assert "split:" in capsys.readouterr().err
+
+
 def test_mistyped_cache_meta_exits_1_naming_field(tmp_path, capsys):
     data_path = _gen(tmp_path)
     cache_path = _make_cache(tmp_path, data_path)

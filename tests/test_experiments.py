@@ -10,7 +10,7 @@ import pytest
 from drrho import data, encoder, experiments, trainer
 from drrho.errors import ConfigError
 from drrho.experiments import ScalingPoint
-from drrho.rng import CounterRng
+from drrho.rng import SEED_LIMIT, CounterRng
 
 
 def _random_sim(seed, n):
@@ -302,6 +302,22 @@ def test_sweep_parallel_matches_sequential(monkeypatch):
     monkeypatch.setenv("DRRHO_THREADS", "2")
     par = experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0, 0.5])
     assert seq.to_json_dict() == par.to_json_dict()
+
+
+def test_variance_trial_rows_do_not_depend_on_pooling(monkeypatch):
+    monkeypatch.setenv("DRRHO_THREADS", "1")
+    apart = experiments.variance_reduction_trial([0]) + experiments.variance_reduction_trial([1])
+    together = experiments.variance_reduction_trial([0, 1])
+    monkeypatch.setenv("DRRHO_THREADS", "2")
+    assert experiments.variance_reduction_trial([0, 1]) == together == apart
+
+
+def test_variance_trial_checks_every_run_before_any_trains(monkeypatch):
+    # The reference's seed is SEED_LIMIT - 1, the target's SEED_LIMIT.
+    calls = _record_start_run(monkeypatch)
+    with pytest.raises(ConfigError, match=f"seed: invalid value {SEED_LIMIT}"):
+        experiments.variance_reduction_trial([SEED_LIMIT - 2])
+    assert calls == []
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):

@@ -352,6 +352,16 @@ def test_kl_constrained_interior_tau_meets_the_radius():
     assert checked >= 10
 
 
+def test_kl_constrained_rho_zero_with_a_rounding_root_warns_nothing():
+    # At rho = 0, rounding leaves h > 0 at the top of the bracket for this
+    # vector, so the root search runs; its first guess must not divide by
+    # the zero radius (RuntimeWarnings are errors here).
+    v = np.array([0.40246818309358573, 0.38117621631097304])
+    value, tau = risk.kl_constrained_risk(v, 0.0, 2)
+    assert value == pytest.approx(v.mean(), rel=1e-8)
+    assert tau <= risk.TAU_BOUND_HI * max(1.0, float(v.max() - v.min()))
+
+
 def test_kl_constrained_bracket_ends_without_a_root():
     v = np.array([0.2, 1.4, 0.9, 0.3])
     scale = float(v.max() - v.min())
