@@ -6,8 +6,9 @@ The paper's three experiments are fixed recipes: the two trials take a
 list of seeds and return one row per seed, and ``scaling_suite`` runs one
 grid on the pool and reference cache it is given. Every training, the
 reference recipe's included, goes through ``_final_models``: it checks
-every run with ``plan_run`` before any trains, then trains them in one
-pool, each recording only its final eval point.
+every run with ``plan_run`` before any trains, then trains them, each
+recording only its final eval point, in one pool of worker processes, or
+in this process when the runs are too short to pay for the pool.
 
 Compute is counted in abstract units of trainable-parameter count times
 samples seen. Any consistent unit works: rescaling compute by a constant
@@ -31,6 +32,12 @@ from .report import ExperimentReport
 from .trainer import TrainConfig, _train_pool, plan_run, run_provenance, train
 
 ERROR_CLIP = 1e-6  # keeps error rates inside the open unit interval for log fits
+# Below this many samples per worker (steps x batch size, summed over the
+# jobs, over the workers), a job set trains faster in this process than in
+# forked workers. On 2 cores, 4-job sweeps at b=32 break even between 19.2K
+# and 25.6K, a two-seed variance trial (21.6K) pools 1.6x faster, and a
+# 3.2K sweep pools 1.6x slower; README has the measurements.
+POOL_MIN_SAMPLES_PER_WORKER = 20_000
 
 
 def recall_at_1(s_test: np.ndarray) -> float:
@@ -156,8 +163,8 @@ def evaluate_recall(model, dataset: PairedDataset, indices: np.ndarray | None = 
 
 
 def worker_count() -> int:
-    """Worker bound for sweeps: the DRRHO_THREADS env var, defaulting to
-    the number of CPUs this process may run on."""
+    """Upper bound on the worker processes of a job set: the DRRHO_THREADS
+    env var, defaulting to the number of CPUs this process may run on."""
     raw = os.environ.get("DRRHO_THREADS", "").strip()
     if raw:
         try:
@@ -169,12 +176,12 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_jobs(jobs: list, fn, workers: int | None = None) -> list:
-    """Map fn over jobs, in parallel processes when allowed; results keep
-    job order so downstream assembly is deterministic."""
-    workers = worker_count() if workers is None else workers
+def _run_jobs(jobs: list, fn, workers: int) -> list:
+    """Map fn over jobs on up to ``workers`` forked processes, or in this
+    process for one; results keep job order so downstream assembly is
+    deterministic."""
     workers = min(workers, len(jobs))
-    if workers <= 1 or len(jobs) <= 1:
+    if workers <= 1:
         return [fn(job) for job in jobs]
     import multiprocessing  # the pool's imports are paid only by parallel runs
     from concurrent.futures import ProcessPoolExecutor
@@ -204,14 +211,24 @@ def _final_models(jobs: list) -> list:
     """The final model of every ``(config, dataset, cache)`` job, in job
     order, once ``plan_run`` has passed them all. Each run records only its
     final eval point: eval points read the model and never change it, so the
-    model is the one every cadence gives. The cache goes only to runs that use it."""
+    model is the one every cadence gives. The cache goes only to runs that use it.
+
+    The jobs train on ``min(worker_count(), len(jobs))`` worker processes
+    when each would see at least ``POOL_MIN_SAMPLES_PER_WORKER`` samples
+    (steps times batch size, summed over the jobs); below that, starting the
+    pool and running forked workers side by side costs more than it saves,
+    and the jobs train in this process."""
     jobs = [
         (replace(config, eval_every=max(1, config.effective_steps)), dataset, cache if config.needs_reference else None)
         for config, dataset, cache in jobs
     ]
     for job in jobs:
         plan_run(*job)
-    return _run_jobs(jobs, _final_model)
+    workers = min(worker_count(), len(jobs))
+    samples = sum(config.effective_steps * config.batch_size for config, _, _ in jobs)
+    if samples < POOL_MIN_SAMPLES_PER_WORKER * workers:
+        workers = 1
+    return _run_jobs(jobs, _final_model, workers)
 
 
 def _final_model(job):

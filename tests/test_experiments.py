@@ -1,6 +1,8 @@
 """Metrics, sweeps, and scaling-law fitting."""
 
+import concurrent.futures
 import functools
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -300,6 +302,7 @@ def test_sweep_parallel_matches_sequential(monkeypatch):
     monkeypatch.setenv("DRRHO_THREADS", "1")
     seq = experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0, 0.5])
     monkeypatch.setenv("DRRHO_THREADS", "2")
+    monkeypatch.setattr(experiments, "POOL_MIN_SAMPLES_PER_WORKER", 0)  # these 2 short jobs pool all the same
     par = experiments.data_efficiency_sweep(config, ds, None, fractions=[1.0, 0.5])
     assert seq.to_json_dict() == par.to_json_dict()
 
@@ -309,6 +312,7 @@ def test_variance_trial_rows_do_not_depend_on_pooling(monkeypatch):
     apart = experiments.variance_reduction_trial([0]) + experiments.variance_reduction_trial([1])
     together = experiments.variance_reduction_trial([0, 1])
     monkeypatch.setenv("DRRHO_THREADS", "2")
+    monkeypatch.setattr(experiments, "POOL_MIN_SAMPLES_PER_WORKER", 0)
     assert experiments.variance_reduction_trial([0, 1]) == together == apart
 
 
@@ -340,3 +344,51 @@ def test_job_error_propagates_without_sequential_rerun(tmp_path):
         experiments._run_jobs([0, 1], functools.partial(_record_pid_and_fail, path), workers=2)
     pids = [int(line) for line in path.read_text().split()]
     assert pids and os.getpid() not in pids
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was constructed")
+
+
+def test_sweep_too_small_for_the_pool_trains_in_process(monkeypatch):
+    # The cli-pipeline benchmark's sweep: 4 jobs of 50 steps at b=32, 3,200 samples per worker.
+    ds = data.generate_synthetic(320, 12, 10, 4, 0.25, 0.25, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=7))
+    config = trainer.TrainConfig(steps=50, batch_size=32, embed_dim=4, lr=5e-3)
+    monkeypatch.setenv("DRRHO_THREADS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    report = experiments.data_efficiency_sweep(
+        config, ds, cache, fractions=[1.0, 0.5], methods=["drrho-clip", "fastclip"]
+    )
+    assert len(report.config_snapshot["rows"]) == 4
+
+
+def _pid_of_job(job):
+    return os.getpid()
+
+
+def test_pool_starts_at_the_samples_per_worker_constant(monkeypatch):
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.25, 0.25, seed=2)
+    # 4 jobs at b=32 on 2 workers: each step of each job is 64 samples per worker.
+    steps = -(-experiments.POOL_MIN_SAMPLES_PER_WORKER // 64)
+    monkeypatch.setenv("DRRHO_THREADS", "2")
+    monkeypatch.setattr(experiments, "_final_model", _pid_of_job)
+    config = trainer.TrainConfig(method="fastclip", steps=steps - 1, batch_size=32)
+    below = [(replace(config, seed=seed), ds, None) for seed in range(4)]
+    assert experiments._final_models(below) == [os.getpid()] * 4
+    at = [(replace(config, steps=steps), ds, None) for config, _, _ in below]
+    pids = experiments._final_models(at)
+    assert len(pids) == 4 and os.getpid() not in pids
+
+
+def _doubled_with_pid(job):
+    return 2 * job, os.getpid()
+
+
+def test_run_jobs_falls_back_to_this_process_when_the_pool_cannot_start(monkeypatch):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    got = experiments._run_jobs([0, 1, 2], _doubled_with_pid, workers=2)
+    assert got == [(0, os.getpid()), (2, os.getpid()), (4, os.getpid())]
