@@ -32,8 +32,10 @@ print(f"constrained       : {value:.4f} at tau* = {tau_star:.4f}")
 # worst-case mean over a chi-square ball, with the attaining weights
 value, weights = risk.chi2_dro_risk(losses, rho=0.3, n=len(losses))
 print(f"chi2 ball         : {value:.4f} weights {np.round(weights, 3)}")
-print("interior closed form mean + std*sqrt(2 rho/n):",
-      round(losses.mean() + losses.std() * np.sqrt(2 * 0.3 / len(losses)), 4))
+closed_form = losses.mean() + losses.std() * np.sqrt(2 * 0.3 / len(losses))
+print("interior closed form mean + std*sqrt(2 rho/n):", round(closed_form, 4))
+# every weight above is positive, so the worst case is that closed form
+assert abs(value - closed_form) <= 1e-12, (value, closed_form)
 
 # the reference shift: a model that already solves the easy samples
 reference = np.array([0.02, 0.25, 0.10, 0.18, 0.90, 0.35])

@@ -14,13 +14,17 @@ the contrastive losses and the selection scores use it too.
 ``drrho_shift`` subtracts a reference model's losses first; feeding the
 shifted vector to any functional above gives the reference-guided risk.
 The two duals are solved from their optimality conditions, not searched:
-Newton steps on tau's first-order condition, and one sort that scores the
-closed-form weights of every top-k support. Every solver here has an
+Newton steps on tau's first-order condition, and for the chi-square ball the
+full-support closed form mean + sqrt(2 rho var / n) in one O(n) pass while
+its weights stay nonnegative, else one sort that scores the closed-form
+weights of every top-k support. Every solver here has an
 independent oracle in the test suite (grid and ternary searches, bisection,
 closed forms); tolerances are part of the contract.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -160,47 +164,73 @@ def chi2_dro_risk(losses, rho: float, n: int) -> tuple[float, np.ndarray]:
 
     Maximizes sum p_i * l_i over the simplex subject to
     (1/n) sum phi(p_i n) <= rho/n with phi(t) = (t-1)^2 / 2, i.e.
-    ||p - 1/n||^2 <= r^2 = 2 rho / n^2. The optimal p is nonzero only on the
-    k largest losses, p = 1/k + c_k (l - mean_k) / ||dev_k|| there, with
-    c_k = sqrt(r^2 - (1/k - 1/n)). Prefix sums of one sort score every k; the
-    best k whose smallest weight is nonnegative is the optimum.
+    ||p - 1/n||^2 <= r^2 = 2 rho / n^2. While every weight of
+    p = 1/n + r (l - mean) / ||l - mean|| is nonnegative, that p is the
+    optimum and the risk is mean + sqrt(2 rho var / n), var the 1/n sample
+    variance: one O(n) pass, and the usual answer. Otherwise the optimal p is
+    nonzero only on the k largest losses, p = 1/k + c_k (l - mean_k) /
+    ||dev_k|| there, with c_k = sqrt(r^2 - (1/k - 1/n)); prefix sums of one
+    sort score every k, and the best k whose smallest weight is nonnegative
+    is the optimum. The losses are scaled by a power of two first, exactly,
+    so their squares neither overflow nor underflow.
 
     Returns (risk, attaining weights). Requires len(losses) == n.
     """
     v = _values(losses)
     if not 0 <= rho < np.inf:
         raise ValueError("rho must be nonnegative and finite")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n != v.size:
         raise ValueError(f"chi2_dro_risk treats losses as the empirical distribution; n={n} != {v.size}")
-    uniform = np.full(n, 1.0 / n)
-    r2 = 2.0 * rho / (n * n)
     if rho == 0.0:
+        uniform = np.full(n, 1.0 / n)
         return float(uniform @ v), uniform
+    r2 = 2.0 * rho / (n * n)
 
-    # Ball large enough to contain the unconstrained maximizer (uniform over
-    # the argmax set): the constraint is slack.
-    top = v == v.max()
-    vertex = top / top.sum()
-    if float(np.sum((vertex - uniform) ** 2)) <= r2 * (1.0 + CHI2_CONSTRAINT_TOL):
+    # Ball large enough to contain the unconstrained maximizer, uniform over
+    # the t maxima (||vertex - uniform||^2 = 1/t - 1/n): the constraint is slack.
+    top = v.max()
+    at_top = v == top
+    t = int(np.count_nonzero(at_top))
+    if 1.0 / t - 1.0 / n <= r2 * (1.0 + CHI2_CONSTRAINT_TOL):
+        vertex = at_top / t
         return float(vertex @ v), vertex
 
-    desc = np.sort(v)[::-1]
-    shifted = desc - desc[0]  # at most 0, so the prefix sums below do not cancel
+    # Scaled by a power of two (largest magnitude in [0.5, 1)) and shifted to
+    # the largest loss, so squares neither overflow nor underflow and the
+    # mean's rounding is relative to the spread; the scaling is exact.
+    _, exponent = math.frexp(max(top, -v.min()))
+    shifted = np.ldexp(v, -exponent)
+    shifted -= math.ldexp(top, -exponent)
+    dev = shifted - shifted.sum() / n
+    p = dev * (np.sqrt(r2) / np.linalg.norm(dev))
+    p += 1.0 / n
+    if p.min() >= 0.0:
+        return _chi2_on_ball(p, v, r2)
+
+    desc = np.sort(shifted)[::-1]  # at most 0, so the prefix sums below do not cancel
     k = np.arange(1, n + 1)
-    sums = np.cumsum(shifted)
+    sums = np.cumsum(desc)
     means = sums / k
-    norms = np.sqrt(np.maximum(np.cumsum(shifted * shifted) - sums * means, 0.0))
+    norms = np.sqrt(np.maximum(np.cumsum(desc * desc) - sums * means, 0.0))
     c2 = r2 - (1.0 / k - 1.0 / n)
     c = np.sqrt(np.maximum(c2, 0.0))
     # The k-th largest carries the smallest weight 1/k + c (l_k - mean_k) / ||dev_k||.
-    feasible = (c2 >= 0.0) & (norms >= k * c * (means - shifted))
+    feasible = (c2 >= 0.0) & (norms >= k * c * (means - desc))
     if not feasible.any():
         raise SolverError("chi2 solver: no support size gives nonnegative weights")
     best = int(np.argmax(np.where(feasible, means + c * norms, -np.inf)))
-    support = shifted[: best + 1]
+    support = desc[: best + 1]
     mean = support.mean()
-    p = np.maximum(1.0 / (best + 1) + c[best] * (v - desc[0] - mean) / np.linalg.norm(support - mean), 0.0)
-    residual = float(np.sum((p - uniform) ** 2)) - r2
+    p = np.maximum(1.0 / (best + 1) + c[best] * (shifted - mean) / np.linalg.norm(support - mean), 0.0)
+    return _chi2_on_ball(p, v, r2)
+
+
+def _chi2_on_ball(p: np.ndarray, v: np.ndarray, r2: float) -> tuple[float, np.ndarray]:
+    """(p @ v, p) once p is checked to lie on the ball's boundary."""
+    d = p - 1.0 / v.size
+    residual = float(d @ d) - r2
     if abs(residual) > CHI2_CONSTRAINT_TOL * r2:
         raise SolverError(f"chi2 solver residual {residual:.3e} exceeds tolerance at r^2={r2:.3e}")
     return float(p @ v), p

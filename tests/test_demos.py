@@ -1,4 +1,6 @@
-"""Every demo script runs to completion and prints its results."""
+"""Every demo script runs to completion, holds the identities it asserts
+(demo 01: the chi-square worst case is its interior closed form) and
+prints its results."""
 
 import runpy
 from pathlib import Path

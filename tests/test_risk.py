@@ -329,6 +329,82 @@ def test_chi2_weights_on_the_ball_boundary_at_large_n():
         assert float(np.sum((weights - 1.0 / n) ** 2)) == pytest.approx(r2, rel=1e-9)
 
 
+def _bench_shaped(seed, sizes):
+    """Plain and reference-shifted gamma losses, shaped like the risk-solvers benchmark's."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        target = rng.gamma(2.0, 0.5, n)
+        yield target
+        yield target - (0.6 * target + rng.normal(0.0, 0.1, n))
+
+
+def _one_far_low(seed, n):
+    v = np.random.default_rng(seed).gamma(2.0, 0.5, n)
+    v[3] = v.min() - 20.0
+    return v
+
+
+@pytest.mark.parametrize("n", [4.0, np.float64(4.0), "4", True], ids=["float", "float64", "str", "bool"])
+def test_chi2_rejects_a_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        risk.chi2_dro_risk([0.3, -1.0, 2.2, 0.9], 2.0, n)
+
+
+def test_chi2_accepts_a_numpy_integer_n():
+    v = [0.3, -1.0, 2.2, 0.9]
+    value, weights = risk.chi2_dro_risk(v, 2.0, np.int64(4))
+    want, want_weights = risk.chi2_dro_risk(v, 2.0, 4)
+    assert value == want and np.array_equal(weights, want_weights)
+
+
+def test_chi2_full_support_is_the_closed_form_without_a_sort(monkeypatch):
+    # At these shapes every optimal weight is positive, so no sort is needed.
+    def no_sort(*args, **kwargs):
+        raise AssertionError("chi2_dro_risk sorted a full-support answer")
+
+    vectors = list(_bench_shaped(73, (100, 1000, 10000)))
+    for name in ("sort", "argsort", "partition"):
+        monkeypatch.setattr(np, name, no_sort)
+    for v in vectors:
+        value, weights = risk.chi2_dro_risk(v, 2.0, v.size)
+        assert value == pytest.approx(chi2_interior_closed_form(v, 2.0), rel=1e-12)
+        assert (weights > 0).all() and weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [2.0, 4.0])
+def test_chi2_one_far_low_loss_gets_zero_weight(rho):
+    v = _one_far_low(74, 10)
+    assert not chi2_interior_holds(v, rho)  # its full-support weight would be negative
+    value, weights = risk.chi2_dro_risk(v, rho, v.size)
+    assert value == pytest.approx(chi2_support_enumeration(v, rho), rel=1e-12, abs=1e-12)
+    assert value == pytest.approx(chi2_bisection(v, rho)[0], rel=1e-11, abs=1e-11)
+    assert weights[3] == 0.0 and (weights >= 0).all()
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
+def test_chi2_extreme_scales_solve_as_the_unscaled_losses(a):
+    vectors = [np.array([0.0, 1.0]), _one_far_low(75, 10), *_bench_shaped(75, (100, 1000))]
+    for v in vectors:
+        for rho in (0.5, 2.0):
+            value, weights = risk.chi2_dro_risk(a * v, rho, v.size)
+            want, want_weights = risk.chi2_dro_risk(v, rho, v.size)
+            assert value == pytest.approx(a * want, rel=1e-15)
+            assert np.array_equal(weights, want_weights)
+
+
+def test_chi2_losses_whose_squares_leave_the_float_range():
+    # 1e-200 squared underflows to 0 and 1e200 squared overflows.
+    value, weights = risk.chi2_dro_risk([0.0, 1e-200], 0.5, 2)
+    want, want_weights = risk.chi2_dro_risk([0.0, 1.0], 0.5, 2)
+    assert value == pytest.approx(1e-200 * want, rel=1e-15)
+    assert np.allclose(weights, want_weights, rtol=0.0, atol=1e-15)
+    value, weights = risk.chi2_dro_risk([0.0, 1e200, -1e200], 0.5, 3)
+    want, want_weights = risk.chi2_dro_risk([0.0, 1.0, -1.0], 0.5, 3)
+    assert value == pytest.approx(1e200 * want, rel=1e-15)
+    assert np.allclose(weights, want_weights, rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 2.0, 50.0])
 def test_kl_constrained_matches_ternary_reference(rho):
     for v in _plain_and_shifted(70, (*range(2, 13), 100, 1000, 10000), 1):
