@@ -8,7 +8,7 @@ from .baselines import (
     infonce_grad_s,
     jest_select,
 )
-from .contrastive import global_objective
+from .contrastive import global_objective, loss_variance, recall_at_1
 from .data import (
     EmbeddingCache,
     PairedDataset,
@@ -21,7 +21,6 @@ from .data import (
 )
 from .encoder import (
     TwoTowerModel,
-    embed_batch,
     init_model,
     load_model,
     save_model,
@@ -31,8 +30,6 @@ from .experiments import (
     best_error_per_compute,
     data_efficiency_sweep,
     fit_scaling_law,
-    loss_variance,
-    recall_at_1,
 )
 from .report import ExperimentReport
 from .risk import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrastive import _check_same_shape, _check_square
+from .contrastive import _check_square
 from .risk import log_mean_exp
 from .rng import CounterRng
 
@@ -184,7 +184,9 @@ def distillation_grad_s(s_target, s_reference, tau: float, tau_ref: float, out=N
     direction, scaled by 1/(b^2 tau); exactly zero at matched
     distributions. Given ``out``, two arrays (grad, p) shaped like
     ``s_target``, the gradient is summed in ``grad`` from softmaxes in ``p``."""
-    s_t, s_r = _check_same_shape(s_target, s_reference)
+    s_t, s_r = _check_square(s_target, "s_target"), _check_square(s_reference, "s_reference")
+    if s_t.shape != s_r.shape:
+        raise ValueError(f"matrices differ in shape: {s_t.shape} vs {s_r.shape}")
     if not (tau > 0 and tau_ref > 0):
         raise ValueError("temperatures must be positive")
     b = len(s_t)

@@ -1,20 +1,23 @@
-"""Contrastive losses built from similarity-gap pairwise losses.
+"""Contrastive losses built from similarity-gap pairwise losses, and the
+metrics read from the same gaps.
 
 The pairwise loss of a negative j against anchor i is the similarity gap
 s(i, j) - s(i, i); the reference-shifted variant subtracts the same gap
 computed under a reference model. The gap is linear in the similarities,
-so the shifted gaps are the plain gaps of the one matrix s_target -
-s_reference (``shifted_similarity``), and the gap kernels take only that
-``s``. Each anchor aggregates its gaps with the soft maximum tau *
-log-mean-exp, once per direction (image anchor over text negatives, text
-anchor over image negatives). ``global_objective`` averages both directions
-over all anchors and is the exact ground truth for the stochastic trainer.
+so the shifted gaps are the plain gaps of the one matrix s = s_target -
+s_reference, which the caller forms once, and every function here takes
+only that ``s`` (a plain run's is s_target). Each anchor aggregates its
+gaps with the soft maximum tau * log-mean-exp, once per direction (image
+anchor over text negatives, text anchor over image negatives).
+``global_objective`` averages both directions over all anchors and is the
+exact ground truth for the stochastic trainer.
 
 ``shifted_gaps`` builds the b x b gap matrices of both directions, which
 the trainer's estimators start from. ``negative_gaps`` stacks the same gaps
 with the anchor itself dropped, one row per anchor; the exclude-anchor
-objective, the loss-variance metric and the trainer's eval points share it.
-``global_objective`` is one array computation over those rows.
+objective, ``loss_variance`` (through ``VarianceSummary``) and the
+trainer's eval points share it. ``recall_at_1`` scores retrieval from a
+plain similarity matrix.
 
 Averaging set: "full" includes j = i (whose shifted gap is identically 0),
 "exclude-anchor" drops it. The trainer's estimators target the
@@ -23,6 +26,8 @@ variant is what makes target == reference give an objective of exactly 0.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +42,6 @@ def _check_square(s: np.ndarray, name: str = "s") -> np.ndarray:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"{name} must be a square similarity matrix, got {s.shape}")
     return s
-
-
-def _check_same_shape(s_target, s_reference) -> tuple[np.ndarray, np.ndarray]:
-    s_t = _check_square(s_target, "s_target")
-    s_r = _check_square(s_reference, "s_reference")
-    if s_t.shape != s_r.shape:
-        raise ValueError(f"matrices differ in shape: {s_t.shape} vs {s_r.shape}")
-    return s_t, s_r
-
-
-def shifted_similarity(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> np.ndarray:
-    """The one matrix whose plain gaps are the reference-shifted gaps:
-    s_target - s_reference, or s_target itself when no reference is given."""
-    if s_reference is None:
-        return _check_square(s_target, "s_target")
-    return np.subtract(*_check_same_shape(s_target, s_reference))
 
 
 def shifted_gaps(s: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -94,27 +83,77 @@ def negative_gaps(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def global_objective(
-    s_target: np.ndarray,
-    s_reference: np.ndarray | None = None,
-    tau: float = 0.01,
-    over: str = OVER_FULL,
-) -> float:
-    """(1/n) sum over anchors of image-side plus text-side anchor losses.
-
-    Reference-shifted when s_reference is given, plain otherwise. This is
-    the exact objective the batch estimators approximate. All 2n anchor
-    soft maxima come from one log-mean-exp over the stacked gap rows.
+def global_objective(s: np.ndarray, tau: float = 0.01, over: str = OVER_FULL) -> float:
+    """(1/n) sum over anchors of image-side plus text-side anchor losses of
+    ``s``: reference-shifted when ``s`` is s_target - s_reference, plain
+    when it is s_target. This is the exact objective the batch estimators
+    approximate. All 2n anchor soft maxima come from one log-mean-exp over
+    the stacked gap rows.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
     if over not in (OVER_FULL, OVER_EXCLUDE):
         raise ValueError(f"over must be {OVER_FULL!r} or {OVER_EXCLUDE!r}")
-    s = shifted_similarity(s_target, s_reference)
+    s = _check_square(s)
     n = len(s)
     if n == 0:
-        raise ValueError("s_target must hold at least one pair, got shape (0, 0)")
+        raise ValueError("s must hold at least one pair, got shape (0, 0)")
     if over == OVER_EXCLUDE and n == 1:
         raise ValueError("anchor has an empty negative set")
     rows = np.concatenate(shifted_gaps(s)) if over == OVER_FULL else negative_gaps(s)
     return float(log_mean_exp(rows, tau).sum() / n)
+
+
+def recall_at_1(s_test: np.ndarray) -> float:
+    """Fraction of anchors whose top similarity is their own pair, averaged
+    over both retrieval directions. Ties resolve to the lowest index."""
+    s = np.asarray(s_test, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"test similarity matrix must be square, got {s.shape}")
+    if s.size == 0:
+        raise ValueError("test similarity matrix is empty")
+    idx = np.arange(len(s))
+    image_hits = np.argmax(s, axis=1) == idx
+    text_hits = np.argmax(s, axis=0) == idx
+    return float(0.5 * (image_hits.mean() + text_hits.mean()))
+
+
+@dataclass
+class VarianceSummary:
+    """Per-anchor pairwise-loss variances, summarized per direction."""
+
+    image_variances: np.ndarray  # (b,) variance over negatives, image anchors
+    text_variances: np.ndarray  # (b,) text anchors
+
+    @classmethod
+    def of_rows(cls, rows: np.ndarray, scratch: np.ndarray | None = None) -> "VarianceSummary":
+        """Summarize ``negative_gaps`` rows: image anchors, then text
+        anchors. These are np.var's own steps, so the variances equal
+        ``rows.var(axis=1)``; given ``scratch``, an array of the rows' shape,
+        the squared deviations are formed in it instead of a fresh array."""
+        m = rows.shape[1]
+        mean = np.add.reduce(rows, axis=1, keepdims=True)
+        mean /= m
+        dev = np.subtract(rows, mean, out=scratch)
+        np.square(dev, out=dev)
+        var = np.add.reduce(dev, axis=1)
+        var /= m
+        b = len(rows) // 2
+        return cls(image_variances=var[:b], text_variances=var[b:])
+
+    @property
+    def image_mean(self) -> float:
+        return float(self.image_variances.mean())
+
+    @property
+    def text_mean(self) -> float:
+        return float(self.text_variances.mean())
+
+
+def loss_variance(s: np.ndarray) -> VarianceSummary:
+    """Variance over negatives of each anchor's pairwise loss of ``s``, per
+    direction: shifted by the reference when ``s`` is s_target - s_reference."""
+    rows = negative_gaps(s)
+    if len(rows) // 2 < 3:
+        raise ValueError("need at least 2 negatives per anchor (3 pairs)")
+    return VarianceSummary.of_rows(rows)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .encoder import embed_batch
+from .encoder import pair_embeddings
 from .errors import ConfigError, FormatError
 from .rng import SEED_LIMIT, CounterRng
 
@@ -217,11 +217,10 @@ def build_reference_cache(dataset: PairedDataset, reference) -> EmbeddingCache:
             f"reference encoder dims ({reference.d_x}, {reference.d_y}) "
             f"do not match dataset dims ({dataset.d_x}, {dataset.d_y})"
         )
-    e1 = embed_batch(reference, "image", dataset.xs)
-    e2 = embed_batch(reference, "text", dataset.ys)
+    e, _ = pair_embeddings(reference, dataset.xs, dataset.ys)
     return EmbeddingCache(
-        e1=e1,
-        e2=e2,
+        e1=e[0],
+        e2=e[1],
         source_id=reference.id_hash,
         dataset_id=dataset.content_hash(),
         source_tau=float(reference.tau),

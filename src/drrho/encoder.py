@@ -78,37 +78,6 @@ def init_model(d: int, d_x: int, d_y: int, seed: int, tau: float = 0.01) -> TwoT
     return TwoTowerModel(w1=w1, w2=w2, tau=tau)
 
 
-def embed_batch(model: TwoTowerModel, modality: str, raws: np.ndarray) -> np.ndarray:
-    """Unit-normalized embeddings for a (b, d_in) batch, row per input."""
-    return _embed(model, {modality: raws})[0][0]
-
-
-def _embed(model: TwoTowerModel, batches: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Unit embeddings (k, b, d) and pre-normalization norms (k, b) of k raw batches of one size, keyed
-    by modality: one array per quantity, so that one numpy call normalizes every tower."""
-    h = np.empty((len(batches), len(next(iter(batches.values()))), model.d))
-    # Overflow shows as inf or nan, which the trainer's checks name.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (modality, raws) in enumerate(batches.items()):
-            if modality not in ("image", "text"):
-                raise ValueError(f"modality must be 'image' or 'text', got {modality!r}")
-            w = model.w1 if modality == "image" else model.w2
-            raws = np.asarray(raws, dtype=np.float64)
-            if raws.ndim != 2 or raws.shape[1] != w.shape[1]:
-                raise ConfigError(f"{modality} batch has shape {raws.shape}, expected (*, {w.shape[1]})")
-            np.matmul(raws, w.T, out=h[k])
-        r = np.linalg.norm(h, axis=-1)
-        if np.isinf(r).any():  # hypot does not square, so a finite row's norm fits again
-            for k in np.flatnonzero(np.isinf(r).any(axis=-1)):
-                r[k] = np.hypot.reduce(h[k], axis=-1)
-        bad = r < DEGENERACY_THRESHOLD
-        if bad.any():
-            k = np.flatnonzero(bad.any(axis=-1))[0]
-            rows = np.flatnonzero(bad[k])[:5].tolist()
-            raise DegenerateEmbeddingError(f"{list(batches)[k]} embedding norm below threshold at rows {rows}")
-        return h / r[..., None], r
-
-
 @dataclass
 class BatchForward:
     """Both towers' unit embeddings and pre-normalization norms, and the similarity matrix, of a batch."""
@@ -126,10 +95,30 @@ class BatchForward:
 
 def pair_embeddings(model: TwoTowerModel, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A batch's (e, r): both towers' unit embeddings (2, b, d) and their
-    pre-normalization norms (2, b), the forward pass short of the similarity."""
+    pre-normalization norms (2, b), the forward pass short of the similarity.
+    One array per quantity, so that one numpy call normalizes both towers."""
     if len(xs) != len(ys):
         raise ConfigError("image and text batches must have equal size")
-    return _embed(model, {"image": xs, "text": ys})
+    towers = ("image", "text")
+    h = np.empty((2, len(xs), model.d))
+    # Overflow shows as inf or nan, which the trainer's checks name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (raws, w) in enumerate(((xs, model.w1), (ys, model.w2))):
+            raws = np.asarray(raws, dtype=np.float64)
+            if raws.ndim != 2 or raws.shape[1] != w.shape[1]:
+                raise ConfigError(f"{towers[k]} batch has shape {raws.shape}, expected (*, {w.shape[1]})")
+            np.matmul(raws, w.T, out=h[k])
+        r = np.linalg.norm(h, axis=-1)
+        if np.isinf(r).any():  # hypot does not square, so a finite row's norm fits again
+            for k in np.flatnonzero(np.isinf(r).any(axis=-1)):
+                r[k] = np.hypot.reduce(h[k], axis=-1)
+        bad = r < DEGENERACY_THRESHOLD
+        if bad.any():
+            k = np.flatnonzero(bad.any(axis=-1))[0]
+            rows = np.flatnonzero(bad[k])[:5].tolist()
+            raise DegenerateEmbeddingError(f"{towers[k]} embedding norm below threshold at rows {rows}")
+        h /= r[..., None]  # in place: a cache build embeds the whole pool
+        return h, r
 
 
 def batch_forward(

@@ -1,6 +1,7 @@
-"""Evaluation metrics and the verifiable empirical procedures: retrieval
-accuracy, per-anchor loss variance, data-efficiency sweeps, and power-law
-fits of error against compute.
+"""The verifiable empirical procedures: retrieval evaluation, loss
+variances of training pairs, data-efficiency sweeps, and power-law fits of
+error against compute. The metrics they read, ``recall_at_1`` and
+``loss_variance``, live in ``contrastive`` and are importable from here.
 
 The paper's three experiments are fixed recipes: the two trials take a
 list of seeds and return one row per seed, and ``scaling_suite`` runs one
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contrastive import negative_gaps, shifted_similarity
+from .contrastive import VarianceSummary, loss_variance, recall_at_1  # noqa: F401 (re-exported)
 from .data import EmbeddingCache, PairedDataset, build_reference_cache, check_cache_matches, generate_synthetic
 from .encoder import batch_forward
 from .errors import ConfigError
@@ -38,61 +39,6 @@ ERROR_CLIP = 1e-6  # keeps error rates inside the open unit interval for log fit
 # and 25.6K, a two-seed variance trial (21.6K) pools 1.6x faster, and a
 # 3.2K sweep pools 1.6x slower; README has the measurements.
 POOL_MIN_SAMPLES_PER_WORKER = 20_000
-
-
-def recall_at_1(s_test: np.ndarray) -> float:
-    """Fraction of anchors whose top similarity is their own pair, averaged
-    over both retrieval directions. Ties resolve to the lowest index."""
-    s = np.asarray(s_test, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"test similarity matrix must be square, got {s.shape}")
-    if s.size == 0:
-        raise ValueError("test similarity matrix is empty")
-    idx = np.arange(len(s))
-    image_hits = np.argmax(s, axis=1) == idx
-    text_hits = np.argmax(s, axis=0) == idx
-    return float(0.5 * (image_hits.mean() + text_hits.mean()))
-
-
-@dataclass
-class VarianceSummary:
-    """Per-anchor pairwise-loss variances, summarized per direction."""
-
-    image_variances: np.ndarray  # (b,) variance over negatives, image anchors
-    text_variances: np.ndarray  # (b,) text anchors
-
-    @classmethod
-    def of_rows(cls, rows: np.ndarray, scratch: np.ndarray | None = None) -> "VarianceSummary":
-        """Summarize ``contrastive.negative_gaps`` rows: image anchors, then
-        text anchors. These are np.var's own steps, so the variances equal
-        ``rows.var(axis=1)``; given ``scratch``, an array of the rows' shape,
-        the squared deviations are formed in it instead of a fresh array."""
-        m = rows.shape[1]
-        mean = np.add.reduce(rows, axis=1, keepdims=True)
-        mean /= m
-        dev = np.subtract(rows, mean, out=scratch)
-        np.square(dev, out=dev)
-        var = np.add.reduce(dev, axis=1)
-        var /= m
-        b = len(rows) // 2
-        return cls(image_variances=var[:b], text_variances=var[b:])
-
-    @property
-    def image_mean(self) -> float:
-        return float(self.image_variances.mean())
-
-    @property
-    def text_mean(self) -> float:
-        return float(self.text_variances.mean())
-
-
-def loss_variance(s_target: np.ndarray, s_reference: np.ndarray | None = None) -> VarianceSummary:
-    """Variance over negatives of each anchor's pairwise loss (shifted by
-    the reference when one is given), per direction."""
-    rows = negative_gaps(shifted_similarity(s_target, s_reference))
-    if len(rows) // 2 < 3:
-        raise ValueError("need at least 2 negatives per anchor (3 pairs)")
-    return VarianceSummary.of_rows(rows)
 
 
 @dataclass
@@ -306,7 +252,7 @@ def train_pairs_variance(model, dataset: PairedDataset, k: int, cache: Embedding
     if len(anchors) < 3:
         raise ConfigError(f"data: train split holds {len(anchors)} pairs, loss variance needs at least 3")
     s = batch_forward(model, dataset.xs[anchors], dataset.ys[anchors]).s
-    return loss_variance(s), None if cache is None else loss_variance(s, cache.similarity(anchors))
+    return loss_variance(s), None if cache is None else loss_variance(s - cache.similarity(anchors))
 
 
 def variance_reduction_trial(seeds) -> list[dict[str, float]]:

@@ -42,7 +42,7 @@ import numpy as np
 from . import baselines, container
 # global_objective is not called here; bench/test_bench.py checks that the
 # tracer wraps it through this module's binding.
-from .contrastive import global_objective, negative_gaps, shifted_gaps  # noqa: F401
+from .contrastive import VarianceSummary, global_objective, negative_gaps, recall_at_1, shifted_gaps  # noqa: F401
 from .data import EmbeddingCache, PairedDataset, check_cache_matches
 from .encoder import BatchForward, TwoTowerModel, batch_forward, init_model, pair_embeddings, similarity_backward
 from .errors import ConfigError, StateError, TrainingError
@@ -548,8 +548,6 @@ class _Evaluator:
         self.ref_sim = cache.similarity(subset) if shift else None
 
     def record(self, report: ExperimentReport, model: TwoTowerModel, step: int) -> None:
-        from . import experiments  # local import; experiments drives trainer for sweeps
-
         s = batch_forward(model, self.xs, self.ys, out=self.sim).s
         if self.ref_sim is not None:
             s -= self.ref_sim
@@ -564,11 +562,11 @@ class _Evaluator:
             objective = float(np.logaddexp(0.0, math.log(n - 1) + lme / model.tau).mean())
         report.add(step, "objective", objective)
         if n >= 3:
-            var = experiments.VarianceSummary.of_rows(rows, scratch=self.lme_scratch)
+            var = VarianceSummary.of_rows(rows, scratch=self.lme_scratch)
             report.add(step, "loss_variance_image", var.image_mean)
             report.add(step, "loss_variance_text", var.text_mean)
         if self.test is not None:
             s_test = batch_forward(model, *self.test, out=self.test_sim).s
-            report.add(step, "recall_at_1", experiments.recall_at_1(s_test))
+            report.add(step, "recall_at_1", recall_at_1(s_test))
         if self.config.learnable_tau:
             report.add(step, "tau", model.tau)

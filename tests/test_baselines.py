@@ -116,7 +116,7 @@ def test_gcl_step_matches_finite_differences():
     def objective(w):
         m = encoder.TwoTowerModel(w1=w, w2=model.w2, tau=0.5)
         s = encoder.batch_forward(m, ds.xs, ds.ys).s
-        return contrastive.global_objective(s, None, tau=0.5, over=contrastive.OVER_EXCLUDE)
+        return contrastive.global_objective(s, tau=0.5, over=contrastive.OVER_EXCLUDE)
 
     fd = finite_diff_matrix(objective, model.w1)
     assert rel_err(grads["w1"], fd) <= 1e-4
@@ -255,6 +255,8 @@ def test_distillation_grad_matches_numeric():
     got = baselines.distillation_grad_s(s_t, s_r, 0.5, 0.3)
     want = _numeric_grad_s(lambda m: distillation_direct(m, s_r, 0.5, 0.3), s_t)
     assert rel_err(got, want) <= 1e-6
+    with pytest.raises(ValueError, match="differ in shape"):
+        baselines.distillation_grad_s(s_t, np.zeros((3, 3)), 0.5, 0.3)
 
 
 def test_distillation_hard_label_limit():

@@ -363,6 +363,14 @@ def test_eval_and_variance_commands(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr().out
     assert "plain variance" in captured and "shifted variance" in captured
+    summary = json.loads((tmp_path / "var" / "report.json").read_text())["summary"]
+    plain, shifted = experiments.train_pairs_variance(
+        encoder.load_model(out / "model.ckpt"), data.load_dataset(data_path), 128, data.load_cache(cache_path)
+    )
+    assert summary == {
+        "plain_variance_image": plain.image_mean, "plain_variance_text": plain.text_mean,
+        "rho_variance_image": shifted.image_mean, "rho_variance_text": shifted.text_mean,
+    }
 
 
 def test_sweep_command(tmp_path, capsys):

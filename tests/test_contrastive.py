@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from drrho import contrastive, risk
-from drrho.contrastive import OVER_EXCLUDE, OVER_FULL, shifted_similarity
+from drrho.contrastive import OVER_EXCLUDE, OVER_FULL
 from drrho.rng import CounterRng
 
 from oracles import anchor_loss, anchor_loss_direct, pairwise_loss, rho_pairwise_loss
@@ -18,7 +18,7 @@ from oracles import anchor_loss, anchor_loss_direct, pairwise_loss, rho_pairwise
 
 def _full_rows(s_t, s_r=None):
     """Every anchor's gaps including its own zero: image anchors, then text."""
-    return np.concatenate(contrastive.shifted_gaps(shifted_similarity(s_t, s_r)))
+    return np.concatenate(contrastive.shifted_gaps(s_t if s_r is None else s_t - s_r))
 
 
 def _random_sim(seed, n):
@@ -50,25 +50,23 @@ def test_pairwise_loss_bounded_for_cosine_matrices():
 
 def test_rho_pairwise_loss_cases():
     s = _random_sim(2, 4)
-    assert contrastive.shifted_gaps(shifted_similarity(s, s))[0][1, 2] == 0.0
+    assert contrastive.shifted_gaps(s - s)[0][1, 2] == 0.0
     # diagonal-perfect reference: gap is constant -1, so shifted = target + 1
     ref = np.zeros((4, 4))
     np.fill_diagonal(ref, 1.0)
-    got = contrastive.shifted_gaps(shifted_similarity(s, ref))[0][0, 2]
+    got = contrastive.shifted_gaps(s - ref)[0][0, 2]
     assert got == pytest.approx(contrastive.shifted_gaps(s)[0][0, 2] + 1.0, abs=1e-15)
     st = s.copy()
     st[0, 1], st[0, 0] = 0.3, 0.9
     sr = s.copy()
     sr[0, 1], sr[0, 0] = 0.5, 0.7
-    assert contrastive.shifted_gaps(shifted_similarity(st, sr))[0][0, 1] == pytest.approx(-0.4, abs=1e-15)
-    with pytest.raises(ValueError):
-        shifted_similarity(s, np.zeros((3, 3)))
+    assert contrastive.shifted_gaps(st - sr)[0][0, 1] == pytest.approx(-0.4, abs=1e-15)
 
 
 def test_shifted_gaps_match_pairwise_losses():
     s_t = _random_sim(18, 5)
     s_r = _random_sim(19, 5)
-    gaps1, gaps2 = contrastive.shifted_gaps(shifted_similarity(s_t, s_r))
+    gaps1, gaps2 = contrastive.shifted_gaps(s_t - s_r)
     plain1, plain2 = contrastive.shifted_gaps(s_t)
     for i in range(5):
         for j in range(5):
@@ -76,8 +74,6 @@ def test_shifted_gaps_match_pairwise_losses():
             assert gaps2[i, j] == pytest.approx(rho_pairwise_loss(s_t, s_r, i, j, "text"), abs=1e-15)
             assert plain1[i, j] == pairwise_loss(s_t, i, j)
             assert plain2[i, j] == pairwise_loss(s_t, i, j, "text")
-    with pytest.raises(ValueError, match="differ in shape"):
-        shifted_similarity(s_t, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -85,8 +81,7 @@ def test_negative_gaps_are_shifted_gaps_without_the_anchor(n):
     s_t = _random_sim(20, n)
     s_r = _random_sim(21, n)
     keep = ~np.eye(n, dtype=bool)
-    for s, ref in [(s_t, None), (s_t, s_r), (s_t.T, None), (s_t.T, s_r.T)]:  # row- and column-major
-        d = shifted_similarity(s, ref)
+    for d in [s_t, s_t - s_r, s_t.T, s_t.T - s_r.T]:  # row- and column-major
         gaps1, gaps2 = contrastive.shifted_gaps(d)
         expected = np.concatenate((gaps1[keep], gaps2[keep])).reshape(2 * n, n - 1)
         assert np.array_equal(contrastive.negative_gaps(d), expected)
@@ -109,14 +104,14 @@ def test_anchor_loss_constant_gaps():
     c = 0.37
     s_t = s_r + c
     np.fill_diagonal(s_t, np.diag(s_r))  # target diag = ref diag, off-diag gap +c
-    values = risk.log_mean_exp(contrastive.negative_gaps(shifted_similarity(s_t, s_r)), 0.3)
+    values = risk.log_mean_exp(contrastive.negative_gaps(s_t - s_r), 0.3)
     assert values == pytest.approx(np.full(2 * n, c), abs=1e-12)
 
 
 def test_drrho_anchor_loss_matches_direct_summation():
     s_t = _random_sim(5, 3)
     s_r = _random_sim(6, 3)
-    negatives = contrastive.negative_gaps(shifted_similarity(s_t, s_r))
+    negatives = contrastive.negative_gaps(s_t - s_r)
     assert negatives.shape == (6, 2)
     for over, rows in ((OVER_FULL, _full_rows(s_t, s_r)), (OVER_EXCLUDE, negatives)):
         values = risk.log_mean_exp(rows, 0.5)
@@ -132,7 +127,7 @@ def test_gcl_anchor_loss_equals_drrho_with_flat_reference():
     # reference with every row constant: all reference gaps vanish
     s_r = np.tile(np.linspace(-0.5, 0.5, 5)[:, None], (1, 5))
     a = risk.log_mean_exp(contrastive.shifted_gaps(s_t)[0], 0.4)
-    b = risk.log_mean_exp(contrastive.shifted_gaps(shifted_similarity(s_t, s_r))[0], 0.4)
+    b = risk.log_mean_exp(contrastive.shifted_gaps(s_t - s_r)[0], 0.4)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -156,7 +151,7 @@ def test_gcl_anchor_loss_gap_structure_invariance():
 
 def test_global_objective_zero_cases():
     s = _random_sim(9, 4)
-    assert contrastive.global_objective(s, s, tau=0.2, over=OVER_FULL) == 0.0
+    assert contrastive.global_objective(s - s, tau=0.2, over=OVER_FULL) == 0.0
     single = np.array([[0.4]])
     assert contrastive.global_objective(single, tau=0.5, over=OVER_FULL) == 0.0
 
@@ -169,7 +164,7 @@ def test_global_objective_matches_per_anchor_sum(over, with_reference, tau, n):
     s_t = _random_sim(10, n)
     s_r = _random_sim(11, n) if with_reference else None
     total = sum(anchor_loss(s_t, s_r, i, direction, tau, over) for i in range(n) for direction in ("image", "text"))
-    got = contrastive.global_objective(s_t, s_r, tau=tau, over=over)
+    got = contrastive.global_objective(s_t if s_r is None else s_t - s_r, tau=tau, over=over)
     assert got == pytest.approx(total / n, rel=1e-12)
 
 
@@ -190,7 +185,7 @@ def test_anchor_loss_dominates_mean():
     for seed in range(10):
         s_t = _random_sim(20 + seed, 5)
         s_r = _random_sim(40 + seed, 5)
-        rows = contrastive.negative_gaps(shifted_similarity(s_t, s_r))
+        rows = contrastive.negative_gaps(s_t - s_r)
         for tau in (0.05, 0.3, 2.0):
             assert (risk.log_mean_exp(rows, tau) >= rows.mean(axis=1) - 1e-12).all()
 
@@ -203,8 +198,8 @@ def test_reference_negative_shift_moves_value_and_keeps_weights():
     mask = np.ones(5, dtype=bool)
     mask[i] = False
     shifted[i, mask] += c  # negatives only; diagonal untouched
-    a = contrastive.negative_gaps(shifted_similarity(s_t, s_r))[i]
-    b = contrastive.negative_gaps(shifted_similarity(s_t, shifted))[i]
+    a = contrastive.negative_gaps(s_t - s_r)[i]
+    b = contrastive.negative_gaps(s_t - shifted)[i]
     assert risk.log_mean_exp(b, 0.4) == pytest.approx(risk.log_mean_exp(a, 0.4) - c, abs=1e-12)
     wa = risk.softmax_weights(a, 0.4)
     wb = risk.softmax_weights(b, 0.4)
@@ -216,8 +211,8 @@ def test_whole_row_reference_shift_is_noop():
     s_r = _random_sim(17, 5)
     shifted = s_r.copy()
     shifted[3, :] += 0.6  # diagonal shifts too: reference gaps unchanged
-    a = risk.log_mean_exp(contrastive.shifted_gaps(shifted_similarity(s_t, s_r))[0], 0.4)[3]
-    b = risk.log_mean_exp(contrastive.shifted_gaps(shifted_similarity(s_t, shifted))[0], 0.4)[3]
+    a = risk.log_mean_exp(contrastive.shifted_gaps(s_t - s_r)[0], 0.4)[3]
+    b = risk.log_mean_exp(contrastive.shifted_gaps(s_t - shifted)[0], 0.4)[3]
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -226,5 +221,5 @@ def test_empty_negative_set_raises():
     with pytest.raises(ValueError, match="empty negative set"):
         contrastive.global_objective(single, tau=0.5, over=OVER_EXCLUDE)
     for over in (OVER_FULL, OVER_EXCLUDE):
-        with pytest.raises(ValueError, match="s_target"):
+        with pytest.raises(ValueError, match="at least one pair"):
             contrastive.global_objective(np.zeros((0, 0)), tau=0.5, over=over)

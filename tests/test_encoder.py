@@ -1,7 +1,8 @@
 """Encoder normalization, similarity, and closed-form gradients vs FD.
 
 The per-vector ``embed`` and per-pair ``similarity_grad`` references are in
-``oracles``; the library embeds whole batches."""
+``oracles``; the library embeds whole batches, both towers in one call, and
+the embedding tests check both towers."""
 
 import numpy as np
 import pytest
@@ -18,34 +19,45 @@ def _random_model(seed, d=5, dx=6, dy=7, tau=0.2):
 
 
 def test_identity_padded_on_unit_input():
-    w = np.concatenate([np.eye(3), np.zeros((3, 2))], axis=1)
-    model = encoder.TwoTowerModel(w1=w, w2=np.eye(3))
+    # each tower reads its own three of the five raw features
+    w1 = np.concatenate([np.eye(3), np.zeros((3, 2))], axis=1)
+    w2 = np.concatenate([np.zeros((3, 2)), np.eye(3)], axis=1)
+    model = encoder.TwoTowerModel(w1=w1, w2=w2)
     raw = np.array([0.6, 0.8, 0.0, 0.9, 0.9])
-    out = encoder.embed_batch(model, "image", raw[None])[0]
-    expected = raw[:3] / np.linalg.norm(raw[:3])
-    assert np.allclose(out, expected, atol=1e-12)
+    e, r = encoder.pair_embeddings(model, raw[None], raw[None])
+    for k, features in enumerate((raw[:3], raw[2:])):  # image, text
+        assert np.allclose(e[k, 0], features / np.linalg.norm(features), atol=1e-12)
+        assert r[k, 0] == pytest.approx(np.linalg.norm(features), abs=1e-15)
 
 
 def test_embed_output_always_unit_norm():
     rng = CounterRng(31)
     model = _random_model(1)
-    for _ in range(20):
-        v = rng.normals(6)
-        assert abs(np.linalg.norm(encoder.embed_batch(model, "image", v[None])[0]) - 1.0) <= 1e-9
+    e, _ = encoder.pair_embeddings(model, rng.normals((20, 6)), rng.normals((20, 7)))
+    assert e.shape == (2, 20, 5)
+    assert (np.abs(np.linalg.norm(e, axis=-1) - 1.0) <= 1e-9).all()
 
 
 def test_embed_scale_invariance():
     model = _random_model(2)
-    v = CounterRng(8).normals(6)
-    base = encoder.embed_batch(model, "image", v[None])
-    scaled = encoder.TwoTowerModel(w1=3.0 * model.w1, w2=model.w2, tau=model.tau)
-    assert np.allclose(encoder.embed_batch(scaled, "image", v[None]), base, atol=1e-12)
+    rng = CounterRng(8)
+    xs, ys = rng.normals((3, 6)), rng.normals((3, 7))
+    base, r = encoder.pair_embeddings(model, xs, ys)
+    scaled = encoder.TwoTowerModel(w1=3.0 * model.w1, w2=0.5 * model.w2, tau=model.tau)
+    e, r_scaled = encoder.pair_embeddings(scaled, xs, ys)
+    assert np.allclose(e, base, atol=1e-12)
+    assert np.allclose(r_scaled, [[3.0], [0.5]] * r, rtol=1e-12)
 
 
 def test_embed_degenerate_raises():
-    model = encoder.TwoTowerModel(w1=np.zeros((3, 4)), w2=np.eye(3))
-    with pytest.raises(DegenerateEmbeddingError):
-        encoder.embed_batch(model, "image", np.ones((1, 4)))
+    ones = np.ones((2, 4))
+    for tower, model in (
+        ("image", encoder.TwoTowerModel(w1=np.zeros((3, 4)), w2=np.ones((3, 4)))),
+        ("text", encoder.TwoTowerModel(w1=np.ones((3, 4)), w2=np.zeros((3, 4)))),
+    ):
+        message = rf"^{tower} embedding norm below threshold at rows \[0, 1\]$"
+        with pytest.raises(DegenerateEmbeddingError, match=message):
+            encoder.pair_embeddings(model, ones, ones)
 
 
 def test_similarity_self_and_orthogonal():
@@ -114,7 +126,7 @@ def test_similarity_grad_zero_at_aligned_pair():
     model = _random_model(6)
     rng = CounterRng(15)
     x = rng.normals(6)
-    e1 = encoder.embed_batch(model, "image", x[None])[0]
+    e1 = encoder.pair_embeddings(model, x[None], np.ones((1, 7)))[0][0, 0]  # any text row
     # choose y so the text embedding equals e1 exactly: solve w2 @ y = e1
     y, *_ = np.linalg.lstsq(model.w2, e1, rcond=None)
     _, grads = _pair_backward(model, x, y)

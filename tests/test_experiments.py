@@ -63,7 +63,7 @@ def test_recall_empty_matrix_raises():
 
 def test_loss_variance_zero_cases():
     s = _random_sim(4, 6)
-    shifted = experiments.loss_variance(s, s)
+    shifted = experiments.loss_variance(s - s)
     assert (shifted.image_variances == 0).all()
     assert (shifted.text_variances == 0).all()
     const = np.full((5, 5), 0.3)
