@@ -8,21 +8,18 @@ so the shifted gaps are the plain gaps of the one matrix s = s_target -
 s_reference, which the caller forms once, and every function here takes
 only that ``s`` (a plain run's is s_target). Each anchor aggregates its
 gaps with the soft maximum tau * log-mean-exp, once per direction (image
-anchor over text negatives, text anchor over image negatives).
-``global_objective`` averages both directions over all anchors and is the
-exact ground truth for the stochastic trainer.
+anchor over text negatives, text anchor over image negatives), over the
+anchor's negatives j != i. ``global_objective`` averages both directions
+over all anchors and is the exact ground truth for the stochastic trainer,
+whose estimators average over the same negatives, so gradient checks
+against it are exact.
 
 ``shifted_gaps`` builds the b x b gap matrices of both directions, which
-the trainer's estimators start from. ``negative_gaps`` stacks the same gaps
-with the anchor itself dropped, one row per anchor; the exclude-anchor
-objective, ``loss_variance`` (through ``VarianceSummary``) and the
-trainer's eval points share it. ``recall_at_1`` scores retrieval from a
-plain similarity matrix.
-
-Averaging set: "full" includes j = i (whose shifted gap is identically 0),
-"exclude-anchor" drops it. The trainer's estimators target the
-exclude-anchor variant, so gradient checks against it are exact; the full
-variant is what makes target == reference give an objective of exactly 0.
+the trainer's estimators start from (their diagonal, the anchor itself, is
+0). ``negative_gaps`` stacks the same gaps with the anchor dropped, one row
+per anchor; ``global_objective``, ``loss_variance`` (through
+``VarianceSummary``) and the trainer's eval points share it.
+``recall_at_1`` scores retrieval from a plain similarity matrix.
 """
 
 from __future__ import annotations
@@ -32,9 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .risk import log_mean_exp
-
-OVER_FULL = "full"
-OVER_EXCLUDE = "exclude-anchor"
 
 
 def _check_square(s: np.ndarray, name: str = "s") -> np.ndarray:
@@ -83,7 +77,7 @@ def negative_gaps(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def global_objective(s: np.ndarray, tau: float = 0.01, over: str = OVER_FULL) -> float:
+def global_objective(s: np.ndarray, tau: float = 0.01) -> float:
     """(1/n) sum over anchors of image-side plus text-side anchor losses of
     ``s``: reference-shifted when ``s`` is s_target - s_reference, plain
     when it is s_target. This is the exact objective the batch estimators
@@ -92,24 +86,17 @@ def global_objective(s: np.ndarray, tau: float = 0.01, over: str = OVER_FULL) ->
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    if over not in (OVER_FULL, OVER_EXCLUDE):
-        raise ValueError(f"over must be {OVER_FULL!r} or {OVER_EXCLUDE!r}")
-    s = _check_square(s)
-    n = len(s)
-    if n == 0:
-        raise ValueError("s must hold at least one pair, got shape (0, 0)")
-    if over == OVER_EXCLUDE and n == 1:
+    rows = negative_gaps(s)
+    n = len(rows) // 2
+    if n == 1:
         raise ValueError("anchor has an empty negative set")
-    rows = np.concatenate(shifted_gaps(s)) if over == OVER_FULL else negative_gaps(s)
     return float(log_mean_exp(rows, tau).sum() / n)
 
 
 def recall_at_1(s_test: np.ndarray) -> float:
     """Fraction of anchors whose top similarity is their own pair, averaged
     over both retrieval directions. Ties resolve to the lowest index."""
-    s = np.asarray(s_test, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"test similarity matrix must be square, got {s.shape}")
+    s = _check_square(s_test, "s_test")
     if s.size == 0:
         raise ValueError("test similarity matrix is empty")
     idx = np.arange(len(s))

@@ -13,7 +13,8 @@ gaps for its image-side and text-side anchor losses:
 
 The parameter gradient then weights each anchor's negatives by
 exp(gap/tau) / (epsilon + u[i]), which at gamma = 1 with full-dataset
-batches is exactly the gradient of the exclude-anchor global objective.
+batches is exactly the gradient of the global objective, whose anchors
+average over the same negatives j != i.
 Temperature can be fixed or learned; the learnable variant adds a
 2 * tau * rho penalty and its own closed-form gradient.
 
@@ -99,9 +100,11 @@ class TrainConfig:
             value = getattr(self, name)
             if container.json_type_error(value, types) or (isinstance(value, float) and not math.isfinite(value)):
                 raise ConfigError(f"{name}: invalid {type(value).__name__} {value!r}")
+        # The counts a run derives (JEST's steps and super batch) stay below
+        # SEED_LIMIT, as seed + step must, so none overflows a float.
         checks = [
-            ("steps", self.steps >= 0),
-            ("batch_size", self.batch_size >= 2),
+            ("steps", 0 <= self.steps < SEED_LIMIT / JEST_ITER_MULTIPLIER),
+            ("batch_size", 2 <= self.batch_size < SEED_LIMIT),
             ("embed_dim", self.embed_dim >= 1),
             ("lr", self.lr > 0),
             ("tau", self.tau is None or self.tau > 0),
@@ -109,7 +112,7 @@ class TrainConfig:
             ("gamma", 0 < self.gamma <= 1),
             ("epsilon", self.epsilon >= 0),
             ("lam", 0 <= self.lam <= 1),
-            ("jest_ratio", 0 < self.jest_ratio <= 1),
+            ("jest_ratio", 0 < self.jest_ratio <= 1 and self.batch_size < self.jest_ratio * SEED_LIMIT),
             ("jest_chunks", self.jest_chunks >= 1),
             ("train_fraction", 0 < self.train_fraction <= 1),
             ("eval_every", self.eval_every is None or self.eval_every >= 1),
@@ -128,8 +131,8 @@ class TrainConfig:
     def learnable_tau(self) -> bool:
         if self.tau_learnable is not None:
             return self.tau_learnable
-        # Baselines without a reference conventionally learn their
-        # temperature; the reference-shifted method fixes it.
+        # Every method but drrho-clip conventionally learns its temperature;
+        # the reference-shifted method fixes it.
         return self.method in ("openclip", "fastclip", "jest", "jest-topk")
 
     @property

@@ -1,11 +1,13 @@
 """One SHA-256 per training run, trial, measurement and CLI output file.
 
-Run it before and after a change that should leave every output as it was:
+``tests/test_golden.py`` compares them with ``tests/golden.json``, so a
+change that moves the bits of any output fails tier-1 and names what moved.
+A change that is meant to move them regenerates the file:
 
-    PYTHONPATH=src python tests/output_digests.py > digests.txt
+    PYTHONPATH=src python tests/output_digests.py --write
 
-and compare the two files; a line that differs names the run or file whose
-bits moved. It covers:
+Without ``--write`` the script prints one ``<sha256>  <name>`` line per
+output. It covers:
 
 - 20 runs: every method x distill on/off x fixed/learned tau, on a 400-pair
   pool at b=24 for 25 steps, with an eval point every 5 steps on 32 pairs,
@@ -18,8 +20,9 @@ bits moved. It covers:
   through ``cli.run`` in a fresh directory.
 
 The bits depend on numpy's version and on the SIMD paths its CPU dispatch
-picks, so compare digests taken on one machine. pytest does not collect
-this file (its name does not start with ``test_``).
+picks, so ``golden.json`` keeps one set of digests per ``platform_key()``
+and ``--write`` replaces only this platform's. pytest does not collect this
+file (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
@@ -30,13 +33,18 @@ import io
 import json
 import os
 import shlex
+import sys
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from drrho import cli, data, experiments, trainer
+
+GOLDEN = Path(__file__).with_name("golden.json")
+REGENERATE = "PYTHONPATH=src python tests/output_digests.py --write"
 
 # The README's command sequence, as written there.
 README_COMMANDS = [
@@ -97,7 +105,14 @@ def readme_cli_digests() -> dict[str, str]:
             os.chdir(cwd)
 
 
-def main() -> None:
+def platform_key() -> str:
+    """numpy's version and the CPU features its dispatch may use: the
+    digests of one key are the same on every machine that has it."""
+    return f"numpy {np.__version__}; " + " ".join(sorted(k for k, on in __cpu_features__.items() if on))
+
+
+def compute() -> dict[str, str]:
+    """Every output's digest, by name."""
     dataset = data.generate_synthetic(400, 24, 20, 4, 0.3, 0.2, seed=0)
     reference, cache = experiments.train_reference(dataset, steps=100, batch_size=32)
     out = {"reference": digest(reference.w1, reference.w2, cache.e1, cache.e2, [reference.tau])}
@@ -112,9 +127,22 @@ def main() -> None:
     out["train_pairs_variance"] = digest(plain.image_variances, plain.text_variances,
                                          shifted.image_variances, shifted.text_variances)
     out.update(readme_cli_digests())
+    return out
+
+
+def main(argv: list[str]) -> None:
+    if argv not in ([], ["--write"]):
+        raise SystemExit("usage: output_digests.py [--write]")
+    out = compute()
+    if argv:
+        golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+        golden[platform_key()] = out
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(out)} digests for {platform_key()} to {GOLDEN}")
+        return
     for name, value in out.items():
         print(f"{value}  {name}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

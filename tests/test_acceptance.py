@@ -113,7 +113,7 @@ def _fd_instance(seed: int, with_reference: bool) -> float:
             else encoder.TwoTowerModel(w1=model.w1, w2=w, tau=tau)
         )
         s = encoder.batch_forward(m, ds.xs, ds.ys).s
-        return contrastive.global_objective(s if s_ref is None else s - s_ref, tau=tau, over=contrastive.OVER_EXCLUDE)
+        return contrastive.global_objective(s if s_ref is None else s - s_ref, tau=tau)
 
     err = rel_err(grads["w1"], finite_diff_matrix(lambda w: objective(w, "w1"), model.w1))
     err = max(err, rel_err(grads["w2"], finite_diff_matrix(lambda w: objective(w, "w2"), model.w2)))
@@ -140,7 +140,7 @@ def _fd_tau_instance(seed: int) -> float:
 
     def objective(t):
         return (
-            contrastive.global_objective(fwd.s - s_ref, tau=t, over=contrastive.OVER_EXCLUDE)
+            contrastive.global_objective(fwd.s - s_ref, tau=t)
             + 2.0 * t * rho
         )
 
@@ -174,7 +174,7 @@ def test_criterion_3_zero_shift_identities():
         e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
         e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
         s = e1 @ e2.T
-        assert contrastive.global_objective(s - s, tau=0.07, over=contrastive.OVER_FULL) == 0.0
+        assert contrastive.global_objective(s - s, tau=0.07) == 0.0
         var = experiments.loss_variance(s - s)
         assert (var.image_variances == 0.0).all()
         assert (var.text_variances == 0.0).all()

@@ -116,7 +116,7 @@ def test_gcl_step_matches_finite_differences():
     def objective(w):
         m = encoder.TwoTowerModel(w1=w, w2=model.w2, tau=0.5)
         s = encoder.batch_forward(m, ds.xs, ds.ys).s
-        return contrastive.global_objective(s, tau=0.5, over=contrastive.OVER_EXCLUDE)
+        return contrastive.global_objective(s, tau=0.5)
 
     fd = finite_diff_matrix(objective, model.w1)
     assert rel_err(grads["w1"], fd) <= 1e-4

@@ -274,6 +274,16 @@ def test_more_jest_chunks_than_selected_pairs_exits_1_naming_field(tmp_path, cap
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flags, field", [(["--ratio", "5e-324"], "jest_ratio"), (["--steps", "1" + "0" * 400], "steps")])
+def test_jest_count_that_would_overflow_exits_1_naming_field(tmp_path, capsys, flags, field):
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    argv = ["train", "--method", "jest", "--data", str(data_path), "--ref", str(cache_path), "--batch-size", "8"]
+    assert cli.run(argv + flags + ["--output", str(tmp_path / "run")]) == 1
+    assert re.search(f"^error: {field}: invalid value ", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_reference_exits_1(tmp_path, capsys):
     data_path = _gen(tmp_path)
     rc = cli.run(
@@ -368,6 +378,26 @@ def test_eval_and_variance_commands(tmp_path, capsys):
         encoder.load_model(out / "model.ckpt"), data.load_dataset(data_path), 128, data.load_cache(cache_path)
     )
     assert summary == {
+        "plain_variance_image": plain.image_mean, "plain_variance_text": plain.text_mean,
+        "rho_variance_image": shifted.image_mean, "rho_variance_text": shifted.text_mean,
+    }
+
+
+def test_variance_subset_beyond_the_train_split_measures_the_whole_split(tmp_path):
+    data_path = _gen(tmp_path)
+    cache_path = _make_cache(tmp_path, data_path)
+    model_path = tmp_path / "m.ckpt"
+    encoder.save_model(encoder.init_model(6, 12, 10, seed=1), model_path)
+    argv = ["variance", "--model", str(model_path), "--data", str(data_path), "--ref", str(cache_path)]
+    assert cli.run(argv + ["--subset", "1000", "--output", str(tmp_path / "var")]) == 0
+    report = json.loads((tmp_path / "var" / "report.json").read_text())
+    ds = data.load_dataset(data_path)
+    split = len(ds.train_indices)
+    assert split == 72 and report["config"]["subset"] == split
+    plain, shifted = experiments.train_pairs_variance(
+        encoder.load_model(model_path), ds, split, data.load_cache(cache_path)
+    )
+    assert report["summary"] == {
         "plain_variance_image": plain.image_mean, "plain_variance_text": plain.text_mean,
         "rho_variance_image": shifted.image_mean, "rho_variance_text": shifted.text_mean,
     }

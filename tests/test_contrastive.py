@@ -1,16 +1,16 @@
 """Pairwise gaps, per-anchor soft-maximum losses, and the exact objective.
 
 An anchor's loss is the library's ``risk.log_mean_exp`` over its row of
-``shifted_gaps`` (full set) or ``negative_gaps`` (exclude-anchor): image
-anchor i is row i, text anchor i is row n + i. The per-element references
-are in ``oracles``.
+``negative_gaps`` (its negatives j != i, the set ``global_objective``
+averages over) or of ``shifted_gaps`` (the b x b rows the trainer starts
+from, the anchor's own zero gap included): image anchor i is row i, text
+anchor i is row n + i. The per-element references are in ``oracles``.
 """
 
 import numpy as np
 import pytest
 
 from drrho import contrastive, risk
-from drrho.contrastive import OVER_EXCLUDE, OVER_FULL
 from drrho.rng import CounterRng
 
 from oracles import anchor_loss, anchor_loss_direct, pairwise_loss, rho_pairwise_loss
@@ -113,12 +113,12 @@ def test_drrho_anchor_loss_matches_direct_summation():
     s_r = _random_sim(6, 3)
     negatives = contrastive.negative_gaps(s_t - s_r)
     assert negatives.shape == (6, 2)
-    for over, rows in ((OVER_FULL, _full_rows(s_t, s_r)), (OVER_EXCLUDE, negatives)):
+    for over, rows in (("full", _full_rows(s_t, s_r)), ("exclude-anchor", negatives)):
         values = risk.log_mean_exp(rows, 0.5)
         for i in range(3):
             for side, direction in enumerate(("image", "text")):
                 # full mode also averages the anchor's own zero term
-                gaps = [rho_pairwise_loss(s_t, s_r, i, j, direction) for j in range(3) if over == OVER_FULL or j != i]
+                gaps = [rho_pairwise_loss(s_t, s_r, i, j, direction) for j in range(3) if over == "full" or j != i]
                 assert values[side * 3 + i] == pytest.approx(anchor_loss_direct(gaps, 0.5), abs=1e-12)
 
 
@@ -151,20 +151,18 @@ def test_gcl_anchor_loss_gap_structure_invariance():
 
 def test_global_objective_zero_cases():
     s = _random_sim(9, 4)
-    assert contrastive.global_objective(s - s, tau=0.2, over=OVER_FULL) == 0.0
-    single = np.array([[0.4]])
-    assert contrastive.global_objective(single, tau=0.5, over=OVER_FULL) == 0.0
+    assert contrastive.global_objective(s - s, tau=0.2) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 4, 33])
 @pytest.mark.parametrize("tau", [0.005, 0.3])
 @pytest.mark.parametrize("with_reference", [True, False])
-@pytest.mark.parametrize("over", [OVER_FULL, OVER_EXCLUDE])
-def test_global_objective_matches_per_anchor_sum(over, with_reference, tau, n):
+def test_global_objective_matches_per_anchor_sum(with_reference, tau, n):
     s_t = _random_sim(10, n)
     s_r = _random_sim(11, n) if with_reference else None
-    total = sum(anchor_loss(s_t, s_r, i, direction, tau, over) for i in range(n) for direction in ("image", "text"))
-    got = contrastive.global_objective(s_t if s_r is None else s_t - s_r, tau=tau, over=over)
+    total = sum(anchor_loss(s_t, s_r, i, direction, tau, "exclude-anchor")
+                for i in range(n) for direction in ("image", "text"))
+    got = contrastive.global_objective(s_t if s_r is None else s_t - s_r, tau=tau)
     assert got == pytest.approx(total / n, rel=1e-12)
 
 
@@ -219,7 +217,6 @@ def test_whole_row_reference_shift_is_noop():
 def test_empty_negative_set_raises():
     single = np.array([[0.4]])
     with pytest.raises(ValueError, match="empty negative set"):
-        contrastive.global_objective(single, tau=0.5, over=OVER_EXCLUDE)
-    for over in (OVER_FULL, OVER_EXCLUDE):
-        with pytest.raises(ValueError, match="at least one pair"):
-            contrastive.global_objective(np.zeros((0, 0)), tau=0.5, over=over)
+        contrastive.global_objective(single, tau=0.5)
+    with pytest.raises(ValueError, match="at least one pair"):
+        contrastive.global_objective(np.zeros((0, 0)), tau=0.5)

@@ -191,7 +191,7 @@ def _exact_objective_fn(ds, s_r, tau, which, other_w):
         else:
             model = encoder.TwoTowerModel(w1=other_w, w2=w, tau=tau)
         s = encoder.batch_forward(model, ds.xs, ds.ys).s
-        return contrastive.global_objective(s - s_r, tau=tau, over=contrastive.OVER_EXCLUDE)
+        return contrastive.global_objective(s - s_r, tau=tau)
 
     return f
 
@@ -277,7 +277,7 @@ def test_tau_gradient_matches_finite_differences():
 
     def objective(tau):
         return (
-            contrastive.global_objective(fwd.s - s_r, tau=tau, over=contrastive.OVER_EXCLUDE)
+            contrastive.global_objective(fwd.s - s_r, tau=tau)
             + 2.0 * tau * state.config.rho_tau
         )
 
@@ -527,7 +527,7 @@ def test_train_monitored_descent():
 
     def exact(model):
         s = encoder.batch_forward(model, ds.xs[batch], ds.ys[batch]).s
-        return contrastive.global_objective(s - s_ref, tau=0.1, over=contrastive.OVER_EXCLUDE)
+        return contrastive.global_objective(s - s_ref, tau=0.1)
 
     start = exact(init_model_)
     state, _ = trainer.train(config, ds, cache)
@@ -599,7 +599,7 @@ def test_eval_point_matches_exact_objective_and_loss_variance(method):
         s = s - cache.similarity(subset)
     var = experiments.loss_variance(s)
     final = rep.summary
-    assert final["objective"] == contrastive.global_objective(s, tau=state.model.tau, over=contrastive.OVER_EXCLUDE)
+    assert final["objective"] == contrastive.global_objective(s, tau=state.model.tau)
     assert final["loss_variance_image"] == var.image_mean
     assert final["loss_variance_text"] == var.text_mean
 
@@ -662,6 +662,12 @@ def test_config_validation_names_field():
         ("rho_tau", float("inf")),
         ("lr", float("inf")),
         ("gamma", float("nan")),
+        # counts that would overflow a float: JEST's super batch
+        # batch_size / jest_ratio and its steps * JEST_ITER_MULTIPLIER
+        ("jest_ratio", 5e-324),
+        ("jest_ratio", 1e-300),
+        ("steps", 10**400),
+        ("batch_size", 10**400),
     ]
     for field, value in cases:
         with pytest.raises(ConfigError, match=field):
