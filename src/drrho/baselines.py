@@ -52,7 +52,6 @@ def infonce_grad_s(s, tau: float, out=None) -> np.ndarray:
 
 def infonce_tau_gradient(s, tau: float, out=None) -> float:
     """dInfoNCE/dtau via the chain rule through the scaled similarities."""
-    s = _check_square(s)
     coef = infonce_grad_s(s, tau, out=out)
     return float(-np.sum(np.multiply(coef, s, out=coef)) / tau)
 
@@ -151,7 +150,6 @@ def jest_select(
     sizes = [base] * (n_chunks - 1) + [k - base * (n_chunks - 1)]
     rng = CounterRng(seed, stream=0)
     remaining = np.arange(m)
-    taken = np.zeros(m, dtype=bool)
     sel = np.zeros(0, dtype=np.int64)
     trace: list[ChunkTrace] = []
     for c, size in enumerate(sizes):
@@ -167,8 +165,7 @@ def jest_select(
         picked = remaining[order]
         trace.append(ChunkTrace(indices=super_batch[picked], scores=scores[order]))
         sel = np.concatenate([sel, picked])
-        taken[picked] = True
-        remaining = np.flatnonzero(~taken)
+        remaining = np.delete(remaining, order)
     return SelectionOutcome(super_batch=super_batch, selected=super_batch[sel], positions=sel, chunk_trace=trace)
 
 

@@ -145,9 +145,8 @@ def _cmd_train(args) -> int:
     config = _train_config(args)
     state, report = trainer.train(config, dataset, cache)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_report(report, out_dir, plot_data=args.plot_data)  # makes out_dir
     encoder.save_model(state.model, out_dir / "model.ckpt")
-    _write_report(report, out_dir, plot_data=args.plot_data)
     summary = report.summary
     print(f"resolved config: {config.resolved()}")
     for metric in sorted(summary):

@@ -2,16 +2,22 @@
 
 Everything here is deliberately a different algorithm from the library
 code: high-precision direct evaluation (mpmath), dense grid searches, and
-central finite differences. Oracles stay dumb and slow on purpose.
+central finite differences. Oracles stay dumb and slow on purpose. The one
+library call is the whole-step oracle's JEST selection, ``jest_select``,
+which its own tests check against loops.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 
 import numpy as np
 from mpmath import mp
+
+from drrho import baselines
+from drrho.rng import CounterRng
 
 
 def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -299,6 +305,143 @@ def update_u_direct(u1: np.ndarray, u2: np.ndarray, batch, mean1, mean2, gamma: 
         g2 = 1.0 if (u2[i] == 0.0 and gamma > 0.0) else gamma
         u1[i] = (1.0 - g1) * u1[i] + g1 * mean1[pos]
         u2[i] = (1.0 - g2) * u2[i] + g2 * mean2[pos]
+
+
+# The trainer's batch stream and Adam constants, restated so that the step
+# oracle checks them instead of reading them.
+_STREAM_BATCHES = 10
+_BETA1, _BETA2, _OPT_EPS, _WEIGHT_DECAY = 0.9, 0.98, 1e-8, 0.1
+_TAU_MIN, _TAU_LR_SCALE = 0.005, 0.25
+
+
+def batch_direct(config, dataset, t: int) -> np.ndarray:
+    """The dataset indices step ``t`` draws (a JEST step's super batch).
+    The pool is the head of the train split; epoch e's order of it sorts the
+    e-th run of len(pool) raw outputs of the batch stream, ties to the lower
+    position, and its batches are consecutive slices with the remainder
+    dropped."""
+    train = [i for i in range(dataset.n) if dataset.split[i] == 0]
+    pool = train[: math.floor(config.train_fraction * len(train))]
+    jest = config.method in ("jest", "jest-topk")
+    size = round(config.batch_size / config.jest_ratio) if jest else config.batch_size
+    epoch, k = divmod(t, len(pool) // size)
+    rng = CounterRng(config.seed, _STREAM_BATCHES)
+    rng.raw(epoch * len(pool))
+    keys = rng.raw(len(pool)).tolist()
+    order = sorted(range(len(pool)), key=lambda i: (keys[i], i))
+    return np.array([pool[i] for i in order[k * size : (k + 1) * size]])
+
+
+def _softmax_grad_direct(s, tau: float, scale: float, grad, sign: float = 1.0) -> None:
+    """Add sign * scale * (row softmax + column softmax) of ``s / tau`` into
+    the nested list ``grad``, one row and one column at a time."""
+    b = len(s)
+    for i in range(b):
+        row = softmax_direct(s[i], tau)
+        col = softmax_direct([s[j][i] for j in range(b)], tau)
+        for j in range(b):
+            grad[i][j] += sign * scale * row[j]
+            grad[j][i] += sign * scale * col[j]
+
+
+def train_step_direct(state, batch, dataset, cache) -> dict:
+    """One training step by scalar loops, the reference for ``trainer.step``
+    on the state ``state`` (left unchanged), drawing ``batch``.
+
+    A JEST step embeds the super batch row by row and trains on the
+    positions ``baselines.jest_select`` keeps. A u method (fastclip, and
+    drrho-clip on s_target - s_reference) updates each drawn pair's u with
+    its batch mean of exp(gap / tau), then weights negative j of anchor a by
+    exp(gap_aj / tau) / ((epsilon + u_a) b (b - 1)); InfoNCE methods take
+    the softmax gradient. With distillation the gradients blend as
+    (1 - lam) * contrastive + lam * distillation, and tau's distillation
+    part is 0. Then one bias-corrected decoupled Adam step, element by
+    element, at the warmup/cosine rate. Returns the new w (w1's entries,
+    then w2's), tau, u, m and v.
+    """
+    config, model, t = state.config, state.model, state.step
+    tau = model.tau
+    batch = [int(i) for i in batch]
+    if config.method in ("jest", "jest-topk"):
+        e = np.array([[embed(model, side, raw) for raw in raws] for side, raws in
+                      (("image", dataset.xs[batch]), ("text", dataset.ys[batch]))])
+        outcome = baselines.jest_select(
+            e, (cache.e1[batch], cache.e2[batch]), batch, config.jest_ratio, config.jest_chunks,
+            mode="topk" if config.method == "jest-topk" else "sample", seed=config.seed + t, score_tau=tau,
+        )
+        batch = [batch[p] for p in outcome.positions]
+    b = len(batch)
+    xs, ys = dataset.xs[batch], dataset.ys[batch]
+    e1 = [embed(model, "image", x) for x in xs]
+    e2 = [embed(model, "text", y) for y in ys]
+    s_t = [[float(e1[i] @ e2[j]) for j in range(b)] for i in range(b)]
+    if config.method == "drrho-clip" or config.distill:
+        s_r = [[float(cache.e1[batch[i]] @ cache.e2[batch[j]]) for j in range(b)] for i in range(b)]
+
+    u = np.array(state.u)
+    grad_s = [[0.0] * b for _ in range(b)]
+    if config.method in ("fastclip", "drrho-clip"):
+        s = s_t if config.method == "fastclip" else [[s_t[i][j] - s_r[i][j] for j in range(b)] for i in range(b)]
+        # gaps[k][a][j]: anchor a's gap to negative j, image anchors (k = 0) then text anchors
+        gaps = [[[s[a][j] - s[a][a] for j in range(b)] for a in range(b)],
+                [[s[j][a] - s[a][a] for j in range(b)] for a in range(b)]]
+        q = [[[math.exp(g[a][j] / tau) if j != a else 0.0 for j in range(b)] for a in range(b)] for g in gaps]
+        means = [[math.fsum(row) / (b - 1) for row in side] for side in q]
+        update_u_direct(u[0], u[1], batch, means[0], means[1], config.gamma)
+        g_tau = 2.0 * config.rho_tau
+        for k in range(2):
+            for a in range(b):
+                denom = config.epsilon + u[k][batch[a]]
+                for j in range(b):
+                    if j != a:
+                        c = q[k][a][j] / (denom * b * (b - 1))
+                        i, jj = (a, j) if k == 0 else (j, a)
+                        grad_s[i][jj] += c
+                        grad_s[a][a] -= c
+                inner = math.fsum(q[k][a][j] * gaps[k][a][j] for j in range(b)) / ((b - 1) * tau)
+                g_tau += (math.log(denom) - inner / denom) / b
+    else:
+        _softmax_grad_direct(s_t, tau, 1.0 / (2 * b * tau), grad_s)
+        for i in range(b):
+            grad_s[i][i] -= 1.0 / (b * tau)
+        g_tau = -math.fsum(grad_s[i][j] * s_t[i][j] for i in range(b) for j in range(b)) / tau
+
+    def backward(coef) -> np.ndarray:
+        g1, g2 = np.zeros_like(model.w1), np.zeros_like(model.w2)
+        for i in range(b):
+            for j in range(b):
+                d1, d2 = similarity_grad(model, xs[i], ys[j])
+                g1 += coef[i][j] * d1
+                g2 += coef[i][j] * d2
+        return np.concatenate((g1.ravel(), g2.ravel()))
+
+    grad_w = backward(grad_s)
+    if config.distill:
+        dist = [[0.0] * b for _ in range(b)]
+        scale = 1.0 / (b * b * tau)
+        _softmax_grad_direct(s_t, tau, scale, dist)
+        _softmax_grad_direct(s_r, cache.source_tau, scale, dist, sign=-1.0)
+        grad_w = (1.0 - config.lam) * grad_w + config.lam * backward(dist)
+        g_tau = (1.0 - config.lam) * g_tau
+
+    resolved = config.resolved()
+    warmup, total = resolved["warmup_steps"], resolved["effective_steps"]
+    if t < warmup:
+        lr = config.lr * (t + 1) / warmup
+    else:
+        lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * min(1.0, (t - warmup) / max(1, total - warmup))))
+    bc1, bc2 = 1.0 - _BETA1 ** (t + 1), 1.0 - _BETA2 ** (t + 1)
+    w = np.concatenate((model.w1.ravel(), model.w2.ravel())).tolist()
+    m, v = state.m.tolist(), state.v.tolist()
+    for k, g in enumerate(grad_w.tolist()):
+        m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * g
+        v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * g * g
+        w[k] = w[k] * (1.0 - lr * _WEIGHT_DECAY) - lr * (m[k] / bc1) / (math.sqrt(v[k] / bc2) + _OPT_EPS)
+    if config.learnable_tau:
+        m_tau = _BETA1 * state.m_tau + (1.0 - _BETA1) * g_tau
+        v_tau = _BETA2 * state.v_tau + (1.0 - _BETA2) * g_tau * g_tau
+        tau = max(_TAU_MIN, tau - lr * _TAU_LR_SCALE * (m_tau / bc1) / (math.sqrt(v_tau / bc2) + _OPT_EPS))
+    return {"w": np.array(w), "tau": tau, "u": u, "m": np.array(m), "v": np.array(v)}
 
 
 def kl_constrained_ternary(values, rho: float, n: int, iters: int = 80) -> tuple[float, float]:

@@ -1,8 +1,12 @@
 """The package's modules import each other without a cycle, counting the
 imports made inside functions, which Python defers to their first call and
-so never reports as circular."""
+so never reports as circular; and importing one module loads only the
+modules it imports, since the package itself imports none."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import drrho
@@ -74,3 +78,31 @@ def test_import_graph_is_found():
 def test_package_imports_have_no_cycle():
     cycles = import_cycles(import_graph())
     assert cycles == [], "import cycles: " + "; ".join(" → ".join(c) for c in cycles)
+
+
+def _loaded_by(module: str) -> set[str]:
+    """The package modules a fresh interpreter holds after ``import module``."""
+    code = f"import sys, {module}; print(' '.join(m for m in sys.modules if m.startswith('drrho.')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return {m.removeprefix("drrho.") for m in out.split()}
+
+
+def _closure(graph: dict[str, dict[str, bool]], name: str) -> set[str]:
+    seen, todo = set(), [name]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(graph[module])
+    return seen
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded_by("drrho") == set()
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    closure = _closure(import_graph(), "risk")
+    assert closure == {"risk", "errors"}
+    assert _loaded_by("drrho.risk") == closure
