@@ -36,6 +36,49 @@ _STREAM_NOISE_Y = 4
 _NORM_TOL = 1e-9  # how far a cached embedding's norm may sit from 1
 
 
+# The fields a dataset and a cache are built from, which their files'
+# manifests hold (the rest of the meta is derived): each field's JSON types,
+# its range, and what a value outside it is.
+_DATASET_FIELDS = {
+    "seed": ((int,), lambda v: 0 <= v < SEED_LIMIT, "outside [0, 2**63)"),
+    "noise_sigma": ((float,), lambda v: math.isfinite(v) and v >= 0, "not finite and >= 0"),
+    "d_latent": ((int,), lambda v: v >= 1, "below 1"),
+}
+# Without the dataset's hash, train could not tell a cache from one of another dataset.
+_CACHE_FIELDS = {
+    "source_id": ((str,), lambda v: True, ""),
+    "dataset_id": ((str,), lambda v: v != "", "empty: a cache must name the dataset it embeds"),
+    "source_tau": ((float,), lambda v: math.isfinite(v) and v > 0, "not finite and > 0"),
+}
+
+
+def _domain_error(domain: tuple, value) -> str | None:
+    """Why ``value`` lies outside a field's ``(types, in_range, why)``, or None."""
+    types, in_range, why = domain
+    return container.json_type_error(value, types) or (None if in_range(value) else f"is {value!r}, {why}")
+
+
+def _hold_fields(obj, fields: dict) -> None:
+    """Hold each of ``fields`` on ``obj`` as the JSON type a manifest gives
+    back; ConfigError naming the first outside its domain."""
+    for name, domain in fields.items():
+        value = getattr(obj, name)
+        value = value.item() if isinstance(value, np.generic) else value  # a numpy scalar's number
+        if why := _domain_error(domain, value):
+            raise ConfigError(f"{name}: {why}")
+        object.__setattr__(obj, name, domain[0][0](value))
+
+
+def _meta_inputs(path: str | Path, meta: dict, fields: dict) -> dict:
+    """The manifest entries an object is built from; FormatError naming the
+    first missing or outside its field's domain."""
+    inputs = container.require_meta(path, meta, {name: domain[0] for name, domain in fields.items()})
+    for name, domain in fields.items():
+        if why := _domain_error(domain, inputs[name]):
+            raise FormatError(f"{path}: manifest meta {name!r} {why}")
+    return inputs
+
+
 @dataclass(frozen=True)
 class PairedDataset:
     """Aligned (x, y) feature pairs with a train/test split tag per index.
@@ -63,13 +106,7 @@ class PairedDataset:
             raise ConfigError("xs, ys, split must have identical length")
         if not np.isin(self.split, [SPLIT_TRAIN, SPLIT_TEST]).all():
             raise ConfigError("split labels must be train(0) or test(1)")
-        # held as the JSON type a manifest gives back, which the content hash covers
-        for name, kind in (("seed", int), ("noise_sigma", float), ("d_latent", int)):
-            value = getattr(self, name)
-            value = value.item() if isinstance(value, np.generic) else value  # a numpy scalar's number
-            if why := container.json_type_error(value, (kind,)):
-                raise ConfigError(f"{name}: {why}")
-            object.__setattr__(self, name, kind(value))
+        _hold_fields(self, _DATASET_FIELDS)  # which the content hash covers
 
     def __setstate__(self, state: dict) -> None:
         # A sweep's worker receives the dataset pickled, and unpickled arrays
@@ -130,12 +167,7 @@ class EmbeddingCache:
             norms = np.linalg.norm(e, axis=1)
             if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
                 raise ConfigError(f"{name} rows must be unit-normalized within {_NORM_TOL}")
-        # without the dataset's hash, train could not tell this cache from
-        # one of another dataset
-        if not self.dataset_id:
-            raise ConfigError("dataset_id: a cache must name the dataset it embeds")
-        if not (np.isfinite(self.source_tau) and self.source_tau > 0):
-            raise ConfigError(f"source_tau: must be finite and positive, got {self.source_tau!r}")
+        _hold_fields(self, _CACHE_FIELDS)
 
     @property
     def n(self) -> int:
@@ -181,20 +213,17 @@ def generate_synthetic(
     Deterministic: the same (n, d_x, d_y, d_latent, noise_sigma, seed)
     reproduce bit-identical arrays; test_fraction only relabels the split.
     """
-    for name, value in dict(locals()).items():  # each argument of its annotated JSON type, before any use
+    for name, value in dict(locals()).items():  # each argument of its JSON type and domain, before any use
         value = value.item() if isinstance(value, np.generic) else value
-        if why := container.json_type_error(value, (float if name in ("noise_sigma", "test_fraction") else int,)):
+        domain = _DATASET_FIELDS.get(name, ((float if name == "test_fraction" else int,), lambda v: True, ""))
+        if why := _domain_error(domain, value):
             raise ConfigError(f"{name}: {why}")
     if n < 2:
         raise ConfigError("n must be at least 2")
-    if d_latent < 1 or d_latent > min(d_x, d_y):
+    if d_latent > min(d_x, d_y):
         raise ConfigError("d_latent must satisfy 1 <= d_latent <= min(d_x, d_y)")
-    if not 0 <= noise_sigma < np.inf:
-        raise ConfigError(f"noise_sigma: must be finite and nonnegative, got {noise_sigma!r}")
     if not 0.0 <= test_fraction <= 1.0:
         raise ConfigError("test_fraction must lie in [0, 1]")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"seed: must lie in [0, 2**63), got {seed!r}")
 
     a, b = synthetic_projections(d_x, d_y, d_latent, seed)
     latents = CounterRng(seed, _STREAM_LATENT).normals((n, d_latent))
@@ -227,11 +256,6 @@ def build_reference_cache(dataset: PairedDataset, reference) -> EmbeddingCache:
     )
 
 
-# The manifest entries each loader builds from; the rest of the meta is derived.
-_DATASET_META_TYPES = {"seed": (int,), "noise_sigma": (float,), "d_latent": (int,)}
-_CACHE_META_TYPES = {"source_id": (str,), "dataset_id": (str,), "source_tau": (float,)}
-
-
 def _dataset_meta(dataset: PairedDataset) -> dict:
     """What a dataset file's manifest says of its dataset."""
     return {"n": dataset.n, "d_x": dataset.d_x, "d_y": dataset.d_y, "d_latent": dataset.d_latent,
@@ -248,15 +272,7 @@ def load_dataset(path: str | Path) -> PairedDataset:
     out of range or differs from what the dataset writes."""
     arrays, meta = container.read_container(path, expect_kind=container.KIND_DATASET)
     container.require_arrays(path, arrays, ("xs", "ys", "split"))
-    inputs = container.require_meta(path, meta, _DATASET_META_TYPES)
-    checks = [
-        ("seed", 0 <= inputs["seed"] < SEED_LIMIT, "outside [0, 2**63)"),
-        ("noise_sigma", math.isfinite(inputs["noise_sigma"]) and inputs["noise_sigma"] >= 0, "not finite and >= 0"),
-        ("d_latent", inputs["d_latent"] >= 1, "below 1"),
-    ]
-    for name, ok, why in checks:
-        if not ok:
-            raise FormatError(f"{path}: manifest meta {name!r} is {meta[name]!r}, {why}")
+    inputs = _meta_inputs(path, meta, _DATASET_FIELDS)
     dataset = PairedDataset(xs=arrays["xs"], ys=arrays["ys"], split=arrays["split"].astype(np.int64), **inputs)
     container.require_derived(path, meta, _dataset_meta(dataset))
     return dataset
@@ -274,11 +290,9 @@ def save_cache(cache: EmbeddingCache, path: str | Path) -> None:
 
 def load_cache(path: str | Path) -> EmbeddingCache:
     """A saved cache; FormatError naming the first manifest entry that is
-    mistyped or differs from what the cache writes."""
+    out of range or differs from what the cache writes."""
     arrays, meta = container.read_container(path, expect_kind=container.KIND_CACHE)
     container.require_arrays(path, arrays, ("e1", "e2"))
-    inputs = container.require_meta(path, meta, _CACHE_META_TYPES)
-    inputs["source_tau"] = float(inputs["source_tau"])
-    cache = EmbeddingCache(e1=arrays["e1"], e2=arrays["e2"], **inputs)
+    cache = EmbeddingCache(e1=arrays["e1"], e2=arrays["e2"], **_meta_inputs(path, meta, _CACHE_FIELDS))
     container.require_derived(path, meta, _cache_meta(cache))
     return cache

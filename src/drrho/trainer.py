@@ -231,14 +231,14 @@ def _anchor_sums(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return np.array((np.add.reduce(q1, axis=1), np.add.reduce(q2, axis=1)))
 
 
-def _step_buffers(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A step's (b, b) buffers, held for a run: (sim, ref, distill, q). The
-    last three share one (3, b, b) scratch: ref is scratch[0], distill
-    scratch[1:], and q, or InfoNCE's two softmaxes, scratch[:2]. A
-    drrho-clip step subtracts ``ref`` into ``sim`` after distillation has
-    read both, and before q overwrites ``ref``."""
+def _step_buffers(b: int) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+    """A step's (b, b) buffers, held for a run: (sim, ref, distill, q), all
+    but sim in one (3, b, b) scratch: ref is scratch[0], q (or InfoNCE's two
+    softmaxes) scratch[:2], and distill's (gradient, softmax) (scratch[2],
+    scratch[1]), so its gradient outlives q. A drrho-clip step subtracts
+    ``ref`` into ``sim`` after distillation has read both, and before q overwrites ``ref``."""
     scratch = np.empty((3, b, b))
-    return np.empty((b, b)), scratch[0], scratch[1:], scratch[:2]
+    return np.empty((b, b)), scratch[0], (scratch[2], scratch[1]), scratch[:2]
 
 
 def update_u(
@@ -487,25 +487,24 @@ def step(run: Run) -> None:
         fwd = batch_forward(model, xs_b, ys_b, out=sim_out)
     s_ref = cache.similarity(batch, out=ref_out) if run.shift or config.distill else None
     if config.distill:
-        dist_coef = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau, out=dist_out)
-        dist = similarity_backward(fwd, xs_b, ys_b, dist_coef)
+        dist = baselines.distillation_grad_s(fwd.s, s_ref, model.tau, cache.source_tau, out=dist_out)
 
+    # Distillation has read both; q overwrites s_ref once it is subtracted.
+    s = np.subtract(fwd.s, s_ref, out=fwd.s) if run.shift else fwd.s
     if run.u:
-        # Distillation has read both; q overwrites s_ref once it is subtracted.
-        s = np.subtract(fwd.s, s_ref, out=fwd.s) if run.shift else fwd.s
         u = update_u(state, batch, s, out=q_out)
-        grads = gradient_estimator(state, u, fwd, xs_b, ys_b, s, out=q_out)
-        if config.learnable_tau:
-            grads["tau"] = np.asarray([tau_gradient(state, u, s, out=q_out)])
+        coef = anchor_weight_coefficients(state, u, s, out=q_out)
     else:
-        coef = baselines.infonce_grad_s(fwd.s, model.tau, out=q_out)
-        grads = similarity_backward(fwd, xs_b, ys_b, coef)
-        if config.learnable_tau:
-            grads["tau"] = np.asarray([baselines.infonce_tau_gradient(fwd.s, model.tau, out=q_out)])
-    if config.distill:
-        # Distillation has no temperature pull, so tau's blend adds 0.
-        for k in grads:
-            grads[k] = (1.0 - config.lam) * grads[k] + config.lam * dist.get(k, 0.0)
+        coef = baselines.infonce_grad_s(s, model.tau, out=q_out)
+    lam = config.lam if config.distill else 0.0
+    if config.distill:  # (1 - lam) * L + lam * D: the backward pass is linear in dS
+        coef *= 1.0 - lam
+        coef += np.multiply(dist, lam, out=dist)
+    grads = similarity_backward(fwd, xs_b, ys_b, coef)
+    if config.learnable_tau:  # distillation has no pull on tau
+        g_tau = (tau_gradient(state, u, s, out=q_out) if run.u
+                 else baselines.infonce_tau_gradient(s, model.tau, out=q_out))
+        grads["tau"] = np.asarray([(1.0 - lam) * g_tau])
 
     optimizer_step(state, grads)
     if state.step % config.resolved_eval_every() == 0 or state.step == config.effective_steps:

@@ -172,8 +172,8 @@ def test_every_manifest_key_edit_loads_or_raises_drrho_error(kind, tmp_path):
 # Each kind's writer, its meta function, and the meta entries its loader
 # builds the object from (its inputs); every other entry is derived.
 OBJECTS = {
-    "dataset": (data.save_dataset, data._dataset_meta, data._DATASET_META_TYPES),
-    "cache": (data.save_cache, data._cache_meta, data._CACHE_META_TYPES),
+    "dataset": (data.save_dataset, data._dataset_meta, data._DATASET_FIELDS),
+    "cache": (data.save_cache, data._cache_meta, data._CACHE_FIELDS),
     "model": (encoder.save_model, encoder._model_meta, {}),
 }
 

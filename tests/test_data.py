@@ -175,6 +175,30 @@ def test_dataset_scalar_of_another_type_is_config_error_naming_it(field, value):
         replace(ds, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("dataset", "seed", -1),
+        ("dataset", "seed", 2**70),
+        ("dataset", "noise_sigma", -3.0),
+        ("dataset", "noise_sigma", float("nan")),
+        ("dataset", "d_latent", 0),
+        ("cache", "source_id", 7),
+        ("cache", "dataset_id", 5),
+        ("cache", "dataset_id", ""),
+        ("cache", "source_tau", True),
+        ("cache", "source_tau", 0.0),
+    ],
+)
+def test_a_field_its_loader_would_reject_is_config_error_naming_it(kind, field, value):
+    # The constructor and the loader check one domain, so anything that
+    # builds also saves a file that loads back.
+    ds = data.generate_synthetic(8, 4, 4, 2, 0.1, 0.0, seed=1)
+    obj = ds if kind == "dataset" else data.build_reference_cache(ds, encoder.init_model(3, 4, 4, seed=2))
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        replace(obj, **{field: value})
+
+
 @pytest.mark.parametrize("seed", [-1, 2**63, 3 + 2**64])
 def test_seed_outside_the_accepted_range_is_config_error(seed):
     # 3 + 2**64 would give seed 3's arrays under another content hash.

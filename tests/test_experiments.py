@@ -32,14 +32,12 @@ def test_recall_identity_and_antidiagonal():
 
 
 def test_recall_matches_brute_force():
-    s = _random_sim(1, 5)
-    hits = 0
-    for i in range(5):
-        if max(range(5), key=lambda j: s[i, j]) == i:
-            hits += 1
-        if max(range(5), key=lambda j: s[j, i]) == i:
-            hits += 1
-    assert experiments.recall_at_1(s) == pytest.approx(hits / 10, abs=1e-15)
+    s = _random_sim(3, 5)
+    image_hits = sum(max(range(5), key=lambda j: s[i, j]) == i for i in range(5))
+    text_hits = sum(max(range(5), key=lambda j: s[j, i]) == i for i in range(5))
+    # The directions differ, so a recall that scores only one of them fails.
+    assert (image_hits, text_hits) == (3, 2)
+    assert experiments.recall_at_1(s) == pytest.approx((image_hits + text_hits) / 10, abs=1e-15)
 
 
 def test_recall_tie_goes_to_lowest_index():

@@ -337,8 +337,10 @@ def test_step_buffers_stack_both_directions():
     assert parent.shape == (3, b, b) and parent.flags.c_contiguous
     assert sim.shape == (b, b) and not np.shares_memory(sim, parent)
     assert _view_of(ref, parent, 0)
-    for head, first in ((q, 0), (distill, 1)):
-        assert head.base is parent and head.shape == (2, b, b) and _at(head, parent[first])
+    assert q.base is parent and q.shape == (2, b, b) and _at(q, parent[0])
+    # Distillation's gradient sits in the one matrix q never writes.
+    grad, softmax = distill
+    assert _view_of(grad, parent, 2) and _view_of(softmax, parent, 1)
     q1, q2 = trainer.shifted_gap_exponentials(np.zeros((b, b)), 0.1, out=q)
     assert _view_of(q1, parent, 0) and _view_of(q2, parent, 1)
     assert q1.strides == parent[0].strides and q2.strides == parent[1].T.strides

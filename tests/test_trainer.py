@@ -166,15 +166,16 @@ def test_first_step_hands_fresh_u_to_estimators(method, distill):
     fwd = encoder.batch_forward(model, xs, ys)
     s = fwd.s - cache.similarity(batch) if method == "drrho-clip" else fwd.s
     u = trainer.update_u(state, batch, s)
-    grads = trainer.gradient_estimator(state, u, fwd, xs, ys, s)
-    grads["tau"] = np.asarray([trainer.tau_gradient(state, u, s)])
+    coef = trainer.anchor_weight_coefficients(state, u, s)
+    g_tau = trainer.tau_gradient(state, u, s)
     if distill:
-        # Distillation reads the reference similarity itself, not s.
-        coef = baselines.distillation_grad_s(fwd.s, cache.similarity(batch), model.tau, cache.source_tau)
-        dist = encoder.similarity_backward(fwd, xs, ys, coef)
-        for name in ("w1", "w2"):
-            grads[name] = (1.0 - config.lam) * grads[name] + config.lam * dist[name]
-        grads["tau"] = (1.0 - config.lam) * grads["tau"]
+        # Distillation reads the reference similarity itself, not s, and
+        # blends into the one dS the step chains through the towers.
+        dist = baselines.distillation_grad_s(fwd.s, cache.similarity(batch), model.tau, cache.source_tau)
+        coef = (1.0 - config.lam) * coef + config.lam * dist
+        g_tau = (1.0 - config.lam) * g_tau
+    grads = encoder.similarity_backward(fwd, xs, ys, coef)
+    grads["tau"] = np.asarray([g_tau])
     trainer.optimizer_step(state, grads)
 
     assert np.array_equal(got.model.w1, state.model.w1) and np.array_equal(got.model.w2, state.model.w2)
@@ -182,6 +183,23 @@ def test_first_step_hands_fresh_u_to_estimators(method, distill):
     assert np.array_equal(got.u, state.u)
     assert np.array_equal(got.m, state.m) and np.array_equal(got.v, state.v)
     assert (got.m_tau, got.v_tau) == (state.m_tau, state.v_tau)
+
+
+@pytest.mark.parametrize("distill", [False, True], ids=["plain", "distill"])
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_every_step_chains_one_ds_through_the_towers(monkeypatch, method, distill):
+    # Distillation blends into the method's dS, so it adds no backward pass.
+    ds = data.generate_synthetic(160, 12, 10, 4, 0.2, 0.25, seed=2)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=77))
+    config = trainer.TrainConfig(
+        method=method, steps=4, batch_size=8, embed_dim=6, tau_learnable=True, distill=distill, eval_every=10**6
+    )
+    calls, backward = [], trainer.similarity_backward
+    monkeypatch.setattr(trainer, "similarity_backward", lambda *a: calls.append(1) or backward(*a))
+    run = trainer.start_run(config, ds, cache)
+    for t in range(config.effective_steps):
+        trainer.step(run)
+        assert len(calls) == t + 1
 
 
 def _exact_objective_fn(ds, s_r, tau, which, other_w):
@@ -562,6 +580,24 @@ def test_train_rejects_more_jest_chunks_than_selected_pairs(method):
         trainer.train(config, ds, cache)
     state, _ = trainer.train(replace(config, jest_chunks=16), ds, cache)
     assert state.step == config.effective_steps
+
+
+@pytest.mark.parametrize(
+    "method, steps, eval_every",
+    [("fastclip", 10, 3), ("fastclip", 10, None), ("openclip", 120, None), ("jest", 7, 4), ("drrho-clip", 12, 5)],
+)
+def test_report_records_eval_points_at_the_cadence_and_the_final_step(method, steps, eval_every):
+    ds = data.generate_synthetic(96, 12, 10, 4, 0.2, 0.25, seed=6)
+    cache = data.build_reference_cache(ds, encoder.init_model(6, 12, 10, seed=44))
+    config = trainer.TrainConfig(
+        method=method, steps=steps, batch_size=8, embed_dim=6, lr=5e-3, eval_every=eval_every, eval_subset=16
+    )
+    _, rep = trainer.train(config, ds, cache if config.needs_reference else None)
+    every, last = config.resolved_eval_every(), config.effective_steps
+    want = sorted({*range(every, last + 1, every), last})
+    assert len(want) > 1
+    assert [step for step, _ in rep.metric_series("objective")] == want
+    assert sorted({step for step, _, _ in rep.series}) == want
 
 
 @pytest.mark.parametrize("distill", [False, True], ids=["plain", "distill"])
